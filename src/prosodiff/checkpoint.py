@@ -18,6 +18,7 @@ produces identical bytes. Round-trips are bit-exact.
 
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 
@@ -47,26 +48,37 @@ def save_entries(path: str | Path, entries: dict[str, np.ndarray]) -> None:
 
 
 def load_entries(path: str | Path) -> dict[str, np.ndarray]:
+    """Read every entry back; any malformed, truncated or non-finite content
+    raises CheckpointError naming the file."""
     raw = Path(path).read_bytes()
     if raw[:8] != MAGIC:
         raise CheckpointError(f"{path}: not a checkpoint file (bad magic)")
-    version, count = struct.unpack_from("<II", raw, 8)
+    offset = 8
+
+    def take(size: int, what: str) -> int:
+        nonlocal offset
+        if offset + size > len(raw):
+            raise CheckpointError(f"{path}: truncated inside {what} at byte {offset}")
+        start, offset = offset, offset + size
+        return start
+
+    version, count = struct.unpack_from("<II", raw, take(8, "header"))
     if version != VERSION:
         raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
-    offset = 16
     entries: dict[str, np.ndarray] = {}
     for _ in range(count):
-        (name_len,) = struct.unpack_from("<I", raw, offset)
-        offset += 4
-        name = raw[offset : offset + name_len].decode("utf-8")
-        offset += name_len
-        (ndim,) = struct.unpack_from("<I", raw, offset)
-        offset += 4
-        shape = struct.unpack_from(f"<{ndim}Q", raw, offset)
-        offset += 8 * ndim
-        n = int(np.prod(shape)) if ndim else 1
-        arr = np.frombuffer(raw, dtype="<f8", count=n, offset=offset).reshape(shape)
-        offset += 8 * n
+        (name_len,) = struct.unpack_from("<I", raw, take(4, "entry header"))
+        start = take(name_len, "entry name")
+        try:
+            name = raw[start:offset].decode("utf-8")
+        except UnicodeDecodeError:
+            raise CheckpointError(f"{path}: entry name at byte {start} is not utf-8") from None
+        (ndim,) = struct.unpack_from("<I", raw, take(4, name))
+        shape = struct.unpack_from(f"<{ndim}Q", raw, take(8 * ndim, name))
+        n = math.prod(shape)
+        arr = np.frombuffer(raw, dtype="<f8", count=n, offset=take(8 * n, name)).reshape(shape)
+        if not np.all(np.isfinite(arr)):
+            raise CheckpointError(f"{path}: entry {name} holds non-finite values")
         entries[name] = arr.astype(np.float64)  # own writable copy
     if offset != len(raw):
         raise CheckpointError(f"{path}: {len(raw) - offset} trailing bytes")

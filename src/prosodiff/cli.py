@@ -21,7 +21,8 @@ import numpy as np
 from . import evaluate, inference
 from . import rng as rng_mod
 from .charts import write_bar_chart, write_line_chart
-from .config import GuidanceDefaults, RunConfig, ScheduleSettings
+from .checkpoint import CheckpointError
+from .config import RunConfig, ScheduleSettings
 from .corpus import (
     Corpus,
     generate_corpus,
@@ -30,10 +31,9 @@ from .corpus import (
     save_corpus,
     write_utterance_csv,
 )
-from .guidance import GuidanceParams
 from .schedule import cosine_schedule
 from .style import normalize_weights, one_hot_weights
-from .training import train
+from .training import ModelBundle, load_checkpoint, train
 
 
 class CommandError(Exception):
@@ -62,14 +62,26 @@ def _load_run_config(args) -> RunConfig:
     return run
 
 
-def _guidance_from(run: RunConfig, args) -> GuidanceParams:
-    g = run.guidance
-    return GuidanceParams(
-        eta=args.eta if args.eta is not None else g.eta,
-        gamma=args.gamma if args.gamma is not None else g.gamma,
-        tau=args.tau if args.tau is not None else g.tau,
-        steps=args.steps if getattr(args, "steps", None) is not None else run.schedule.steps,
-    )
+def _load_trained(args) -> tuple[Corpus, ModelBundle, RunConfig]:
+    """Set-up shared by sample and eval.
+
+    Applies --eta/--gamma/--tau/--steps to the config archived next to the
+    checkpoint, builds the trained bundle from it, applies --seed (after the
+    build: the frozen text embedder is keyed by the training seed) and
+    archives the resulting config into --out.
+    """
+    corpus = _corpus_for(args)
+    run = inference.archived_config(args.checkpoint)
+    overrides = {name: getattr(args, name) for name in ("eta", "gamma", "tau") if getattr(args, name) is not None}
+    run.guidance = replace(run.guidance, **overrides)
+    if args.steps is not None:
+        run.schedule = replace(run.schedule, steps=args.steps)
+    bundle = inference.bundle_from_config(run, corpus)
+    load_checkpoint(bundle, args.checkpoint)
+    if args.seed is not None:
+        run.seed = args.seed
+    _archive_config(run, Path(args.out))
+    return corpus, bundle, run
 
 
 def _archive_config(run: RunConfig, out_dir: Path) -> None:
@@ -104,8 +116,6 @@ def cmd_train(args) -> None:
     bundle = inference.bundle_from_config(run, corpus)
     start = 0
     if args.resume:
-        from .training import load_checkpoint
-
         start = load_checkpoint(bundle, args.resume)
         if start >= run.train.steps:
             raise CommandError(f"checkpoint already at step {start}, nothing to train")
@@ -115,7 +125,7 @@ def cmd_train(args) -> None:
 
 def _resolve_mode_conditions(args, bundle, corpus, run, n_samples):
     """Returns (texts, conditions, mode_tag). Texts are phoneme-id arrays."""
-    pick = rng_mod.substream(args.seed if args.seed is not None else run.seed, rng_mod.SAMPLE_STREAM, 999)
+    pick = rng_mod.substream(run.seed, rng_mod.SAMPLE_STREAM, 999)
     val = corpus.split("val")
     texts = [val[int(i)].phoneme_ids for i in pick.integers(0, len(val), size=n_samples)]
 
@@ -156,22 +166,11 @@ def _resolve_mode_conditions(args, bundle, corpus, run, n_samples):
 
 
 def cmd_sample(args) -> None:
-    corpus = _corpus_for(args)
-    bundle, run, _ = inference.load_trained(args.checkpoint, corpus)
-    if getattr(args, "seed", None) is not None:
-        run.seed = args.seed
-    guidance = _guidance_from(run, args)
-    run.guidance = GuidanceDefaults(eta=guidance.eta, gamma=guidance.gamma, tau=guidance.tau)
-    if guidance.steps != bundle.schedule.step_count:
-        bundle.schedule = cosine_schedule(guidance.steps, run.schedule.offset)
-        run.schedule = ScheduleSettings(steps=guidance.steps, offset=run.schedule.offset)
+    corpus, bundle, run = _load_trained(args)
     out_dir = Path(args.out)
-    _archive_config(run, out_dir)
-
     texts, conditions, tag = _resolve_mode_conditions(args, bundle, corpus, run, args.num_samples)
     diagnostics: list | None = [] if args.diagnostics else None
-    seed = args.seed if args.seed is not None else run.seed
-    generated = inference.generate(bundle, texts, conditions, guidance, seed, diagnostics=diagnostics)
+    generated = inference.generate(bundle, texts, conditions, run.guidance, run.seed, diagnostics=diagnostics)
 
     scale = np.array([args.scale_pitch, args.scale_energy, args.scale_duration])[:, None]
     sample_dir = out_dir / "samples"
@@ -192,19 +191,17 @@ def cmd_sample(args) -> None:
 
 
 def cmd_eval(args) -> None:
-    corpus = _corpus_for(args)
-    bundle, run, _ = inference.load_trained(args.checkpoint, corpus)
-    if getattr(args, "seed", None) is not None:
-        run.seed = args.seed
-    guidance = _guidance_from(run, args)
-    if guidance.steps != bundle.schedule.step_count:
-        bundle.schedule = cosine_schedule(guidance.steps, run.schedule.offset)
-        run.schedule = ScheduleSettings(steps=guidance.steps, offset=run.schedule.offset)
+    corpus, bundle, run = _load_trained(args)
+    sweep = []
+    if args.eta_sweep is not None:
+        sweep = [replace(run.guidance, eta=float(v)) for v in args.eta_sweep.split(",") if v.strip()]
+        if not sweep:
+            raise CommandError("empty eta sweep")
+        if args.sweep_utterances < 1:
+            raise CommandError("--sweep-utterances must be at least 1")
     out_dir = Path(args.out)
-    _archive_config(run, out_dir)
-    seed = args.seed if args.seed is not None else run.seed
     val = corpus.split("val")
-    generated = inference.reconstruct(bundle, val, guidance, seed)
+    generated = inference.reconstruct(bundle, val, run.guidance, run.seed)
     js = evaluate.js_report(generated, val)
 
     rows = [("js_divergence", name, value) for name, value in js.items()]
@@ -219,16 +216,9 @@ def cmd_eval(args) -> None:
         rows.append(("descriptor_spread", "all", float(spread)))
 
     sweep_rows = []
-    if args.eta_sweep is not None:
-        etas = [float(v) for v in args.eta_sweep.split(",") if v.strip()]
-        if not etas:
-            raise CommandError("empty eta sweep")
-        subset = val[: args.sweep_utterances]
-        for eta in etas:
-            params = GuidanceParams(eta=eta, gamma=guidance.gamma, tau=guidance.tau, steps=guidance.steps)
-            swept = inference.reconstruct(bundle, subset, params, seed)
-            cv = evaluate.mean_cv(swept)
-            sweep_rows.append((eta, cv[0], cv[1], cv[2]))
+    for params in sweep:
+        cv = evaluate.mean_cv(inference.reconstruct(bundle, val[: args.sweep_utterances], params, run.seed))
+        sweep_rows.append((params.eta, cv[0], cv[1], cv[2]))
 
     with open(out_dir / "report.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -358,8 +348,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_plot)
 
     p = sub.add_parser("dump-schedule", help="write the beta/alpha tables as CSV")
-    p.add_argument("--steps", type=int, default=200)
-    p.add_argument("--offset", type=float, default=0.008)
+    p.add_argument("--steps", type=int, default=ScheduleSettings().steps)
+    p.add_argument("--offset", type=float, default=ScheduleSettings().offset)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_dump_schedule)
 
@@ -370,7 +360,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         args.func(args)
-    except (CommandError, ValueError, FileNotFoundError, KeyError) as exc:
+    except (CommandError, CheckpointError, ValueError, OSError, KeyError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 1
     return 0

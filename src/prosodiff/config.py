@@ -8,11 +8,12 @@ the archive plus the seed.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from .corpus import CorpusConfig
 from .denoiser import DenoiserConfig
+from .guidance import GuidanceParams
 from .schedule import COSINE_OFFSET
 from .style import StyleConfig
 from .training import TrainConfig
@@ -28,13 +29,6 @@ class ScheduleSettings:
             raise ValueError("need at least 2 diffusion steps")
 
 
-@dataclass(frozen=True)
-class GuidanceDefaults:
-    eta: float = 1.0
-    gamma: float = 0.7
-    tau: float = 1.0
-
-
 @dataclass
 class RunConfig:
     seed: int = 0
@@ -43,7 +37,7 @@ class RunConfig:
     style: StyleConfig = field(default_factory=StyleConfig)
     schedule: ScheduleSettings = field(default_factory=ScheduleSettings)
     train: TrainConfig = field(default_factory=TrainConfig)
-    guidance: GuidanceDefaults = field(default_factory=GuidanceDefaults)
+    guidance: GuidanceParams = field(default_factory=GuidanceParams)
 
     def __post_init__(self):
         if self.denoiser.condition_dim != self.style.condition_dim:
@@ -57,22 +51,29 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
-        data = dict(data)
-        corpus = dict(data.get("corpus", {}))
-        if "length_range" in corpus:
-            corpus["length_range"] = tuple(corpus["length_range"])
-        denoiser = dict(data.get("denoiser", {}))
-        if "dilation_cycle" in denoiser:
-            denoiser["dilation_cycle"] = tuple(denoiser["dilation_cycle"])
-        return cls(
-            seed=data.get("seed", 0),
-            corpus=CorpusConfig(**corpus),
-            denoiser=DenoiserConfig(**denoiser),
-            style=StyleConfig(**data.get("style", {})),
-            schedule=ScheduleSettings(**data.get("schedule", {})),
-            train=TrainConfig(**data.get("train", {})),
-            guidance=GuidanceDefaults(**data.get("guidance", {})),
-        )
+        if not isinstance(data, dict):
+            raise ValueError("a run config must be a JSON object")
+        unknown = sorted(set(data) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown run config sections: {', '.join(unknown)}")
+        try:
+            corpus = dict(data.get("corpus", {}))
+            if "length_range" in corpus:
+                corpus["length_range"] = tuple(corpus["length_range"])
+            denoiser = dict(data.get("denoiser", {}))
+            if "dilation_cycle" in denoiser:
+                denoiser["dilation_cycle"] = tuple(denoiser["dilation_cycle"])
+            return cls(
+                seed=data.get("seed", 0),
+                corpus=CorpusConfig(**corpus),
+                denoiser=DenoiserConfig(**denoiser),
+                style=StyleConfig(**data.get("style", {})),
+                schedule=ScheduleSettings(**data.get("schedule", {})),
+                train=TrainConfig(**data.get("train", {})),
+                guidance=GuidanceParams(**data.get("guidance", {})),
+            )
+        except TypeError as exc:  # a section that is not an object, or an unknown field
+            raise ValueError(f"malformed run config: {exc}") from None
 
     def save(self, path: str | Path) -> None:
         path = Path(path)

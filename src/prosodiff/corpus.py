@@ -222,25 +222,6 @@ def compute_stats(utterances: list[Utterance]) -> NormStats:
     return NormStats(mean=mean, std=std)
 
 
-def phoneme_average(frame_values: np.ndarray, boundaries: np.ndarray) -> np.ndarray:
-    """Average frame-wise values into phoneme-wise values.
-
-    boundaries: [L+1] strictly increasing frame indices spanning the frames;
-    phoneme i covers frames boundaries[i]..boundaries[i+1]-1.
-    """
-    frame_values = np.asarray(frame_values, dtype=np.float64)
-    boundaries = np.asarray(boundaries)
-    if boundaries.ndim != 1 or len(boundaries) < 2:
-        raise ValueError("need at least one boundary pair")
-    if np.any(np.diff(boundaries) <= 0):
-        raise ValueError("boundaries must be strictly increasing (empty segment)")
-    if boundaries[0] != 0 or boundaries[-1] != len(frame_values):
-        raise ValueError("boundaries must span all frames")
-    return np.array(
-        [frame_values[boundaries[i] : boundaries[i + 1]].mean() for i in range(len(boundaries) - 1)]
-    )
-
-
 # persistence --------------------------------------------------------------
 
 
@@ -285,8 +266,13 @@ def read_utterance_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
         rows = list(csv.reader(fh))
     if not rows or rows[0] != ["phoneme_id", *CHANNEL_NAMES]:
         raise ValueError(f"{path}: not an utterance file")
-    ids = np.array([int(r[0]) for r in rows[1:]], dtype=np.int64)
-    prosody = np.array([[float(r[c + 1]) for r in rows[1:]] for c in range(3)])
+    try:
+        ids = np.array([int(r[0]) for r in rows[1:]], dtype=np.int64)
+        prosody = np.array([[float(r[c + 1]) for r in rows[1:]] for c in range(3)])
+    except (ValueError, IndexError):
+        raise ValueError(f"{path}: malformed utterance row") from None
+    if not np.all(np.isfinite(prosody)):
+        raise ValueError(f"{path}: non-finite prosody value")
     return ids, prosody
 
 

@@ -421,16 +421,13 @@ def mse(a, b) -> Tensor:
 
 
 class Parameter:
-    """A trainable tensor together with its adaptive-moment slots."""
+    """A named trainable tensor (its optimiser state lives in ``optim``)."""
 
-    __slots__ = ("name", "tensor", "first_moment", "second_moment", "step_counter")
+    __slots__ = ("name", "tensor")
 
     def __init__(self, name: str, value: np.ndarray):
         self.name = name
         self.tensor = Tensor(value)
-        self.first_moment = np.zeros(self.tensor.size)
-        self.second_moment = np.zeros(self.tensor.size)
-        self.step_counter = 0
 
     @property
     def data(self) -> np.ndarray:

@@ -8,7 +8,6 @@ held-out reference, over 50 uniform bins spanning the reference range
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np

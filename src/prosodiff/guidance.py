@@ -1,17 +1,24 @@
 """Training objective, classifier-free guidance, std-rescale correction,
-and the full reverse-process sampler.
+and the reverse-process sampler.
 
 Guidance combines a style-conditioned and a style-unconditioned noise
 prediction, eps_nc + eta * (eps_c - eps_nc). Large eta exaggerates the
 conditional direction but inflates the prediction's standard deviation;
 the rescale step pulls it back toward the conditional prediction's std,
 blended by gamma. The terminal draw x_T uses covariance (1/tau) * I.
+
+There is one reverse loop, ``reverse_process``: it draws x_T and applies
+``reverse_step`` for t = T..1 with whatever per-step noise predictor it is
+given. ``sample`` hands it the guided predictor (theta2, then theta1,
+combine, rescale); a single denoiser's forward pass drives the same loop
+unguided.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -28,17 +35,14 @@ class GuidanceParams:
     eta: float = 1.0  # guiding scale; 0 = unconditional, 1 = conditional, >1 extrapolates
     gamma: float = 0.7  # std-correction blend in [0, 1]
     tau: float = 1.0  # terminal temperature; x_T ~ N(0, I/tau)
-    steps: int = 200
 
     def __post_init__(self):
-        if self.eta < 0:
-            raise ValueError("eta must be >= 0")
+        if not (math.isfinite(self.eta) and self.eta >= 0):
+            raise ValueError("eta must be finite and >= 0")
         if not 0.0 <= self.gamma <= 1.0:
             raise ValueError("gamma must lie in [0, 1]")
-        if self.tau <= 0:
-            raise ValueError("tau must be positive")
-        if self.steps < 2:
-            raise ValueError("need at least 2 steps")
+        if not (math.isfinite(self.tau) and self.tau > 0):
+            raise ValueError("tau must be finite and positive")
 
 
 @dataclass
@@ -114,6 +118,21 @@ def draw_terminal(shape: tuple[int, ...], tau: float, rng: np.random.Generator) 
     return rng.standard_normal(shape) / math.sqrt(tau)
 
 
+def reverse_process(
+    predict: Callable[[np.ndarray, int], np.ndarray],
+    shape: tuple[int, ...],
+    tau: float,
+    schedule: NoiseSchedule,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """Draw x_T ~ N(0, I/tau) and step it to x_0; predict(x_t, t) gives eps_hat."""
+    x = draw_terminal(shape, tau, rng)
+    with engine.no_grad():
+        for t in range(schedule.step_count, 0, -1):
+            x = reverse_step(x, t, predict(x, t), schedule, rng)
+    return x
+
+
 def sample(
     theta1: Denoiser,
     theta2: Denoiser,
@@ -133,47 +152,21 @@ def sample(
     same holds at eta=1 for theta1-only sampling because the combined
     prediction is a bit-exact copy of the conditional one.
     """
-    if params.steps != schedule.step_count:
-        raise ValueError(f"guidance expects {params.steps} steps, schedule has {schedule.step_count}")
     y = np.asarray(y, dtype=np.float64)
     if y.ndim != 3:
         raise ValueError(f"sample() wants batched text embeddings [B, L, D], got {y.shape}")
-    batch, length = y.shape[0], y.shape[1]
-    channels = theta1.config.residual_channels
-
     unconditional = c is None or params.eta == 0.0
-    x = draw_terminal((batch, channels, length), params.tau, rng)
-    with engine.no_grad():
-        for t in range(schedule.step_count, 0, -1):
-            eps_nc = predict_noise(theta2, x, t, y).data
-            if unconditional:
-                eps_hat = eps_nc
-            else:
-                eps_c = predict_noise(theta1, x, t, y, c).data
-                combined = cfg_combine(eps_c, eps_nc, params.eta)
-                eps_hat, diag = rescale(combined, eps_c, params.gamma)
-                if diagnostics is not None:
-                    diagnostics.append((t, diag))
-            x = reverse_step(x, t, eps_hat, schedule, rng)
-    return x
 
+    def guided(x: np.ndarray, t: int) -> np.ndarray:
+        eps_nc = predict_noise(theta2, x, t, y).data
+        if unconditional:
+            return eps_nc
+        eps_c = predict_noise(theta1, x, t, y, c).data
+        combined = cfg_combine(eps_c, eps_nc, params.eta)
+        eps_hat, diag = rescale(combined, eps_c, params.gamma)
+        if diagnostics is not None:
+            diagnostics.append((t, diag))
+        return eps_hat
 
-def sample_single_model(
-    model: Denoiser,
-    y: np.ndarray,
-    c: np.ndarray | None,
-    params: GuidanceParams,
-    schedule: NoiseSchedule,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Reverse process driven by one denoiser alone (no guidance stages)."""
-    if params.steps != schedule.step_count:
-        raise ValueError(f"guidance expects {params.steps} steps, schedule has {schedule.step_count}")
-    y = np.asarray(y, dtype=np.float64)
-    batch, length = y.shape[0], y.shape[1]
-    x = draw_terminal((batch, model.config.residual_channels, length), params.tau, rng)
-    with engine.no_grad():
-        for t in range(schedule.step_count, 0, -1):
-            eps_hat = predict_noise(model, x, t, y, c).data
-            x = reverse_step(x, t, eps_hat, schedule, rng)
-    return x
+    shape = (y.shape[0], theta1.config.residual_channels, y.shape[1])
+    return reverse_process(guided, shape, params.tau, schedule, rng)

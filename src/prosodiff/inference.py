@@ -16,15 +16,18 @@ from .config import RunConfig
 from .corpus import Corpus, Utterance
 from .engine import no_grad
 from .guidance import GuidanceParams, sample
+from .schedule import cosine_schedule
 from .style import encode_style
-from .training import ModelBundle, build_models, load_checkpoint
+from .training import ModelBundle, build_models
 
 
 def bundle_from_config(run: RunConfig, corpus: Corpus) -> ModelBundle:
+    """Freshly initialised models for ``run``; the only place a run's
+    schedule settings become a NoiseSchedule."""
     return build_models(
         run.denoiser,
         run.style,
-        run.schedule.steps,
+        cosine_schedule(run.schedule.steps, run.schedule.offset),
         run.corpus.vocab_size,
         corpus.stats,
         run.seed,
@@ -32,16 +35,12 @@ def bundle_from_config(run: RunConfig, corpus: Corpus) -> ModelBundle:
     )
 
 
-def load_trained(checkpoint_path: str | Path, corpus: Corpus) -> tuple[ModelBundle, RunConfig, int]:
-    """Rebuild models from the config archived next to the checkpoint."""
-    checkpoint_path = Path(checkpoint_path)
-    config_path = checkpoint_path.parent / "resolved_config.json"
+def archived_config(checkpoint_path: str | Path) -> RunConfig:
+    """The run config that training archived next to a checkpoint."""
+    config_path = Path(checkpoint_path).parent / "resolved_config.json"
     if not config_path.exists():
         raise FileNotFoundError(f"no resolved_config.json next to {checkpoint_path}")
-    run = RunConfig.load(config_path)
-    bundle = bundle_from_config(run, corpus)
-    step = load_checkpoint(bundle, checkpoint_path)
-    return bundle, run, step
+    return RunConfig.load(config_path)
 
 
 def style_conditions(bundle: ModelBundle, references: list[np.ndarray]) -> list[np.ndarray]:

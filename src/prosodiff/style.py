@@ -142,6 +142,8 @@ def condition_from_weights(bank: StyleBank, weights, raw: bool = False) -> Tenso
         w = w[None]
     if w.shape[1] != bank.config.token_count:
         raise ValueError(f"expected {bank.config.token_count} weights, got {w.shape[1]}")
+    if not np.all(np.isfinite(w)):
+        raise ValueError("token weights must be finite")
     if not raw:
         check_simplex(w)
     return engine.matmul(Tensor(w), bank._token_values())

@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -24,8 +24,9 @@ from . import rng as rng_mod
 from .corpus import Corpus, NormStats, Utterance
 from .denoiser import Denoiser, DenoiserConfig, TextEmbedder
 from .guidance import diffusion_loss
-from .optim import optimizer_step
-from .schedule import NoiseSchedule, cosine_schedule
+from .engine import Parameter
+from .optim import AdamState, optimizer_step
+from .schedule import NoiseSchedule
 from .style import StyleBank, StyleConfig, encode_style
 
 
@@ -57,7 +58,8 @@ class TrainConfig:
 @dataclass
 class ModelBundle:
     """Everything a trained run needs to predict: both denoisers, the style
-    bank, the frozen text embedder, the schedule and the channel statistics."""
+    bank, the frozen text embedder, the schedule and the channel statistics;
+    plus the Adam state that training updates them with."""
 
     theta1: Denoiser
     theta2: Denoiser
@@ -66,6 +68,15 @@ class ModelBundle:
     schedule: NoiseSchedule
     stats: NormStats
     seed: int
+    adam: AdamState = field(init=False)
+
+    def __post_init__(self):
+        self.adam = AdamState(self.named_parameters().values())
+
+    def named_parameters(self) -> dict[str, Parameter]:
+        """Every parameter under its checkpoint name (theta1.*, theta2.*, bank.*)."""
+        groups = (("theta1", self.theta1), ("theta2", self.theta2), ("bank", self.bank))
+        return {f"{prefix}.{name}": p for prefix, model in groups for name, p in model.parameters().items()}
 
     def trainable_parameters(self):
         params = self.theta1.trainable_parameters() + self.theta2.trainable_parameters()
@@ -77,7 +88,7 @@ class ModelBundle:
 def build_models(
     denoiser_cfg: DenoiserConfig,
     style_cfg: StyleConfig,
-    schedule_steps: int,
+    schedule: NoiseSchedule,
     vocab_size: int,
     stats: NormStats,
     seed: int,
@@ -94,7 +105,7 @@ def build_models(
         theta2=theta2,
         bank=bank,
         embedder=embedder,
-        schedule=cosine_schedule(schedule_steps),
+        schedule=schedule,
         stats=stats,
         seed=seed,
     )
@@ -151,16 +162,20 @@ def train_step(
         loss_c = diffusion_loss(bundle.theta1, bundle.schedule, batch.x0, t, eps, y, None)
     loss_nc = diffusion_loss(bundle.theta2, bundle.schedule, batch.x0, t, eps, y, None)
 
+    loss_c_value, loss_nc_value = loss_c.item(), loss_nc.item()
+    if not (math.isfinite(loss_c_value) and math.isfinite(loss_nc_value)):
+        raise ValueError(f"non-finite training loss at step {step}: loss_c={loss_c_value}, loss_nc={loss_nc_value}")
     loss_c.backward()
     loss_nc.backward()
     optimizer_step(
         bundle.trainable_parameters(),
+        bundle.adam,
         cfg.rate_at(step),
         cfg.adam_beta1,
         cfg.adam_beta2,
         cfg.adam_epsilon,
     )
-    return loss_c.item(), loss_nc.item()
+    return loss_c_value, loss_nc_value
 
 
 def train(
@@ -205,51 +220,37 @@ def train(
 # checkpoint (de)serialisation ----------------------------------------------
 
 
-def _group_entries(prefix: str, params: dict) -> dict[str, np.ndarray]:
-    entries = {}
-    for name, p in params.items():
-        entries[f"{prefix}.{name}"] = p.data
-        entries[f"moment1.{prefix}.{name}"] = p.first_moment
-        entries[f"moment2.{prefix}.{name}"] = p.second_moment
-    return entries
-
-
 def save_checkpoint(bundle: ModelBundle, trainer_step: int, path: str | Path) -> None:
     entries: dict[str, np.ndarray] = {}
-    entries.update(_group_entries("theta1", bundle.theta1.parameters()))
-    entries.update(_group_entries("theta2", bundle.theta2.parameters()))
-    entries.update(_group_entries("bank", bundle.bank.parameters()))
+    for key, p in bundle.named_parameters().items():
+        entries[key] = p.data
+        entries[f"moment1.{key}"] = bundle.adam.moment1[p]
+        entries[f"moment2.{key}"] = bundle.adam.moment2[p]
     entries["trainer.step"] = np.array(float(trainer_step))
-    step_counters = {p.name: p.step_counter for p in bundle.trainable_parameters()}
-    entries["optim.step_counter"] = np.array(float(max(step_counters.values(), default=0)))
+    entries["optim.step_counter"] = np.array(float(bundle.adam.step_counter))
     entries["norm.mean"] = bundle.stats.mean
     entries["norm.std"] = bundle.stats.std
     ckpt.save_entries(path, entries)
 
 
 def load_checkpoint(bundle: ModelBundle, path: str | Path) -> int:
-    """Restore parameters, moments and statistics in place; returns the stored step."""
+    """Restore parameters, Adam state and statistics in place; returns the stored step."""
     entries = ckpt.load_entries(path)
-    for prefix, params in (
-        ("theta1", bundle.theta1.parameters()),
-        ("theta2", bundle.theta2.parameters()),
-        ("bank", bundle.bank.parameters()),
-    ):
-        for name, p in params.items():
-            key = f"{prefix}.{name}"
-            if key not in entries:
-                raise ckpt.CheckpointError(f"checkpoint missing entry {key}")
-            if entries[key].shape != p.tensor.shape:
-                raise ckpt.CheckpointError(
-                    f"shape mismatch for {key}: checkpoint {entries[key].shape}, model {p.tensor.shape}"
-                )
-            p.data = entries[key]
-            p.first_moment = entries[f"moment1.{key}"].copy()
-            p.second_moment = entries[f"moment2.{key}"].copy()
-    step = int(entries["trainer.step"])
-    opt_steps = int(entries["optim.step_counter"])
-    for p in bundle.trainable_parameters():
-        p.step_counter = opt_steps
-    bundle.stats.mean = entries["norm.mean"].copy()
-    bundle.stats.std = entries["norm.std"].copy()
-    return step
+
+    def entry(key: str, shape: tuple[int, ...]) -> np.ndarray:
+        if key not in entries:
+            raise ckpt.CheckpointError(f"{path}: checkpoint missing entry {key}")
+        if entries[key].shape != shape:
+            raise ckpt.CheckpointError(
+                f"{path}: shape mismatch for {key}: checkpoint {entries[key].shape}, model {shape}"
+            )
+        return entries[key]
+
+    for key, p in bundle.named_parameters().items():
+        p.data = entry(key, p.tensor.shape)
+        bundle.adam.moment1[p] = entry(f"moment1.{key}", (p.tensor.size,))
+        bundle.adam.moment2[p] = entry(f"moment2.{key}", (p.tensor.size,))
+    bundle.adam.step_counter = int(entry("optim.step_counter", ()))
+    bundle.stats.mean = entry("norm.mean", bundle.stats.mean.shape)
+    bundle.stats.std = entry("norm.std", bundle.stats.std.shape)
+    return int(entry("trainer.step", ()))

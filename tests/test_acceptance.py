@@ -23,9 +23,9 @@ from prosodiff.guidance import (
     diffusion_loss,
     draw_terminal,
     rescale,
+    reverse_process,
     reverse_step,
     sample,
-    sample_single_model,
 )
 from prosodiff.schedule import cosine_schedule, forward_diffuse
 from prosodiff.style import StyleConfig, condition_from_weights, encode_style, one_hot_weights
@@ -35,7 +35,7 @@ from helpers import FD_TOL, numeric_gradient
 
 pytestmark = pytest.mark.slow
 
-EVAL_GUIDANCE = GuidanceParams(eta=1.0, gamma=0.7, tau=1.0, steps=200)
+EVAL_GUIDANCE = GuidanceParams(eta=1.0, gamma=0.7, tau=1.0)
 
 
 def tiny_bundle(seed=0):
@@ -48,7 +48,7 @@ def tiny_bundle(seed=0):
             residual_layers=2, dilation_cycle=(1, 2), hidden_channels=6, time_embedding_dim=8, condition_dim=6
         ),
         StyleConfig(token_count=3, token_dim=8, attention_heads=2, condition_dim=6, ref_channels=4),
-        schedule_steps=12,
+        schedule=cosine_schedule(12),
         vocab_size=12,
         stats=corpus.stats,
         seed=seed,
@@ -170,9 +170,15 @@ class TestCriterion3GuidanceEndpoints:
         rng = np.random.default_rng(2)
         y = rng.standard_normal((2, 6, 6))
         c = rng.standard_normal((2, 6))
-        params = GuidanceParams(eta=1.0, gamma=0.7, tau=1.0, steps=12)
+        params = GuidanceParams(eta=1.0, gamma=0.7, tau=1.0)
         guided = sample(bundle.theta1, bundle.theta2, y, c, params, bundle.schedule, np.random.default_rng(7))
-        solo = sample_single_model(bundle.theta1, y, c, params, bundle.schedule, np.random.default_rng(7))
+        solo = reverse_process(
+            lambda x, t: predict_noise(bundle.theta1, x, t, y, c).data,
+            guided.shape,
+            params.tau,
+            bundle.schedule,
+            np.random.default_rng(7),
+        )
         assert np.array_equal(guided, solo)
         print("\n[criterion 3a] PASS: eta=1 trajectory bit-identical to conditional-only sampling")
 
@@ -181,9 +187,15 @@ class TestCriterion3GuidanceEndpoints:
         rng = np.random.default_rng(3)
         y = rng.standard_normal((2, 6, 6))
         c = rng.standard_normal((2, 6))
-        params = GuidanceParams(eta=0.0, gamma=0.7, tau=1.0, steps=12)
+        params = GuidanceParams(eta=0.0, gamma=0.7, tau=1.0)
         guided = sample(bundle.theta1, bundle.theta2, y, c, params, bundle.schedule, np.random.default_rng(7))
-        solo = sample_single_model(bundle.theta2, y, None, params, bundle.schedule, np.random.default_rng(7))
+        solo = reverse_process(
+            lambda x, t: predict_noise(bundle.theta2, x, t, y).data,
+            guided.shape,
+            params.tau,
+            bundle.schedule,
+            np.random.default_rng(7),
+        )
         assert np.array_equal(guided, solo)
         print("\n[criterion 3b] PASS: eta=0 trajectory bit-identical to unconditional-only sampling")
 
@@ -250,7 +262,7 @@ class TestCriterion7DiversityTrend:
         subset = corpus.split("val")[:24]
         cvs = []
         for eta in (1.0, 3.0, 5.0, 7.0):
-            params = GuidanceParams(eta=eta, gamma=0.7, tau=1.0, steps=200)
+            params = GuidanceParams(eta=eta, gamma=0.7, tau=1.0)
             generated = inference.reconstruct(bundle, subset, params, seed=55)
             cvs.append(evaluate.mean_cv(generated)[0])
         assert all(a <= b for a, b in zip(cvs, cvs[1:])), f"not non-decreasing: {cvs}"
@@ -304,7 +316,7 @@ class TestCriterion9TransferIntensity:
         c_ref = inference.style_conditions(bundle, [reference.prosody])[0]
         averaged = []
         for eta in (0.5, 1.0, 2.0):
-            params = GuidanceParams(eta=eta, gamma=0.7, tau=1.0, steps=200)
+            params = GuidanceParams(eta=eta, gamma=0.7, tau=1.0)
             per_seed = []
             for seed in (77, 78, 79):
                 generated = inference.generate(bundle, low_texts, [c_ref] * len(low_texts), params, seed)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from prosodiff.cli import main
-from prosodiff.corpus import read_utterance_csv
+from prosodiff.corpus import read_utterance_csv, write_utterance_csv
 
 TINY_CONFIG = {
     "seed": 5,
@@ -152,6 +152,11 @@ class TestSample:
         archived = json.loads((tmp_path / "ov" / "resolved_config.json").read_text())
         assert archived["guidance"]["eta"] == 3.0
         assert archived["guidance"]["gamma"] == 0.4
+        argv = ["eval", "--checkpoint", str(workspace["checkpoint"]), "--corpus", str(workspace["corpus"])]
+        assert main(argv + ["--out", str(tmp_path / "ev"), "--eta", "2.5", "--gamma", "0.3", "--steps", "6"]) == 0
+        archived = json.loads((tmp_path / "ev" / "resolved_config.json").read_text())
+        assert archived["guidance"] == {"eta": 2.5, "gamma": 0.3, "tau": 1.0}
+        assert archived["schedule"]["steps"] == 6
 
 
 class TestEval:
@@ -221,6 +226,14 @@ class TestPlotAndSchedule:
         assert "error" in capsys.readouterr().err
 
 
+def assert_json_error(code, capsys, fragment):
+    """Exit code 1 and exactly one JSON line on stderr whose error mentions fragment."""
+    assert code == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1, lines
+    assert fragment in json.loads(lines[0])["error"]
+
+
 class TestErrors:
     def test_bad_corpus_path(self, workspace, tmp_path, capsys):
         argv = [
@@ -235,6 +248,62 @@ class TestErrors:
         assert main(argv) == 1
         payload = json.loads(capsys.readouterr().err.strip())
         assert "manifest" in payload["error"]
+
+    @pytest.mark.parametrize("command", ["sample", "eval", "train"])
+    def test_bad_magic_checkpoint(self, workspace, tmp_path, capsys, command):
+        junk = tmp_path / "model" / "final.bin"
+        junk.parent.mkdir()
+        junk.write_bytes(b"definitely not a checkpoint")
+        (tmp_path / "model" / "resolved_config.json").write_bytes(
+            (workspace["root"] / "model" / "resolved_config.json").read_bytes()
+        )
+        if command == "train":
+            argv = ["train", "--config", str(workspace["config"]), "--resume", str(junk), "--quiet"]
+        else:
+            argv = [command, "--checkpoint", str(junk)]
+        code = main(argv + ["--corpus", str(workspace["corpus"]), "--out", str(tmp_path / "o")])
+        assert_json_error(code, capsys, "bad magic")
+
+    @pytest.mark.parametrize("length", [22, 3000])
+    def test_truncated_checkpoint(self, workspace, tmp_path, capsys, length):
+        model = tmp_path / "model"
+        model.mkdir()
+        (model / "final.bin").write_bytes(workspace["checkpoint"].read_bytes()[:length])
+        (model / "resolved_config.json").write_bytes(
+            (workspace["root"] / "model" / "resolved_config.json").read_bytes()
+        )
+        argv = ["sample", "--checkpoint", str(model / "final.bin"), "--corpus", str(workspace["corpus"])]
+        assert_json_error(main(argv + ["--out", str(tmp_path / "o")]), capsys, "truncated")
+
+    def test_out_is_existing_file(self, workspace, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        argv = ["sample", "--checkpoint", str(workspace["checkpoint"]), "--corpus", str(workspace["corpus"])]
+        assert_json_error(main(argv + ["--out", str(taken)]), capsys, "taken")
+
+    def test_non_finite_reference_rejected(self, workspace, tmp_path, capsys):
+        ids, prosody = read_utterance_csv(workspace["corpus"] / "utt_00000.csv")
+        prosody[2, 0] = np.nan
+        write_utterance_csv(tmp_path / "ref.csv", ids, prosody)
+        argv = ["sample", "--checkpoint", str(workspace["checkpoint"]), "--corpus", str(workspace["corpus"])]
+        argv += ["--out", str(tmp_path / "o"), "--mode", "transfer", "--reference", str(tmp_path / "ref.csv")]
+        assert_json_error(main(argv), capsys, "non-finite")
+        assert not (tmp_path / "o" / "samples").exists()
+
+    @pytest.mark.parametrize("flags", [["--eta", "nan"], ["--tau", "inf"], ["--mode", "control", "--token-weights", "nan,1,0"]])
+    def test_non_finite_flag_rejected(self, workspace, tmp_path, capsys, flags):
+        argv = ["sample", "--checkpoint", str(workspace["checkpoint"]), "--corpus", str(workspace["corpus"])]
+        assert_json_error(main(argv + ["--out", str(tmp_path / "o"), *flags]), capsys, "finite")
+
+    def test_malformed_config(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"train": {"stepz": 3}}))
+        assert_json_error(main(["gen-data", "--config", str(config), "--out", str(tmp_path / "o")]), capsys, "stepz")
+
+    def test_empty_sweep_subset_rejected(self, workspace, tmp_path, capsys):
+        argv = ["eval", "--checkpoint", str(workspace["checkpoint"]), "--corpus", str(workspace["corpus"])]
+        argv += ["--out", str(tmp_path / "o"), "--eta-sweep", "1", "--sweep-utterances", "0"]
+        assert_json_error(main(argv), capsys, "sweep-utterances")
 
     def test_console_entry_point(self):
         proc = subprocess.run(

@@ -2,9 +2,10 @@ import json
 
 import pytest
 
-from prosodiff.config import GuidanceDefaults, RunConfig, ScheduleSettings
+from prosodiff.config import RunConfig, ScheduleSettings
 from prosodiff.corpus import CorpusConfig
 from prosodiff.denoiser import DenoiserConfig
+from prosodiff.guidance import GuidanceParams
 from prosodiff.style import StyleConfig
 from prosodiff.training import TrainConfig
 
@@ -18,7 +19,7 @@ class TestRunConfig:
             style=StyleConfig(token_count=5, token_dim=32, condition_dim=64),
             schedule=ScheduleSettings(steps=64, offset=0.01),
             train=TrainConfig(steps=123, learning_rate=3e-4, style_condition=False),
-            guidance=GuidanceDefaults(eta=2.5, gamma=0.4, tau=1.5),
+            guidance=GuidanceParams(eta=2.5, gamma=0.4, tau=1.5),
         )
         path = tmp_path / "run.json"
         run.save(path)
@@ -43,6 +44,14 @@ class TestRunConfig:
         assert run.seed == 5
         assert run.train.steps == 10
         assert run.train.batch_size == TrainConfig().batch_size
+
+    @pytest.mark.parametrize(
+        "data",
+        [[1, 2], {"sched": {}}, {"train": {"stepz": 3}}, {"corpus": [1]}, {"guidance": {"eta": float("nan")}}],
+    )
+    def test_malformed_config_rejected(self, data):
+        with pytest.raises(ValueError):
+            RunConfig.from_dict(data)
 
     def test_tuples_restored_from_json(self, tmp_path):
         run = RunConfig()

@@ -8,7 +8,6 @@ from prosodiff.corpus import (
     default_archetypes,
     generate_corpus,
     load_corpus,
-    phoneme_average,
     read_utterance_csv,
     save_corpus,
     write_utterance_csv,
@@ -98,34 +97,6 @@ class TestGeneration:
         assert len(set(bases)) == 4
 
 
-class TestPhonemeAverage:
-    def test_constant_frames(self):
-        out = phoneme_average(np.full(10, 2.5), np.array([0, 4, 10]))
-        np.testing.assert_array_equal(out, [2.5, 2.5])
-
-    def test_known_arithmetic(self):
-        out = phoneme_average(np.array([1.0, 2.0, 3.0, 4.0]), np.array([0, 2, 4]))
-        np.testing.assert_array_equal(out, [1.5, 3.5])
-
-    def test_matches_loop_oracle(self):
-        rng = np.random.default_rng(8)
-        frames = rng.standard_normal(23)
-        boundaries = np.array([0, 3, 4, 11, 17, 23])
-        expected = []
-        for i in range(len(boundaries) - 1):
-            seg = frames[boundaries[i] : boundaries[i + 1]]
-            expected.append(sum(seg) / len(seg))
-        np.testing.assert_allclose(phoneme_average(frames, boundaries), expected, atol=1e-12)
-
-    def test_empty_segment_rejected(self):
-        with pytest.raises(ValueError):
-            phoneme_average(np.arange(4.0), np.array([0, 2, 2, 4]))
-
-    def test_spanning_required(self):
-        with pytest.raises(ValueError):
-            phoneme_average(np.arange(4.0), np.array([0, 2]))
-
-
 class TestNormalization:
     def test_round_trip_identity(self):
         corpus = generate_corpus(small_config(), seed=1)
@@ -190,6 +161,32 @@ class TestPersistence:
         ids2, prosody2 = read_utterance_csv(path)
         assert np.array_equal(ids, ids2)
         assert np.array_equal(prosody, prosody2)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_value_rejected(self, tmp_path, bad):
+        prosody = np.ones((3, 4))
+        prosody[2, 1] = bad
+        write_utterance_csv(tmp_path / "utt.csv", np.arange(4), prosody)
+        with pytest.raises(ValueError, match="non-finite"):
+            read_utterance_csv(tmp_path / "utt.csv")
+
+    def test_non_finite_corpus_file_rejected(self, tmp_path):
+        corpus = generate_corpus(small_config(), seed=6)
+        save_corpus(corpus, tmp_path / "c")
+        path = tmp_path / "c" / "utt_00005.csv"
+        lines = path.read_text().splitlines()
+        fields = lines[2].split(",")
+        fields[1] = "nan"
+        lines[2] = ",".join(fields)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="utt_00005.csv: non-finite"):
+            load_corpus(tmp_path / "c")
+
+    def test_short_row_rejected(self, tmp_path):
+        path = tmp_path / "utt.csv"
+        path.write_text("phoneme_id,log_pitch,energy,log_duration\n3,1.0\n")
+        with pytest.raises(ValueError, match="malformed"):
+            read_utterance_csv(path)
 
     def test_tampered_stats_detected(self, tmp_path):
         import json

@@ -4,7 +4,7 @@ import pytest
 from prosodiff import engine
 from prosodiff.checkpoint import CheckpointError, load_entries, save_entries
 from prosodiff.engine import Parameter, Tensor
-from prosodiff.optim import optimizer_step
+from prosodiff.optim import AdamState, optimizer_step
 
 from helpers import assert_gradients_match
 
@@ -182,7 +182,7 @@ class TestOptimizer:
     def test_zero_gradient_leaves_parameters_unchanged(self):
         p = Parameter("w", np.array([1.0, -2.0, 3.0]))
         p.tensor.grad = np.zeros(3)
-        optimizer_step([p], learning_rate=0.1)
+        optimizer_step([p], AdamState([p]), learning_rate=0.1)
         np.testing.assert_array_equal(p.data, [1.0, -2.0, 3.0])
 
     def test_single_step_from_zero_moments(self):
@@ -191,16 +191,17 @@ class TestOptimizer:
         p = Parameter("w", np.zeros(3))
         p.tensor.grad = g.copy()
         lr, eps = 0.01, 1e-8
-        optimizer_step([p], learning_rate=lr, epsilon=eps)
+        optimizer_step([p], AdamState([p]), learning_rate=lr, epsilon=eps)
         np.testing.assert_allclose(p.data, -lr * g / (np.abs(g) + eps), rtol=1e-12)
 
     def test_constant_gradient_approaches_signed_learning_rate(self):
         g = np.array([0.5, -0.02])
         p = Parameter("w", np.zeros(2))
+        state = AdamState([p])
         previous = p.data.copy()
         for _ in range(2000):
             p.tensor.grad = g.copy()
-            optimizer_step([p], learning_rate=1e-3)
+            optimizer_step([p], state, learning_rate=1e-3)
             delta = p.data - previous
             previous = p.data.copy()
         np.testing.assert_allclose(np.abs(delta), 1e-3, rtol=1e-3)
@@ -209,14 +210,15 @@ class TestOptimizer:
     def test_missing_gradient_raises(self):
         p = Parameter("w", np.zeros(2))
         with pytest.raises(ValueError, match="missing gradients"):
-            optimizer_step([p], learning_rate=0.1)
+            optimizer_step([p], AdamState([p]), learning_rate=0.1)
 
     def test_gradients_cleared_and_counter_incremented(self):
         p = Parameter("w", np.zeros(2))
+        state = AdamState([p])
         p.tensor.grad = np.ones(2)
-        optimizer_step([p], learning_rate=0.1)
+        optimizer_step([p], state, learning_rate=0.1)
         assert p.grad is None
-        assert p.step_counter == 1
+        assert state.step_counter == 1
 
 
 class TestCheckpointContainer:
@@ -243,6 +245,23 @@ class TestCheckpointContainer:
         path = tmp_path / "junk.bin"
         path.write_bytes(b"definitely not a checkpoint")
         with pytest.raises(CheckpointError):
+            load_entries(path)
+
+    def test_every_truncation_rejected(self, tmp_path):
+        path = tmp_path / "state.bin"
+        save_entries(path, {"a.weight": np.arange(6.0).reshape(2, 3), "scalar": np.array(1.5)})
+        raw = path.read_bytes()
+        cut = tmp_path / "cut.bin"
+        for length in range(len(raw)):
+            cut.write_bytes(raw[:length])
+            with pytest.raises(CheckpointError, match="cut.bin"):
+                load_entries(cut)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_payload_rejected(self, tmp_path, bad):
+        path = tmp_path / "state.bin"
+        save_entries(path, {"ok": np.zeros(2), "x": np.array([0.0, bad])})
+        with pytest.raises(CheckpointError, match="entry x holds non-finite"):
             load_entries(path)
 
     def test_loaded_arrays_are_writable(self, tmp_path):

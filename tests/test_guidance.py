@@ -12,9 +12,9 @@ from prosodiff.guidance import (
     diffusion_loss,
     draw_terminal,
     rescale,
+    reverse_process,
     reverse_step,
     sample,
-    sample_single_model,
 )
 from prosodiff.schedule import cosine_schedule, forward_diffuse
 from prosodiff.style import StyleConfig
@@ -35,7 +35,7 @@ def tiny_bundle(seed=0, style_condition=True):
             condition_dim=6,
         ),
         StyleConfig(token_count=3, token_dim=8, attention_heads=2, condition_dim=6, ref_channels=4),
-        schedule_steps=12,
+        schedule=cosine_schedule(12),
         vocab_size=12,
         stats=corpus.stats,
         seed=seed,
@@ -206,15 +206,21 @@ class TestReverseStep:
             reverse_step(np.zeros((1, 3, 4)), 11, np.zeros((1, 3, 4)), sch, np.random.default_rng(0))
 
 
+def single_model(model, y, c, params, schedule, rng):
+    """The reverse loop driven by one denoiser alone (no guidance stages)."""
+    shape = (y.shape[0], model.config.residual_channels, y.shape[1])
+    return reverse_process(lambda x, t: predict_noise(model, x, t, y, c).data, shape, params.tau, schedule, rng)
+
+
 class TestSampler:
     def test_eta_one_matches_conditional_only_bitwise(self):
         _, bundle = tiny_bundle()
         rng = np.random.default_rng(16)
         y = rng.standard_normal((1, 6, 6))
         c = rng.standard_normal((1, 6))
-        params = GuidanceParams(eta=1.0, gamma=0.7, tau=1.0, steps=12)
+        params = GuidanceParams(eta=1.0, gamma=0.7, tau=1.0)
         guided = sample(bundle.theta1, bundle.theta2, y, c, params, bundle.schedule, np.random.default_rng(5))
-        solo = sample_single_model(bundle.theta1, y, c, params, bundle.schedule, np.random.default_rng(5))
+        solo = single_model(bundle.theta1, y, c, params, bundle.schedule, np.random.default_rng(5))
         assert np.array_equal(guided, solo)
 
     def test_eta_zero_matches_unconditional_only_bitwise(self):
@@ -222,17 +228,17 @@ class TestSampler:
         rng = np.random.default_rng(17)
         y = rng.standard_normal((1, 6, 6))
         c = rng.standard_normal((1, 6))
-        params = GuidanceParams(eta=0.0, gamma=0.7, tau=1.0, steps=12)
+        params = GuidanceParams(eta=0.0, gamma=0.7, tau=1.0)
         guided = sample(bundle.theta1, bundle.theta2, y, c, params, bundle.schedule, np.random.default_rng(5))
-        solo = sample_single_model(bundle.theta2, y, None, params, bundle.schedule, np.random.default_rng(5))
+        solo = single_model(bundle.theta2, y, None, params, bundle.schedule, np.random.default_rng(5))
         assert np.array_equal(guided, solo)
 
     def test_absent_style_uses_unconditional_path(self):
         _, bundle = tiny_bundle()
         y = np.random.default_rng(18).standard_normal((2, 5, 6))
-        params = GuidanceParams(eta=2.0, gamma=0.5, tau=1.0, steps=12)
+        params = GuidanceParams(eta=2.0, gamma=0.5, tau=1.0)
         a = sample(bundle.theta1, bundle.theta2, y, None, params, bundle.schedule, np.random.default_rng(9))
-        b = sample_single_model(bundle.theta2, y, None, params, bundle.schedule, np.random.default_rng(9))
+        b = single_model(bundle.theta2, y, None, params, bundle.schedule, np.random.default_rng(9))
         assert np.array_equal(a, b)
 
     def test_terminal_temperature_scales_std(self):
@@ -249,23 +255,9 @@ class TestSampler:
         y = rng.standard_normal((1, 5, 6))
         c = rng.standard_normal((1, 6))
         for eta in (0.0, 1.0, 4.0, 10.0):
-            params = GuidanceParams(eta=eta, gamma=0.7, tau=1.0, steps=12)
+            params = GuidanceParams(eta=eta, gamma=0.7, tau=1.0)
             out = sample(bundle.theta1, bundle.theta2, y, c, params, bundle.schedule, np.random.default_rng(3))
             assert np.all(np.isfinite(out))
-
-    def test_steps_must_match_schedule(self):
-        _, bundle = tiny_bundle()
-        y = np.zeros((1, 4, 6))
-        with pytest.raises(ValueError, match="steps"):
-            sample(
-                bundle.theta1,
-                bundle.theta2,
-                y,
-                None,
-                GuidanceParams(steps=5),
-                bundle.schedule,
-                np.random.default_rng(0),
-            )
 
     def test_diagnostics_recorded_per_step(self):
         _, bundle = tiny_bundle()
@@ -273,7 +265,7 @@ class TestSampler:
         y = rng.standard_normal((1, 4, 6))
         c = rng.standard_normal((1, 6))
         diags: list = []
-        params = GuidanceParams(eta=2.0, gamma=0.7, tau=1.0, steps=12)
+        params = GuidanceParams(eta=2.0, gamma=0.7, tau=1.0)
         sample(bundle.theta1, bundle.theta2, y, c, params, bundle.schedule, np.random.default_rng(1), diags)
         assert len(diags) == 12
         assert diags[0][0] == 12 and diags[-1][0] == 1
@@ -289,8 +281,12 @@ class TestGuidanceParams:
             GuidanceParams(gamma=1.2)
         with pytest.raises(ValueError):
             GuidanceParams(tau=0.0)
+
+    @pytest.mark.parametrize("field", ["eta", "gamma", "tau"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_rejected(self, field, bad):
         with pytest.raises(ValueError):
-            GuidanceParams(steps=1)
+            GuidanceParams(**{field: bad})
 
 
 class TestTrainStep:
@@ -335,9 +331,21 @@ class TestTrainStep:
         loss_c = diffusion_loss(bundle.theta1, bundle.schedule, batch.x0, 3, eps, batch.y, c)
         loss_c.backward()
         optimizer_step(
-            bundle.theta1.trainable_parameters() + bundle.bank.trainable_parameters(), 1e-2
+            bundle.theta1.trainable_parameters() + bundle.bank.trainable_parameters(), bundle.adam, 1e-2
         )
         assert probe_nc() == before
+
+    def test_non_finite_loss_names_the_step(self):
+        corpus, bundle = tiny_bundle(seed=7)
+        cfg = TrainConfig(steps=5, batch_size=4)
+        sampler = LengthBucketSampler(corpus.split("train"), bundle.stats, bundle.embedder, 4)
+        gen = rng_mod.substream(7, rng_mod.TRAIN_STREAM, 3)
+        bundle.theta2.params["output_proj.bias"].data = np.array([np.nan, 0.0, 0.0])
+        before = bundle.theta1.params["output_proj.weight"].data.copy()
+        with pytest.raises(ValueError, match="non-finite training loss at step 3"):
+            train_step(bundle, sampler.next_batch(gen), cfg, gen, step=3)
+        assert np.array_equal(bundle.theta1.params["output_proj.weight"].data, before)
+        assert bundle.adam.step_counter == 0
 
     def test_empty_batch_rejected(self):
         corpus, bundle = tiny_bundle(seed=7)

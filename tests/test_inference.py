@@ -1,13 +1,16 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from prosodiff import inference
-from prosodiff.config import RunConfig
+from prosodiff.config import RunConfig, ScheduleSettings
 from prosodiff.corpus import CorpusConfig, generate_corpus
 from prosodiff.denoiser import DenoiserConfig
 from prosodiff.guidance import GuidanceParams
+from prosodiff.schedule import cosine_schedule
 from prosodiff.style import StyleConfig
-from prosodiff.training import TrainConfig, build_models, save_checkpoint
+from prosodiff.training import TrainConfig, build_models, load_checkpoint, save_checkpoint
 
 
 @pytest.fixture(scope="module")
@@ -21,8 +24,6 @@ def setup():
         style=StyleConfig(token_count=3, token_dim=8, attention_heads=2, condition_dim=6, ref_channels=4),
         train=TrainConfig(steps=4, batch_size=4, checkpoint_every=0),
     )
-    from prosodiff.config import ScheduleSettings
-
     run.schedule = ScheduleSettings(steps=12)
     corpus = generate_corpus(run.corpus, run.seed)
     bundle = inference.bundle_from_config(run, corpus)
@@ -34,7 +35,7 @@ class TestGenerate:
         _, corpus, bundle = setup
         val = corpus.split("val")
         texts = [u.phoneme_ids for u in val[:4]]
-        out = inference.generate(bundle, texts, None, GuidanceParams(steps=12), seed=1)
+        out = inference.generate(bundle, texts, None, GuidanceParams(), seed=1)
         assert len(out) == 4
         for ids, x in zip(texts, out):
             assert x.shape == (3, len(ids))
@@ -43,28 +44,37 @@ class TestGenerate:
         _, corpus, bundle = setup
         texts = [corpus.utterances[0].phoneme_ids]
         with pytest.raises(ValueError):
-            inference.generate(bundle, texts, [], GuidanceParams(steps=12), seed=1)
+            inference.generate(bundle, texts, [], GuidanceParams(), seed=1)
 
     def test_same_request_bitwise_reproducible(self, setup):
         _, corpus, bundle = setup
         utts = corpus.utterances[:5]
         texts = [u.phoneme_ids for u in utts]
         conds = inference.style_conditions(bundle, [u.prosody for u in utts])
-        out1 = inference.generate(bundle, texts, conds, GuidanceParams(steps=12), seed=3)
-        out2 = inference.generate(bundle, texts, conds, GuidanceParams(steps=12), seed=3)
+        out1 = inference.generate(bundle, texts, conds, GuidanceParams(), seed=3)
+        out2 = inference.generate(bundle, texts, conds, GuidanceParams(), seed=3)
         for a, b in zip(out1, out2):
             assert np.array_equal(a, b)
 
     def test_reconstruct_is_denormalized_generate(self, setup):
         _, corpus, bundle = setup
         val = corpus.split("val")[:3]
-        out = inference.reconstruct(bundle, val, GuidanceParams(steps=12), seed=5)
+        out = inference.reconstruct(bundle, val, GuidanceParams(), seed=5)
         conds = inference.style_conditions(bundle, [u.prosody for u in val])
         raw = inference.generate(
-            bundle, [u.phoneme_ids for u in val], conds, GuidanceParams(steps=12), seed=5
+            bundle, [u.phoneme_ids for u in val], conds, GuidanceParams(), seed=5
         )
         for a, b in zip(out, raw):
             assert np.array_equal(a, bundle.stats.denormalize(b))
+
+
+class TestBundleFromConfig:
+    def test_schedule_uses_configured_offset(self, setup):
+        run, corpus, _ = setup
+        shifted = replace(run, schedule=ScheduleSettings(steps=12, offset=0.05))
+        bundle = inference.bundle_from_config(shifted, corpus)
+        assert np.array_equal(bundle.schedule.betas, cosine_schedule(12, 0.05).betas)
+        assert not np.array_equal(bundle.schedule.betas, cosine_schedule(12).betas)
 
 
 class TestLoadTrained:
@@ -72,7 +82,9 @@ class TestLoadTrained:
         run, corpus, bundle = setup
         run.save(tmp_path / "resolved_config.json")
         save_checkpoint(bundle, 4, tmp_path / "final.bin")
-        loaded, run2, step = inference.load_trained(tmp_path / "final.bin", corpus)
+        run2 = inference.archived_config(tmp_path / "final.bin")
+        loaded = inference.bundle_from_config(run2, corpus)
+        step = load_checkpoint(loaded, tmp_path / "final.bin")
         assert step == 4
         assert run2.seed == run.seed
         a = loaded.theta1.params["output_proj.weight"].data
@@ -83,7 +95,7 @@ class TestLoadTrained:
         run, corpus, bundle = setup
         save_checkpoint(bundle, 4, tmp_path / "final.bin")
         with pytest.raises(FileNotFoundError):
-            inference.load_trained(tmp_path / "final.bin", corpus)
+            inference.archived_config(tmp_path / "final.bin")
 
 
 class TestStyleConditions:

@@ -116,6 +116,11 @@ class TestConditionFromWeights:
         with pytest.raises(ValueError):
             condition_from_weights(make_bank(), np.array([1.0, 0.0]))
 
+    @pytest.mark.parametrize("raw", [False, True])
+    def test_non_finite_rejected(self, raw):
+        with pytest.raises(ValueError, match="finite"):
+            condition_from_weights(make_bank(), np.array([np.nan, 1.0, 0.0, 0.0]), raw=raw)
+
 
 class TestWeightUtilities:
     def test_one_hot(self):

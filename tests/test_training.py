@@ -7,7 +7,7 @@ from prosodiff import rng as rng_mod
 from prosodiff.checkpoint import CheckpointError
 from prosodiff.corpus import CorpusConfig, generate_corpus
 from prosodiff.denoiser import DenoiserConfig, predict_noise
-from prosodiff.guidance import GuidanceParams
+from prosodiff.schedule import cosine_schedule
 from prosodiff.style import StyleConfig
 from prosodiff.training import (
     LengthBucketSampler,
@@ -31,7 +31,7 @@ TINY_CORPUS = CorpusConfig(style_count=2, utterances_per_style=10, length_range=
 
 def tiny_setup(seed=3):
     corpus = generate_corpus(TINY_CORPUS, seed=seed)
-    bundle = build_models(TINY_DENOISER, TINY_STYLE, 12, 12, corpus.stats, seed=seed)
+    bundle = build_models(TINY_DENOISER, TINY_STYLE, cosine_schedule(12), 12, corpus.stats, seed=seed)
     return corpus, bundle
 
 
@@ -85,8 +85,8 @@ class TestCheckpointRoundTrip:
         b = predict_noise(bundle2.theta1, x, 3, y, c).data
         assert np.array_equal(a, b)
         for p1, p2 in zip(bundle.trainable_parameters(), bundle2.trainable_parameters()):
-            assert np.array_equal(p1.first_moment, p2.first_moment)
-            assert p1.step_counter == p2.step_counter
+            assert np.array_equal(bundle.adam.moment1[p1], bundle2.adam.moment1[p2])
+        assert bundle.adam.step_counter == bundle2.adam.step_counter == 8
 
     def test_resume_continues_step_counter(self, tmp_path):
         corpus, bundle = tiny_setup()
@@ -115,7 +115,7 @@ class TestCheckpointRoundTrip:
                 condition_dim=6,
             ),
             TINY_STYLE,
-            12,
+            cosine_schedule(12),
             12,
             corpus.stats,
             seed=0,
