@@ -9,9 +9,9 @@ blended by gamma. The terminal draw x_T uses covariance (1/tau) * I.
 
 There is one reverse loop, ``reverse_process``: it draws x_T and applies
 ``reverse_step`` for t = T..1 with whatever per-step noise predictor it is
-given. ``sample`` hands it the guided predictor (theta2, then theta1,
-combine, rescale); a single denoiser's forward pass drives the same loop
-unguided.
+given. ``sample`` hands it the guided predictor (theta1, then theta2
+unless eta = 1, combine, rescale); a single denoiser's forward pass drives
+the same loop unguided.
 """
 
 from __future__ import annotations
@@ -150,7 +150,8 @@ def sample(
     guidance direction to correct, so the combine/rescale stages are
     skipped and the trajectory matches theta2-only sampling exactly; the
     same holds at eta=1 for theta1-only sampling because the combined
-    prediction is a bit-exact copy of the conditional one.
+    prediction is a bit-exact copy of the conditional one. That is also
+    why theta2 does not run at eta=1: its prediction would not be used.
     """
     y = np.asarray(y, dtype=np.float64)
     if y.ndim != 3:
@@ -158,10 +159,10 @@ def sample(
     unconditional = c is None or params.eta == 0.0
 
     def guided(x: np.ndarray, t: int) -> np.ndarray:
-        eps_nc = predict_noise(theta2, x, t, y).data
         if unconditional:
-            return eps_nc
+            return predict_noise(theta2, x, t, y).data
         eps_c = predict_noise(theta1, x, t, y, c).data
+        eps_nc = eps_c if params.eta == 1.0 else predict_noise(theta2, x, t, y).data
         combined = cfg_combine(eps_c, eps_nc, params.eta)
         eps_hat, diag = rescale(combined, eps_c, params.gamma)
         if diagnostics is not None:

@@ -56,6 +56,14 @@ def tiny_bundle(seed=0):
     return corpus, bundle
 
 
+@pytest.fixture(scope="module")
+def val_reconstruction(default_run):
+    """The eta=1 guided reconstruction of the val split (seed 123) that
+    criteria 6 and 10 both judge; sampled once for the two of them."""
+    bundle, corpus = default_run["bundle"], default_run["corpus"]
+    return inference.reconstruct(bundle, corpus.split("val"), EVAL_GUIDANCE, seed=123)
+
+
 class TestCriterion1Gradients:
     """Every differentiable operation and the full denoiser pass central
     finite differences at relative error < 1e-4, under 1s per check."""
@@ -243,13 +251,10 @@ class TestCriterion5Temperature:
 
 
 class TestCriterion6EndToEnd:
-    def test_training_budget_and_js(self, default_run):
+    def test_training_budget_and_js(self, default_run, val_reconstruction):
         minutes = default_run["train_seconds"] / 60.0
         assert minutes <= 30.0, f"training took {minutes:.1f} min"
-        bundle, corpus = default_run["bundle"], default_run["corpus"]
-        val = corpus.split("val")
-        generated = inference.reconstruct(bundle, val, EVAL_GUIDANCE, seed=123)
-        report = evaluate.js_report(generated, val)
+        report = evaluate.js_report(val_reconstruction, default_run["corpus"].split("val"))
         for channel, value in report.items():
             assert value < 0.08, f"{channel}: JS {value:.4f}"
         pretty = ", ".join(f"{k}={v:.4f}" for k, v in report.items())
@@ -328,10 +333,10 @@ class TestCriterion9TransferIntensity:
 
 
 class TestCriterion10AblationOrdering:
-    def test_conditioning_tiers_order_js(self, default_run):
+    def test_conditioning_tiers_order_js(self, default_run, val_reconstruction):
         bundle, corpus = default_run["bundle"], default_run["corpus"]
         val = corpus.split("val")
-        cond = evaluate.js_report(inference.reconstruct(bundle, val, EVAL_GUIDANCE, seed=123), val)
+        cond = evaluate.js_report(val_reconstruction, val)
         uncond = evaluate.js_report(
             inference.reconstruct(bundle, val, EVAL_GUIDANCE, seed=123, conditional=False), val
         )

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from prosodiff import engine, rng as rng_mod
+from prosodiff import engine, guidance, rng as rng_mod
 from prosodiff.corpus import CorpusConfig, generate_corpus
 from prosodiff.denoiser import DenoiserConfig, predict_noise
 from prosodiff.guidance import (
@@ -213,15 +213,24 @@ def single_model(model, y, c, params, schedule, rng):
 
 
 class TestSampler:
-    def test_eta_one_matches_conditional_only_bitwise(self):
+    def test_eta_one_matches_conditional_only_bitwise(self, monkeypatch):
         _, bundle = tiny_bundle()
         rng = np.random.default_rng(16)
         y = rng.standard_normal((1, 6, 6))
         c = rng.standard_normal((1, 6))
         params = GuidanceParams(eta=1.0, gamma=0.7, tau=1.0)
+        ran = []
+
+        def spy(model, *args):
+            ran.append(model)
+            return predict_noise(model, *args)
+
+        monkeypatch.setattr(guidance, "predict_noise", spy)
         guided = sample(bundle.theta1, bundle.theta2, y, c, params, bundle.schedule, np.random.default_rng(5))
         solo = single_model(bundle.theta1, y, c, params, bundle.schedule, np.random.default_rng(5))
         assert np.array_equal(guided, solo)
+        # theta2's prediction would go unused at eta=1, so it is not computed
+        assert ran == [bundle.theta1] * bundle.schedule.step_count
 
     def test_eta_zero_matches_unconditional_only_bitwise(self):
         _, bundle = tiny_bundle()
