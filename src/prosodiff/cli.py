@@ -66,9 +66,9 @@ def _load_trained(args) -> tuple[Corpus, ModelBundle, RunConfig]:
     """Set-up shared by sample and eval.
 
     Applies --eta/--gamma/--tau/--steps to the config archived next to the
-    checkpoint, builds the trained bundle from it, applies --seed (after the
-    build: the frozen text embedder is keyed by the training seed) and
-    archives the resulting config into --out.
+    checkpoint, builds the trained bundle from it and applies --seed (after
+    the build: the frozen text embedder is keyed by the training seed). The
+    caller archives the config once its own inputs have been validated.
     """
     corpus = _corpus_for(args)
     run = inference.archived_config(args.checkpoint)
@@ -80,7 +80,6 @@ def _load_trained(args) -> tuple[Corpus, ModelBundle, RunConfig]:
     load_checkpoint(bundle, args.checkpoint)
     if args.seed is not None:
         run.seed = args.seed
-    _archive_config(run, Path(args.out))
     return corpus, bundle, run
 
 
@@ -169,6 +168,7 @@ def cmd_sample(args) -> None:
     corpus, bundle, run = _load_trained(args)
     out_dir = Path(args.out)
     texts, conditions, tag = _resolve_mode_conditions(args, bundle, corpus, run, args.num_samples)
+    _archive_config(run, out_dir)
     diagnostics: list | None = [] if args.diagnostics else None
     generated = inference.generate(bundle, texts, conditions, run.guidance, run.seed, diagnostics=diagnostics)
 
@@ -200,6 +200,7 @@ def cmd_eval(args) -> None:
         if args.sweep_utterances < 1:
             raise CommandError("--sweep-utterances must be at least 1")
     out_dir = Path(args.out)
+    _archive_config(run, out_dir)
     val = corpus.split("val")
     generated = inference.reconstruct(bundle, val, run.guidance, run.seed)
     js = evaluate.js_report(generated, val)
@@ -263,9 +264,11 @@ def cmd_plot(args) -> None:
         raise CommandError(f"no such file: {src}")
     with open(src, newline="") as fh:
         rows = list(csv.reader(fh))
-    header, body = rows[0], rows[1:]
-    if not body:
+    if len(rows) < 2:
         raise CommandError(f"{src} has no data rows")
+    header, body = rows[0], rows[1:]
+    if any(len(r) != len(header) for r in body):
+        raise CommandError(f"{src}: every row needs {len(header)} fields")
     x = [float(r[0]) for r in body]
     series = {name: [float(r[i]) for r in body] for i, name in enumerate(header) if i > 0}
     write_line_chart(args.out, x, series, src.stem, x_label=header[0])

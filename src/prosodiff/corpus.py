@@ -282,12 +282,18 @@ def load_corpus(directory: str | Path) -> Corpus:
         manifest = json.load(fh)
     cfg_raw = dict(manifest["config"])
     cfg_raw["length_range"] = tuple(cfg_raw["length_range"])
-    config = CorpusConfig(**cfg_raw)
-    archetypes = [StyleArchetype(**a) for a in manifest["archetypes"]]
+    try:
+        config = CorpusConfig(**cfg_raw)
+        archetypes = [StyleArchetype(**a) for a in manifest["archetypes"]]
+    except TypeError as exc:  # an unknown or missing field
+        raise ValueError(f"{directory}: malformed manifest: {exc}") from None
     utterances = []
     for meta in manifest["utterances"]:
         ids, prosody = read_utterance_csv(directory / meta["file"])
         utterances.append(Utterance(phoneme_ids=ids, prosody=prosody, style_id=meta["style_id"]))
+    for name in ("train_indices", "val_indices"):
+        if not all(type(i) is int and 0 <= i < len(utterances) for i in manifest[name]):
+            raise ValueError(f"{directory}: {name} must index the {len(utterances)} utterances")
     corpus = Corpus(
         config=config,
         seed=manifest["seed"],

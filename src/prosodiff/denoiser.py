@@ -51,6 +51,14 @@ class DenoiserConfig:
         return 1 + (self.kernel_size - 1) * sum(self.dilations())
 
 
+def sinusoid(positions: np.ndarray, dim: int) -> np.ndarray:
+    """[N] float positions -> [N, dim] table: sines then cosines at geometric frequencies 1 .. 1/10000."""
+    half = dim // 2
+    freqs = np.exp(-math.log(10000.0) * np.arange(half) / max(half - 1, 1))
+    angles = positions[:, None] * freqs[None, :]
+    return np.concatenate([np.sin(angles), np.cos(angles)], axis=1)
+
+
 def embed_time(t, dim: int) -> np.ndarray:
     """Sinusoidal embedding of diffusion step(s); [B, dim] for array t, [1, dim] for scalar.
 
@@ -60,10 +68,7 @@ def embed_time(t, dim: int) -> np.ndarray:
     t_arr = np.atleast_1d(np.asarray(t, dtype=np.float64))
     if np.any(t_arr < 1):
         raise ValueError("step index must be >= 1")
-    half = dim // 2
-    freqs = np.exp(-math.log(10000.0) * np.arange(half) / max(half - 1, 1))
-    angles = t_arr[:, None] * freqs[None, :]
-    return np.concatenate([np.sin(angles), np.cos(angles)], axis=1)
+    return sinusoid(t_arr, dim)
 
 
 class Denoiser:
@@ -218,16 +223,9 @@ class TextEmbedder:
         # style vector, otherwise conditioning degenerates to style alone
         self.table = 1.5 * gen.standard_normal((vocab_size, dim))
 
-    def _positional(self, length: int) -> np.ndarray:
-        half = self.dim // 2
-        pos = np.arange(length, dtype=np.float64)[:, None]
-        freqs = np.exp(-math.log(10000.0) * np.arange(half) / max(half - 1, 1))
-        angles = pos * freqs[None, :]
-        return np.concatenate([np.sin(angles), np.cos(angles)], axis=1)
-
     def embed(self, phoneme_ids: np.ndarray) -> np.ndarray:
         """[L] ids -> [L, dim]; [B, L] ids -> [B, L, dim]."""
         ids = np.asarray(phoneme_ids)
         if np.any(ids < 0) or np.any(ids >= self.vocab_size):
             raise ValueError("phoneme id outside vocabulary")
-        return self.table[ids] + self._positional(ids.shape[-1])
+        return self.table[ids] + sinusoid(np.arange(ids.shape[-1], dtype=np.float64), self.dim)

@@ -333,13 +333,6 @@ def matmul(a, b) -> Tensor:
     return Tensor(out_data, (a, b), vjp)
 
 
-def _pad_positions(arr: np.ndarray, pad: int) -> np.ndarray:
-    batch, channels, length = arr.shape
-    out = np.zeros((batch, channels, length + 2 * pad))
-    out[:, :, pad : pad + length] = arr
-    return out
-
-
 def conv1d(x, weight, bias=None, dilation: int = 1) -> Tensor:
     """Non-causal dilated 1-D convolution, output length == input length.
 
@@ -357,55 +350,44 @@ def conv1d(x, weight, bias=None, dilation: int = 1) -> Tensor:
         raise ValueError(f"dilation must be >= 1, got {dilation}")
     if x.shape[1] != cin:
         raise ValueError(f"input has {x.shape[1]} channels, weight expects {cin}")
+    parents = (x, weight)
+    if bias is not None:
+        bias = as_tensor(bias)
+        if bias.shape != (cout,):
+            raise ValueError(f"bias must be [Cout]={cout}, got {bias.shape}")
+        parents += (bias,)
     batch, _, length = x.shape
     pad = dilation * (kernel_size - 1) // 2
+    span = length + 2 * pad
 
+    # im2col: column row i*K + k is input channel i read at tap k, matching
+    # the [Cout, Cin*K] view of the weight; for K == 1 it is the input itself
+    w2 = weight.data.reshape(cout, cin * kernel_size)
     if kernel_size == 1:
-        # pointwise: one batched GEMM, no padding machinery
-        w2 = weight.data[:, :, 0]
-        out_data = np.matmul(w2, x.data)
-
-        def grads_1x1(g):
-            grad_w = np.matmul(g, x.data.transpose(0, 2, 1)).sum(axis=0)[:, :, None]
-            grad_x = np.matmul(w2.T, g)
-            return grad_x, grad_w
-
-        input_grads = grads_1x1
+        cols = x.data
     else:
-        padded = _pad_positions(x.data, pad)
-        out_data = np.matmul(weight.data[:, :, 0], padded[:, :, : length])
-        for k in range(1, kernel_size):
-            out_data += np.matmul(weight.data[:, :, k], padded[:, :, k * dilation : k * dilation + length])
+        padded = np.zeros((batch, cin, span))
+        padded[:, :, pad : pad + length] = x.data
+        taps = dilation * np.arange(kernel_size)[:, None] + np.arange(length)  # [K, L] padded positions
+        cols = padded.take(taps, axis=2).reshape(batch, cin * kernel_size, length)
+    out_data = np.matmul(w2, cols)
+    if bias is not None:
+        out_data += bias.data[:, None]
 
-        def grads_tapped(g):
-            grad_w = np.empty((cout, cin, kernel_size))
-            grad_xp = np.zeros_like(padded)
+    def vjp(g):
+        grad_w = np.tensordot(g, cols, axes=([0, 2], [0, 2])).reshape(weight.shape)
+        grad_x = np.matmul(w2.T, g)
+        if kernel_size > 1:
+            grad_taps = grad_x.reshape(batch, cin, kernel_size, length)
+            grad_padded = np.zeros((batch, cin, span))
             for k in range(kernel_size):
-                lo = k * dilation
-                tap = padded[:, :, lo : lo + length]
-                grad_w[:, :, k] = np.matmul(g, tap.transpose(0, 2, 1)).sum(axis=0)
-                grad_xp[:, :, lo : lo + length] += np.matmul(weight.data[:, :, k].T, g)
-            return grad_xp[:, :, pad : pad + length], grad_w
-
-        input_grads = grads_tapped
-
-    if bias is None:
-
-        def vjp(g):
-            return input_grads(g)
-
-        return Tensor(out_data, (x, weight), vjp)
-
-    bias = as_tensor(bias)
-    if bias.shape != (cout,):
-        raise ValueError(f"bias must be [Cout]={cout}, got {bias.shape}")
-    out_data += bias.data[None, :, None]
-
-    def vjp_b(g):
-        grad_x, grad_w = input_grads(g)
+                grad_padded[:, :, k * dilation : k * dilation + length] += grad_taps[:, :, k]
+            grad_x = grad_padded[:, :, pad : pad + length]
+        if bias is None:
+            return grad_x, grad_w
         return grad_x, grad_w, g.sum(axis=(0, 2))
 
-    return Tensor(out_data, (x, weight, bias), vjp_b)
+    return Tensor(out_data, parents, vjp)
 
 
 def mse(a, b) -> Tensor:

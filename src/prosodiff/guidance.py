@@ -25,7 +25,7 @@ import numpy as np
 from . import engine
 from .denoiser import Denoiser, predict_noise
 from .engine import Tensor
-from .schedule import NoiseSchedule, forward_diffuse
+from .schedule import NoiseSchedule
 
 SIGMA_FLOOR = 1e-12
 
@@ -56,12 +56,13 @@ def diffusion_loss(model: Denoiser, schedule: NoiseSchedule, x0, t, eps, y, c=No
     """Mean squared error between drawn and predicted noise at step(s) t."""
     x0 = np.asarray(x0, dtype=np.float64)
     eps = np.asarray(eps, dtype=np.float64)
+    if x0.shape != eps.shape:
+        raise ValueError(f"noise shape {eps.shape} must match data shape {x0.shape}")
     t_arr = np.atleast_1d(t)
-    if t_arr.size == 1:
-        x_t = forward_diffuse(x0, int(t_arr[0]), eps, schedule)
-    else:
-        abar = schedule.alpha_bars[t_arr - 1][:, None, None]
-        x_t = np.sqrt(abar) * x0 + np.sqrt(1.0 - abar) * eps
+    if np.any(t_arr < 1) or np.any(t_arr > schedule.step_count):
+        raise ValueError(f"step index outside 1..{schedule.step_count}")
+    abar = schedule.alpha_bars[t_arr - 1][:, None, None]
+    x_t = np.sqrt(abar) * x0 + np.sqrt(1.0 - abar) * eps
     predicted = predict_noise(model, x_t, t, y, c)
     return engine.mse(Tensor(eps), predicted)
 

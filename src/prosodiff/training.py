@@ -47,6 +47,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.steps < 1 or self.batch_size < 1:
             raise ValueError("steps and batch_size must be positive")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError("learning_rate must be finite and positive")
 
     def rate_at(self, step: int) -> float:
         if not self.lr_decay:

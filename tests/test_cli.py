@@ -1,5 +1,6 @@
 import json
 import math
+import shutil
 import subprocess
 import sys
 
@@ -289,6 +290,44 @@ class TestErrors:
         argv += ["--out", str(tmp_path / "o"), "--mode", "transfer", "--reference", str(tmp_path / "ref.csv")]
         assert_json_error(main(argv), capsys, "non-finite")
         assert not (tmp_path / "o" / "samples").exists()
+        assert not (tmp_path / "o" / "resolved_config.json").exists()
+
+    def test_bad_eta_sweep_leaves_no_archive(self, workspace, tmp_path, capsys):
+        argv = ["eval", "--checkpoint", str(workspace["checkpoint"]), "--corpus", str(workspace["corpus"])]
+        assert_json_error(main(argv + ["--out", str(tmp_path / "o"), "--eta-sweep", "abc"]), capsys, "abc")
+        assert not (tmp_path / "o" / "resolved_config.json").exists()
+
+    @pytest.mark.parametrize("content", ["", "step,loss_c,loss_nc\n1,0.5\n"], ids=["empty", "short-row"])
+    def test_plot_malformed_csv(self, tmp_path, capsys, content):
+        src = tmp_path / "loss.csv"
+        src.write_text(content)
+        code = main(["plot", "--input", str(src), "--out", str(tmp_path / "x.svg")])
+        assert_json_error(code, capsys, "loss.csv")
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda m: m["config"].update(colour=1),
+            lambda m: m["archetypes"][0].update(colour=1),
+            lambda m: m["train_indices"].append(len(m["utterances"])),
+            lambda m: m["val_indices"].append(-1),
+        ],
+        ids=["config-key", "archetype-key", "train-index", "val-index"],
+    )
+    def test_malformed_manifest(self, workspace, tmp_path, capsys, edit):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(workspace["corpus"], corpus)
+        manifest = json.loads((corpus / "manifest.json").read_text())
+        edit(manifest)
+        (corpus / "manifest.json").write_text(json.dumps(manifest))
+        argv = ["train", "--config", str(workspace["config"]), "--corpus", str(corpus), "--out", str(tmp_path / "o")]
+        assert_json_error(main(argv + ["--quiet"]), capsys, str(corpus))
+
+    @pytest.mark.parametrize("rate", ["nan", "inf", "-1", "0"])
+    def test_bad_learning_rate(self, workspace, tmp_path, capsys, rate):
+        argv = ["train", "--config", str(workspace["config"]), "--corpus", str(workspace["corpus"])]
+        argv += ["--out", str(tmp_path / "o"), "--quiet", "--learning-rate", rate]
+        assert_json_error(main(argv), capsys, "learning_rate")
 
     @pytest.mark.parametrize("flags", [["--eta", "nan"], ["--tau", "inf"], ["--mode", "control", "--token-weights", "nan,1,0"]])
     def test_non_finite_flag_rejected(self, workspace, tmp_path, capsys, flags):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from prosodiff import engine
 from prosodiff.checkpoint import CheckpointError, load_entries, save_entries
@@ -59,6 +60,37 @@ class TestConv1d:
     def test_rejects_channel_mismatch(self):
         with pytest.raises(ValueError):
             engine.conv1d(Tensor(np.zeros((1, 2, 4))), Tensor(np.zeros((1, 3, 3))), None)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        batch=st.integers(1, 3),
+        cin=st.integers(1, 4),
+        cout=st.integers(1, 4),
+        kernel=st.sampled_from([1, 3, 5]),
+        dilation=st.integers(1, 8),
+        length=st.integers(1, 12),
+        with_bias=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(batch=2, cin=3, cout=2, kernel=5, dilation=8, length=3, with_bias=True, seed=0)  # 2*pad = 32 > L
+    def test_property_against_oracle_and_adjoint(self, batch, cin, cout, kernel, dilation, length, with_bias, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((batch, cin, length))
+        w = rng.standard_normal((cout, cin, kernel))
+        b = rng.standard_normal(cout) if with_bias else None
+        xt, wt = Tensor(x), Tensor(w)
+        bt = None if b is None else Tensor(b)
+        out = engine.conv1d(xt, wt, bt, dilation=dilation)
+        np.testing.assert_allclose(out.data, conv1d_reference(x, w, b, dilation), atol=1e-12)
+
+        # conv(x, w) is bilinear, so <g, conv(x, w)> = <grad_x, x> = <grad_w, w>
+        g = rng.standard_normal(out.shape)
+        engine.sum_(engine.mul(out, g)).backward()
+        inner = np.vdot(g, conv1d_reference(x, w, None, dilation))
+        np.testing.assert_allclose(np.vdot(xt.grad, x), inner, rtol=1e-10, atol=1e-10)
+        np.testing.assert_allclose(np.vdot(wt.grad, w), inner, rtol=1e-10, atol=1e-10)
+        if with_bias:
+            assert np.array_equal(bt.grad, g.sum(axis=(0, 2)))
 
     def test_receptive_field_support(self):
         # dilation d with kernel k reaches (k-1)*d/2 positions each side

@@ -86,6 +86,15 @@ class TestDiffusionLoss:
         loss.backward()
         assert bundle.theta2.params["output_proj.weight"].grad is not None
 
+    @pytest.mark.parametrize(
+        "t", [0, 13, np.array([1, 13]), np.array([0, 5])], ids=["zero", "past-T", "per-example-past-T", "per-example-zero"]
+    )
+    def test_step_outside_schedule_rejected(self, t):
+        _, bundle = tiny_bundle()
+        x0 = np.zeros((2, 3, 5))
+        with pytest.raises(ValueError, match="outside 1..12"):
+            diffusion_loss(bundle.theta2, bundle.schedule, x0, t, np.zeros_like(x0), np.zeros((5, 6)))
+
 
 class TestCfgCombine:
     def test_eta_one_returns_conditional_exactly(self):
