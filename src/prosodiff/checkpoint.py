@@ -19,6 +19,7 @@ produces identical bytes. Round-trips are bit-exact.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from pathlib import Path
 
@@ -48,38 +49,45 @@ def save_entries(path: str | Path, entries: dict[str, np.ndarray]) -> None:
 
 
 def load_entries(path: str | Path) -> dict[str, np.ndarray]:
-    """Read every entry back; any malformed, truncated or non-finite content
-    raises CheckpointError naming the file."""
-    raw = Path(path).read_bytes()
-    if raw[:8] != MAGIC:
-        raise CheckpointError(f"{path}: not a checkpoint file (bad magic)")
-    offset = 8
+    """Read every entry back, one at a time from the open file; any malformed,
+    truncated or non-finite content raises CheckpointError naming the file."""
+    with open(path, "rb") as fh:
+        if fh.read(8) != MAGIC:
+            raise CheckpointError(f"{path}: not a checkpoint file (bad magic)")
+        size = os.fstat(fh.fileno()).st_size
+        offset = 8
 
-    def take(size: int, what: str) -> int:
-        nonlocal offset
-        if offset + size > len(raw):
-            raise CheckpointError(f"{path}: truncated inside {what} at byte {offset}")
-        start, offset = offset, offset + size
-        return start
+        def take(count: int, what: str) -> bytes:
+            # a length is checked against the bytes left before it is read, so
+            # a corrupt header cannot request an allocation larger than the file
+            nonlocal offset
+            data = fh.read(count) if count <= size - offset else b""
+            if len(data) != count:
+                raise CheckpointError(f"{path}: truncated inside {what} at byte {offset}")
+            offset += count
+            return data
 
-    version, count = struct.unpack_from("<II", raw, take(8, "header"))
-    if version != VERSION:
-        raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
-    entries: dict[str, np.ndarray] = {}
-    for _ in range(count):
-        (name_len,) = struct.unpack_from("<I", raw, take(4, "entry header"))
-        start = take(name_len, "entry name")
-        try:
-            name = raw[start:offset].decode("utf-8")
-        except UnicodeDecodeError:
-            raise CheckpointError(f"{path}: entry name at byte {start} is not utf-8") from None
-        (ndim,) = struct.unpack_from("<I", raw, take(4, name))
-        shape = struct.unpack_from(f"<{ndim}Q", raw, take(8 * ndim, name))
-        n = math.prod(shape)
-        arr = np.frombuffer(raw, dtype="<f8", count=n, offset=take(8 * n, name)).reshape(shape)
-        if not np.all(np.isfinite(arr)):
-            raise CheckpointError(f"{path}: entry {name} holds non-finite values")
-        entries[name] = arr.astype(np.float64)  # own writable copy
-    if offset != len(raw):
-        raise CheckpointError(f"{path}: {len(raw) - offset} trailing bytes")
+        version, count = struct.unpack("<II", take(8, "header"))
+        if version != VERSION:
+            raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
+        entries: dict[str, np.ndarray] = {}
+        for _ in range(count):
+            (name_len,) = struct.unpack("<I", take(4, "entry header"))
+            start = offset
+            try:
+                name = take(name_len, "entry name").decode("utf-8")
+            except UnicodeDecodeError:
+                raise CheckpointError(f"{path}: entry name at byte {start} is not utf-8") from None
+            (ndim,) = struct.unpack("<I", take(4, name))
+            shape = struct.unpack(f"<{ndim}Q", take(8 * ndim, name))
+            payload = np.frombuffer(take(8 * math.prod(shape), name), dtype="<f8")
+            try:
+                arr = payload.reshape(shape)
+            except ValueError:  # zero-size, but a dim beyond what numpy can index
+                raise CheckpointError(f"{path}: entry {name} has impossible shape {shape}") from None
+            if not np.all(np.isfinite(arr)):
+                raise CheckpointError(f"{path}: entry {name} holds non-finite values")
+            entries[name] = arr.astype(np.float64)  # own writable copy
+        if offset != size:
+            raise CheckpointError(f"{path}: {size - offset} trailing bytes")
     return entries

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import engine, rng as rng_mod
-from .engine import Parameter, Tensor
+from .engine import Tensor
 
 
 @dataclass(frozen=True)
@@ -77,20 +77,23 @@ class Denoiser:
     def __init__(self, config: DenoiserConfig, accepts_style: bool, init_rng: np.random.Generator):
         self.config = config
         self.accepts_style = accepts_style
-        self.params: dict[str, Parameter] = {}
+        self.params: dict[str, Tensor] = {}
         c = config.residual_channels
         h = config.hidden_channels
         k = config.kernel_size
         d_cond = config.condition_dim
         d_time = config.time_embedding_dim
 
+        def add(name: str, value: np.ndarray):
+            self.params[name] = Tensor(value)
+
         def add_conv(name: str, cout: int, cin: int, width: int):
-            self._add(name + ".weight", engine.uniform_init((cout, cin, width), cin * width, init_rng))
-            self._add(name + ".bias", np.zeros(cout))
+            add(name + ".weight", engine.uniform_init((cout, cin, width), cin * width, init_rng))
+            add(name + ".bias", np.zeros(cout))
 
         def add_dense(name: str, din: int, dout: int):
-            self._add(name + ".weight", engine.uniform_init((din, dout), din, init_rng))
-            self._add(name + ".bias", np.zeros(dout))
+            add(name + ".weight", engine.uniform_init((din, dout), din, init_rng))
+            add(name + ".bias", np.zeros(dout))
 
         add_conv("input_proj", c, c, 1)
         for i in range(config.residual_layers):
@@ -105,25 +108,11 @@ class Denoiser:
         # sqrt(1-abar_t) * x_t at high noise, which bounded gates cannot
         # reach with the precision the terminal (clipped-beta) reverse
         # steps demand; a learned scalar gate of t absorbs that part
-        self._add("passthrough.weight", np.zeros((d_time, 1)))
-        self._add("passthrough.bias", np.zeros(1))
+        add("passthrough.weight", np.zeros((d_time, 1)))
+        add("passthrough.bias", np.zeros(1))
         # stands in for an absent style vector; only consulted when
         # accepts_style is False, so both instances share one name set
-        self._add("null_condition", np.zeros(d_cond))
-
-    def _add(self, name: str, value: np.ndarray) -> None:
-        self.params[name] = Parameter(name, value)
-
-    def parameters(self) -> dict[str, Parameter]:
-        return self.params
-
-    def trainable_parameters(self) -> list[Parameter]:
-        """Parameters that participate in the forward pass (the null vector
-        is dead weight while an external style condition is supplied)."""
-        return [p for name, p in self.params.items() if name != "null_condition" or not self.accepts_style]
-
-    def _p(self, name: str) -> Tensor:
-        return self.params[name].tensor
+        add("null_condition", np.zeros(d_cond))
 
 
 def predict_noise(model: Denoiser, x_t, t, y: np.ndarray, c=None) -> Tensor:
@@ -134,6 +123,7 @@ def predict_noise(model: Denoiser, x_t, t, y: np.ndarray, c=None) -> Tensor:
     model.accepts_style. t: scalar step or per-example [B] steps.
     """
     cfg = model.config
+    p = model.params
     x = engine.as_tensor(x_t)
     if x.ndim != 3 or x.shape[1] != cfg.residual_channels:
         raise ValueError(f"expected [B, {cfg.residual_channels}, L] input, got {x.shape}")
@@ -160,48 +150,48 @@ def predict_noise(model: Denoiser, x_t, t, y: np.ndarray, c=None) -> Tensor:
     else:
         if c is not None:
             raise ValueError("this denoiser is unconditional in style; c must be absent")
-        null = engine.reshape(model._p("null_condition"), (1, cfg.condition_dim, 1))
+        null = engine.reshape(p["null_condition"], (1, cfg.condition_dim, 1))
         cond = engine.add(cond_base, null)
 
     t_emb = Tensor(embed_time(t, cfg.time_embedding_dim))  # [B or 1, d_time]
 
     # linear input mixing: a relu here would destroy sign information in a
     # stream this narrow, and high-noise steps need the identity map
-    h = engine.conv1d(x, model._p("input_proj.weight"), model._p("input_proj.bias"))
+    h = engine.conv1d(x, p["input_proj.weight"], p["input_proj.bias"])
 
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
     skip_total = None
     for i, dilation in enumerate(cfg.dilations()):
         t_proj = engine.add(
-            engine.matmul(t_emb, model._p(f"layers.{i}.time_proj.weight")),
-            model._p(f"layers.{i}.time_proj.bias"),
+            engine.matmul(t_emb, p[f"layers.{i}.time_proj.weight"]),
+            p[f"layers.{i}.time_proj.bias"],
         )
         t_proj = engine.reshape(t_proj, (t_proj.shape[0], channels, 1))
         gate_in = engine.conv1d(
             engine.add(h, t_proj),
-            model._p(f"layers.{i}.conv.weight"),
-            model._p(f"layers.{i}.conv.bias"),
+            p[f"layers.{i}.conv.weight"],
+            p[f"layers.{i}.conv.bias"],
             dilation=dilation,
         )
         gate_in = engine.add(
             gate_in,
-            engine.conv1d(cond, model._p(f"layers.{i}.cond_proj.weight"), model._p(f"layers.{i}.cond_proj.bias")),
+            engine.conv1d(cond, p[f"layers.{i}.cond_proj.weight"], p[f"layers.{i}.cond_proj.bias"]),
         )
         width = cfg.hidden_channels
         gated = engine.gated_activation(
             engine.narrow(gate_in, 1, 0, width), engine.narrow(gate_in, 1, width, 2 * width)
         )
-        out = engine.conv1d(gated, model._p(f"layers.{i}.out_proj.weight"), model._p(f"layers.{i}.out_proj.bias"))
+        out = engine.conv1d(gated, p[f"layers.{i}.out_proj.weight"], p[f"layers.{i}.out_proj.bias"])
         residual = engine.narrow(out, 1, 0, channels)
         skip = engine.narrow(out, 1, channels, channels + width)
         h = engine.mul(engine.add(h, residual), inv_sqrt2)
         skip_total = skip if skip_total is None else engine.add(skip_total, skip)
 
     s = engine.mul(skip_total, 1.0 / math.sqrt(cfg.residual_layers))
-    s = engine.relu(engine.conv1d(s, model._p("skip_proj.weight"), model._p("skip_proj.bias")))
-    out = engine.conv1d(s, model._p("output_proj.weight"), model._p("output_proj.bias"))
+    s = engine.relu(engine.conv1d(s, p["skip_proj.weight"], p["skip_proj.bias"]))
+    out = engine.conv1d(s, p["output_proj.weight"], p["output_proj.bias"])
 
-    gate = engine.add(engine.matmul(t_emb, model._p("passthrough.weight")), model._p("passthrough.bias"))
+    gate = engine.add(engine.matmul(t_emb, p["passthrough.weight"]), p["passthrough.bias"])
     gate = engine.reshape(gate, (gate.shape[0], 1, 1))
     return engine.add(out, engine.mul(gate, x))
 
@@ -211,8 +201,8 @@ class TextEmbedder:
 
     Stands in for a trained text encoder: rows are near-orthogonal random
     vectors, so the (trained) per-layer condition projections can extract
-    whatever identity/position signal they need. Not a Parameter on
-    purpose; the two denoisers must share no trainable state.
+    whatever identity/position signal they need. Not in any model's
+    ``params`` on purpose; the two denoisers must share no trainable state.
     """
 
     def __init__(self, vocab_size: int, dim: int, seed: int):

@@ -66,15 +66,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def detach(self) -> "Tensor":
-        out = Tensor.__new__(Tensor)
-        out.data = self.data
-        out.grad = None
-        out._parents = ()
-        out._vjp = None
-        out._backward_done = False
-        return out
-
     def zero_grad(self) -> None:
         self.grad = None
 
@@ -114,32 +105,6 @@ class Tensor:
                     parent.grad = contribution
                 else:
                     parent.grad = parent.grad + contribution
-
-    # operator sugar -----------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def __repr__(self):
         return f"Tensor(shape={self.shape})"
@@ -397,37 +362,6 @@ def mse(a, b) -> Tensor:
         raise ValueError(f"mse shapes differ: {a.shape} vs {b.shape}")
     d = sub(a, b)
     return mean(mul(d, d))
-
-
-# parameters --------------------------------------------------------------
-
-
-class Parameter:
-    """A named trainable tensor (its optimiser state lives in ``optim``)."""
-
-    __slots__ = ("name", "tensor")
-
-    def __init__(self, name: str, value: np.ndarray):
-        self.name = name
-        self.tensor = Tensor(value)
-
-    @property
-    def data(self) -> np.ndarray:
-        return self.tensor.data
-
-    @data.setter
-    def data(self, value: np.ndarray) -> None:
-        self.tensor.data = _as_array(value).reshape(self.tensor.shape)
-
-    @property
-    def grad(self) -> np.ndarray | None:
-        return self.tensor.grad
-
-    def zero_grad(self) -> None:
-        self.tensor.zero_grad()
-
-    def __repr__(self):
-        return f"Parameter({self.name!r}, shape={self.tensor.shape})"
 
 
 def uniform_init(shape: tuple[int, ...], fan_in: int, rng: np.random.Generator) -> np.ndarray:

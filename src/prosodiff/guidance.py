@@ -25,7 +25,7 @@ import numpy as np
 from . import engine
 from .denoiser import Denoiser, predict_noise
 from .engine import Tensor
-from .schedule import NoiseSchedule
+from .schedule import NoiseSchedule, forward_diffuse
 
 SIGMA_FLOOR = 1e-12
 
@@ -54,15 +54,7 @@ class RescaleDiagnostics:
 
 def diffusion_loss(model: Denoiser, schedule: NoiseSchedule, x0, t, eps, y, c=None) -> Tensor:
     """Mean squared error between drawn and predicted noise at step(s) t."""
-    x0 = np.asarray(x0, dtype=np.float64)
-    eps = np.asarray(eps, dtype=np.float64)
-    if x0.shape != eps.shape:
-        raise ValueError(f"noise shape {eps.shape} must match data shape {x0.shape}")
-    t_arr = np.atleast_1d(t)
-    if np.any(t_arr < 1) or np.any(t_arr > schedule.step_count):
-        raise ValueError(f"step index outside 1..{schedule.step_count}")
-    abar = schedule.alpha_bars[t_arr - 1][:, None, None]
-    x_t = np.sqrt(abar) * x0 + np.sqrt(1.0 - abar) * eps
+    x_t = forward_diffuse(x0, t, eps, schedule)
     predicted = predict_noise(model, x_t, t, y, c)
     return engine.mse(Tensor(eps), predicted)
 

@@ -89,11 +89,20 @@ def cosine_schedule(step_count: int, offset: float = COSINE_OFFSET) -> NoiseSche
     return NoiseSchedule(betas=betas)
 
 
-def forward_diffuse(x0: np.ndarray, t: int, eps: np.ndarray, schedule: NoiseSchedule) -> np.ndarray:
-    """Closed-form noising: x_t = sqrt(abar_t) * x0 + sqrt(1 - abar_t) * eps."""
+def forward_diffuse(x0: np.ndarray, t, eps: np.ndarray, schedule: NoiseSchedule) -> np.ndarray:
+    """Closed-form noising: x_t = sqrt(abar_t) * x0 + sqrt(1 - abar_t) * eps.
+
+    t is one step for the whole array, or a [B] array holding one step per
+    example (row of the leading axis).
+    """
     x0 = np.asarray(x0, dtype=np.float64)
     eps = np.asarray(eps, dtype=np.float64)
     if x0.shape != eps.shape:
         raise ValueError(f"noise shape {eps.shape} must match data shape {x0.shape}")
-    abar = schedule.alpha_bar(t)
-    return math.sqrt(abar) * x0 + math.sqrt(1.0 - abar) * eps
+    t_arr = np.asarray(t)
+    if np.any(t_arr < 1) or np.any(t_arr > schedule.step_count):
+        raise ValueError(f"step index {t} outside 1..{schedule.step_count}")
+    abar = schedule.alpha_bars[t_arr - 1]
+    if abar.ndim:
+        abar = abar.reshape(abar.shape + (1,) * (x0.ndim - 1))
+    return np.sqrt(abar) * x0 + np.sqrt(1.0 - abar) * eps

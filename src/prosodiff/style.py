@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import engine
-from .engine import Parameter, Tensor
+from .engine import Tensor
 
 SIMPLEX_TOL = 1e-9
 
@@ -34,11 +34,6 @@ class StyleConfig:
         if self.token_dim % self.attention_heads != 0:
             raise ValueError("attention heads must divide token dim")
 
-    @classmethod
-    def full_scale(cls) -> "StyleConfig":
-        """The classic GST operating point: 10 tokens of width 256, 4 heads."""
-        return cls(token_count=10, token_dim=256, attention_heads=4, condition_dim=256)
-
 
 class StyleBank:
     """Learnable tokens plus the reference-encoder and attention parameters."""
@@ -46,11 +41,11 @@ class StyleBank:
     def __init__(self, config: StyleConfig, data_channels: int, init_rng: np.random.Generator):
         self.config = config
         self.data_channels = data_channels
-        self.params: dict[str, Parameter] = {}
+        self.params: dict[str, Tensor] = {}
         k, d, rc = config.token_count, config.token_dim, config.ref_channels
 
         def add(name, value):
-            self.params[name] = Parameter(name, value)
+            self.params[name] = Tensor(value)
 
         add("tokens", engine.uniform_init((k, d), d, init_rng))
         # wider-than-fan-in init: with a tanh-bounded query, fan-in-scaled
@@ -66,18 +61,9 @@ class StyleBank:
         add("ref.proj.weight", engine.uniform_init((rc, d), rc, init_rng))
         add("ref.proj.bias", np.zeros(d))
 
-    def parameters(self) -> dict[str, Parameter]:
-        return self.params
-
-    def trainable_parameters(self) -> list[Parameter]:
-        return list(self.params.values())
-
-    def _p(self, name: str) -> Tensor:
-        return self.params[name].tensor
-
     def _token_values(self) -> Tensor:
         # [K, condition_dim]; the projected embeddings that weights mix
-        return engine.matmul(self._p("tokens"), self._p("value.weight"))
+        return engine.matmul(self.params["tokens"], self.params["value.weight"])
 
 
 def encode_reference(bank: StyleBank, reference) -> Tensor:
@@ -89,12 +75,12 @@ def encode_reference(bank: StyleBank, reference) -> Tensor:
         raise ValueError(f"reference must be [B, {bank.data_channels}, L], got {x.shape}")
     if x.shape[2] < 1:
         raise ValueError("reference is empty")
-    x = engine.relu(engine.conv1d(x, bank._p("ref.conv1.weight"), bank._p("ref.conv1.bias")))
+    x = engine.relu(engine.conv1d(x, bank.params["ref.conv1.weight"], bank.params["ref.conv1.bias"]))
     x = engine.downsample(x, 2)
-    x = engine.relu(engine.conv1d(x, bank._p("ref.conv2.weight"), bank._p("ref.conv2.bias")))
+    x = engine.relu(engine.conv1d(x, bank.params["ref.conv2.weight"], bank.params["ref.conv2.bias"]))
     x = engine.downsample(x, 2)
     pooled = engine.mean(x, axis=2)  # [B, ref_channels]
-    query = engine.add(engine.matmul(pooled, bank._p("ref.proj.weight")), bank._p("ref.proj.bias"))
+    query = engine.add(engine.matmul(pooled, bank.params["ref.proj.weight"]), bank.params["ref.proj.bias"])
     return engine.tanh(query)
 
 
@@ -103,8 +89,8 @@ def attend(bank: StyleBank, query: Tensor) -> Tensor:
     cfg = bank.config
     head_dim = cfg.token_dim // cfg.attention_heads
     scale = 1.0 / math.sqrt(head_dim)
-    q_all = engine.matmul(query, bank._p("attn.query.weight"))  # [B, D]
-    k_all = engine.matmul(bank._p("tokens"), bank._p("attn.key.weight"))  # [K, D]
+    q_all = engine.matmul(query, bank.params["attn.query.weight"])  # [B, D]
+    k_all = engine.matmul(bank.params["tokens"], bank.params["attn.key.weight"])  # [K, D]
     scores = None
     for head in range(cfg.attention_heads):
         lo, hi = head * head_dim, (head + 1) * head_dim

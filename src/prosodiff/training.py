@@ -24,7 +24,7 @@ from . import rng as rng_mod
 from .corpus import Corpus, NormStats, Utterance
 from .denoiser import Denoiser, DenoiserConfig, TextEmbedder
 from .guidance import diffusion_loss
-from .engine import Parameter
+from .engine import Tensor
 from .optim import AdamState, optimizer_step
 from .schedule import NoiseSchedule
 from .style import StyleBank, StyleConfig, encode_style
@@ -73,18 +73,19 @@ class ModelBundle:
     adam: AdamState = field(init=False)
 
     def __post_init__(self):
-        self.adam = AdamState(self.named_parameters().values())
+        self.adam = AdamState(self.named_parameters())
 
-    def named_parameters(self) -> dict[str, Parameter]:
+    def named_parameters(self) -> dict[str, Tensor]:
         """Every parameter under its checkpoint name (theta1.*, theta2.*, bank.*)."""
         groups = (("theta1", self.theta1), ("theta2", self.theta2), ("bank", self.bank))
-        return {f"{prefix}.{name}": p for prefix, model in groups for name, p in model.parameters().items()}
+        return {f"{prefix}.{name}": p for prefix, model in groups for name, p in model.params.items()}
 
-    def trainable_parameters(self):
-        params = self.theta1.trainable_parameters() + self.theta2.trainable_parameters()
-        if self.theta1.accepts_style:
-            params += self.bank.trainable_parameters()
-        return params
+    def trainable_parameters(self) -> list[tuple[str, Tensor]]:
+        """(name, parameter) pairs that take part in the forward passes: theta1's
+        null vector is dead weight while theta1 takes a style vector, and the
+        bank is while it does not."""
+        dead = "theta1.null_condition" if self.theta1.accepts_style else "bank."
+        return [(name, p) for name, p in self.named_parameters().items() if not name.startswith(dead)]
 
 
 def build_models(
@@ -226,8 +227,8 @@ def save_checkpoint(bundle: ModelBundle, trainer_step: int, path: str | Path) ->
     entries: dict[str, np.ndarray] = {}
     for key, p in bundle.named_parameters().items():
         entries[key] = p.data
-        entries[f"moment1.{key}"] = bundle.adam.moment1[p]
-        entries[f"moment2.{key}"] = bundle.adam.moment2[p]
+        entries[f"moment1.{key}"] = bundle.adam.moment1[key]
+        entries[f"moment2.{key}"] = bundle.adam.moment2[key]
     entries["trainer.step"] = np.array(float(trainer_step))
     entries["optim.step_counter"] = np.array(float(bundle.adam.step_counter))
     entries["norm.mean"] = bundle.stats.mean
@@ -249,9 +250,9 @@ def load_checkpoint(bundle: ModelBundle, path: str | Path) -> int:
         return entries[key]
 
     for key, p in bundle.named_parameters().items():
-        p.data = entry(key, p.tensor.shape)
-        bundle.adam.moment1[p] = entry(f"moment1.{key}", (p.tensor.size,))
-        bundle.adam.moment2[p] = entry(f"moment2.{key}", (p.tensor.size,))
+        p.data = entry(key, p.shape)
+        bundle.adam.moment1[key] = entry(f"moment1.{key}", (p.size,))
+        bundle.adam.moment2[key] = entry(f"moment2.{key}", (p.size,))
     bundle.adam.step_counter = int(entry("optim.step_counter", ()))
     bundle.stats.mean = entry("norm.mean", bundle.stats.mean.shape)
     bundle.stats.std = entry("norm.std", bundle.stats.std.shape)

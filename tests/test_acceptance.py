@@ -132,7 +132,7 @@ class TestCriterion1Gradients:
         loss = loss_tensor()
         loss.backward()
         checked = 0
-        for owner in (model.parameters(), bundle.bank.parameters()):
+        for owner in (model.params, bundle.bank.params):
             for name, p in owner.items():
                 if p.grad is None:  # null vector is unused on the styled model
                     assert name == "null_condition"
@@ -141,7 +141,7 @@ class TestCriterion1Gradients:
                 scale = np.maximum(1.0, np.maximum(np.abs(numeric), np.abs(p.grad)))
                 worst = np.max(np.abs(numeric - p.grad) / scale)
                 assert worst < FD_TOL, f"{name}: {worst:.2e}"
-                checked += p.tensor.size
+                checked += p.size
         elapsed = time.time() - started
         print(f"\n[criterion 1b] PASS: full 2-layer denoiser + style bank, {checked} coordinates in {elapsed:.1f}s")
 

@@ -2,9 +2,12 @@ import numpy as np
 import pytest
 
 from prosodiff import engine, rng as rng_mod
+from prosodiff.corpus import NormStats
 from prosodiff.denoiser import Denoiser, DenoiserConfig, TextEmbedder, embed_time, predict_noise
 from prosodiff.guidance import diffusion_loss
 from prosodiff.schedule import cosine_schedule
+from prosodiff.style import StyleConfig
+from prosodiff.training import build_models
 
 from helpers import numeric_gradient
 
@@ -132,25 +135,30 @@ class TestParameterSeparation:
     def test_equal_configs_share_name_sets(self):
         a = Denoiser(TINY, True, rng_mod.substream(0, rng_mod.INIT_STREAM, 0))
         b = Denoiser(TINY, False, rng_mod.substream(0, rng_mod.INIT_STREAM, 1))
-        assert set(a.parameters()) == set(b.parameters())
+        assert set(a.params) == set(b.params)
 
     def test_mutating_one_model_leaves_other_fixed(self):
         a = Denoiser(TINY, False, rng_mod.substream(0, rng_mod.INIT_STREAM, 0))
         b = Denoiser(TINY, False, rng_mod.substream(0, rng_mod.INIT_STREAM, 1))
         x, y, _ = random_inputs()
         before = predict_noise(b, x, 1, y).data
-        for p in a.parameters().values():
+        for p in a.params.values():
             p.data = p.data + 1.0
         after = predict_noise(b, x, 1, y).data
         assert np.array_equal(before, after)
 
     def test_null_condition_not_trainable_when_style_supplied(self):
-        styled = Denoiser(TINY, True, rng_mod.substream(0, rng_mod.INIT_STREAM, 0))
-        unstyled = Denoiser(TINY, False, rng_mod.substream(0, rng_mod.INIT_STREAM, 1))
-        styled_names = {p.name for p in styled.trainable_parameters()}
-        unstyled_names = {p.name for p in unstyled.trainable_parameters()}
-        assert "null_condition" not in styled_names
-        assert "null_condition" in unstyled_names
+        style = StyleConfig(token_count=2, token_dim=4, attention_heads=2, condition_dim=5, ref_channels=4)
+        stats = NormStats(np.zeros(3), np.ones(3))
+
+        def trainable_names(style_condition: bool) -> set[str]:
+            bundle = build_models(TINY, style, cosine_schedule(4), 4, stats, seed=0, style_condition=style_condition)
+            return {name for name, _ in bundle.trainable_parameters()}
+
+        styled_names = trainable_names(True)
+        unstyled_names = trainable_names(False)
+        assert "theta1.null_condition" not in styled_names
+        assert "theta1.null_condition" in unstyled_names
 
 
 class TestGradientsThroughDenoiser:
@@ -169,7 +177,7 @@ class TestGradientsThroughDenoiser:
 
         loss = diffusion_loss(model, schedule, x0, 3, eps, y, c)
         loss.backward()
-        for name, p in model.parameters().items():
+        for name, p in model.params.items():
             if name == "null_condition":
                 continue
             analytic = p.grad

@@ -104,6 +104,21 @@ class TestForwardDiffuse:
         with pytest.raises(ValueError):
             forward_diffuse(np.zeros((3, 4)), t, np.zeros((3, 4)), sch)
 
+    def test_per_example_steps_match_scalar_rows(self):
+        sch = cosine_schedule(30)
+        rng = np.random.default_rng(3)
+        x0, eps = rng.standard_normal((4, 3, 5)), rng.standard_normal((4, 3, 5))
+        t = np.array([1, 7, 30, 7])
+        out = forward_diffuse(x0, t, eps, sch)
+        for i, step in enumerate(t):
+            assert np.array_equal(out[i], forward_diffuse(x0[i], int(step), eps[i], sch))
+
+    @pytest.mark.parametrize("t", [[1, 0], [11, 3]])
+    def test_per_example_step_out_of_range_rejected(self, t):
+        sch = cosine_schedule(10)
+        with pytest.raises(ValueError, match="outside 1..10"):
+            forward_diffuse(np.zeros((2, 3, 4)), np.array(t), np.zeros((2, 3, 4)), sch)
+
     def test_monte_carlo_moments_at_midpoint(self):
         # empirical mean within 3 standard errors of sqrt(abar)*x0,
         # empirical variance within 5% of (1 - abar), over 10k draws

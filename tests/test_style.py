@@ -53,7 +53,7 @@ class TestEncodeStyle:
         ref = np.random.default_rng(4).standard_normal((2, 3, 9))
         c, _ = encode_style(bank, ref)
         engine.sum_(engine.mul(c, c)).backward()
-        for name, p in bank.parameters().items():
+        for name, p in bank.params.items():
             assert p.grad is not None, name
             assert np.any(p.grad != 0), name
 
@@ -62,7 +62,7 @@ class TestConditionFromWeights:
     def test_one_hot_selects_projected_token(self):
         bank = make_bank()
         with engine.no_grad():
-            values = engine.matmul(bank._p("tokens"), bank._p("value.weight")).data
+            values = engine.matmul(bank.params["tokens"], bank.params["value.weight"]).data
         for k in range(SMALL.token_count):
             c = condition_from_weights(bank, one_hot_weights(k, SMALL.token_count))
             assert np.array_equal(c.data[0], values[k])
@@ -81,7 +81,7 @@ class TestConditionFromWeights:
         raw = rng.uniform(0.05, 1.0, size=4)
         w = raw / raw.sum()
         with engine.no_grad():
-            values = engine.matmul(bank._p("tokens"), bank._p("value.weight")).data
+            values = engine.matmul(bank.params["tokens"], bank.params["value.weight"]).data
         expected = np.zeros(SMALL.condition_dim)
         for k in range(4):
             expected = expected + w[k] * values[k]
@@ -149,8 +149,3 @@ class TestConfig:
         with pytest.raises(ValueError):
             StyleConfig(token_count=1)
 
-    def test_full_scale_preset(self):
-        full = StyleConfig.full_scale()
-        assert full.token_count == 10
-        assert full.token_dim == 256
-        assert full.attention_heads == 4

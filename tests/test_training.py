@@ -5,7 +5,7 @@ import pytest
 
 from prosodiff import rng as rng_mod
 from prosodiff.checkpoint import CheckpointError
-from prosodiff.corpus import CorpusConfig, generate_corpus
+from prosodiff.corpus import CorpusConfig, NormStats, generate_corpus
 from prosodiff.denoiser import DenoiserConfig, predict_noise
 from prosodiff.schedule import cosine_schedule
 from prosodiff.style import StyleConfig
@@ -84,8 +84,8 @@ class TestCheckpointRoundTrip:
         a = predict_noise(bundle.theta1, x, 3, y, c).data
         b = predict_noise(bundle2.theta1, x, 3, y, c).data
         assert np.array_equal(a, b)
-        for p1, p2 in zip(bundle.trainable_parameters(), bundle2.trainable_parameters()):
-            assert np.array_equal(bundle.adam.moment1[p1], bundle2.adam.moment1[p2])
+        for name, _ in bundle.trainable_parameters():
+            assert np.array_equal(bundle.adam.moment1[name], bundle2.adam.moment1[name])
         assert bundle.adam.step_counter == bundle2.adam.step_counter == 8
 
     def test_resume_continues_step_counter(self, tmp_path):
@@ -130,6 +130,26 @@ class TestCheckpointRoundTrip:
         load_checkpoint(bundle2, tmp_path / "state.bin")
         assert np.array_equal(bundle2.stats.mean, bundle.stats.mean)
         assert np.array_equal(bundle2.stats.std, bundle.stats.std)
+
+
+class TestTrainableParameters:
+    def test_default_config_updates_every_live_tensor_in_checkpoint_order(self):
+        stats = NormStats(np.zeros(3), np.ones(3))
+        bundle = build_models(DenoiserConfig(), StyleConfig(), cosine_schedule(4), 40, stats, seed=0)
+        names = [name for name, _ in bundle.trainable_parameters()]
+        assert len(names) == 219
+        assert [n.split(".")[0] for n in names] == ["theta1"] * 104 + ["theta2"] * 105 + ["bank"] * 10
+        assert "theta1.null_condition" not in names and "theta2.null_condition" in names
+        assert names == [n for n in bundle.named_parameters() if n in names]
+        assert set(bundle.adam.moment1) == set(bundle.adam.moment2) == set(bundle.named_parameters())
+
+    def test_unstyled_run_leaves_the_bank_out(self):
+        stats = NormStats(np.zeros(3), np.ones(3))
+        bundle = build_models(TINY_DENOISER, TINY_STYLE, cosine_schedule(12), 12, stats, seed=0, style_condition=False)
+        names = [name for name, _ in bundle.trainable_parameters()]
+        assert "theta1.null_condition" in names
+        assert not [n for n in names if n.startswith("bank.")]
+        assert len(names) == len(bundle.named_parameters()) - len(bundle.bank.params)
 
 
 class TestBatchSampler:
