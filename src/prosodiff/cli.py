@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -165,6 +166,15 @@ def _resolve_mode_conditions(args, bundle, corpus, run, n_samples):
 
 
 def cmd_sample(args) -> None:
+    if args.num_samples < 1:
+        raise CommandError(f"--num-samples must be at least 1, got {args.num_samples}")
+    for flag, value in (
+        ("--scale-pitch", args.scale_pitch),
+        ("--scale-energy", args.scale_energy),
+        ("--scale-duration", args.scale_duration),
+    ):
+        if not math.isfinite(value):
+            raise CommandError(f"{flag} must be finite, got {value}")
     corpus, bundle, run = _load_trained(args)
     out_dir = Path(args.out)
     texts, conditions, tag = _resolve_mode_conditions(args, bundle, corpus, run, args.num_samples)

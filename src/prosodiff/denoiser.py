@@ -5,7 +5,8 @@ Two instances with identical architectures form the guided module: one is
 conditioned on text plus a style vector, the other on text plus its own
 learned null-condition vector. Conditioning enters each layer's gate as a
 1x1-projected condition sequence; the diffusion step enters as a projected
-sinusoidal embedding added to the layer input.
+sinusoidal embedding added to the layer input. For guided sampling the two
+run as one stacked ``DenoiserPair``, one forward pass for both predictions.
 
 Data layout is [B, C, L] with C=3 prosody channels (log-pitch, energy,
 log-duration).
@@ -115,12 +116,53 @@ class Denoiser:
         add("null_condition", np.zeros(d_cond))
 
 
-def predict_noise(model: Denoiser, x_t, t, y: np.ndarray, c=None) -> Tensor:
+@dataclass(frozen=True)
+class DenoiserPair:
+    """theta1 (style-conditioned) and theta2 (on its own null vector) as one
+    model: each parameter is the [2, ...] stack of theirs, so one forward
+    pass serves both guided predictions. Build it with ``stack_pair``."""
+
+    config: DenoiserConfig
+    params: dict[str, Tensor]
+
+
+def share_storage(theta1: Denoiser, theta2: Denoiser) -> None:
+    """Lay out each parameter pair as the two halves of one [2, ...] array,
+    so ``stack_pair`` needs no copy. The layout lasts while ``.data`` is
+    written in place, as the optimiser and checkpoint loading do."""
+    for name, p1 in theta1.params.items():
+        p2 = theta2.params[name]
+        both = np.stack([p1.data, p2.data])
+        p1.data, p2.data = both[0], both[1]
+
+
+def stack_pair(theta1: Denoiser, theta2: Denoiser) -> DenoiserPair:
+    """theta1 and theta2 as one DenoiserPair. A parameter whose halves still
+    are the two halves of one array (see ``share_storage``) is that array;
+    any other, e.g. after a half's ``.data`` was rebound, is stacked anew."""
+    if not theta1.accepts_style or theta2.accepts_style or theta1.config != theta2.config:
+        raise ValueError("a denoiser pair needs a style-conditioned theta1 and an unconditional theta2 of one config")
+    params = {}
+    for name, p1 in theta1.params.items():
+        halves = (p1.data, theta2.params[name].data)
+        both = p1.data.base
+        shared = (
+            both is not None
+            and both.shape == (2,) + p1.shape
+            and all(a.__array_interface__ == b.__array_interface__ for a, b in zip(both, halves))
+        )
+        params[name] = Tensor(both if shared else np.stack(halves))
+    return DenoiserPair(theta1.config, params)
+
+
+def predict_noise(model: Denoiser | DenoiserPair, x_t, t, y: np.ndarray, c=None) -> Tensor:
     """Run the denoiser; returns the noise estimate as a [B, 3, L] tensor.
 
     x_t: [B, 3, L] array or Tensor. y: text embedding, [L, D] (shared) or
     [B, L, D]. c: style condition [B, D] array/Tensor, required iff
     model.accepts_style. t: scalar step or per-example [B] steps.
+    A DenoiserPair takes c for theta1 and returns [2, B, 3, L]: theta1's
+    prediction, then theta2's, each bit-identical to its own forward pass.
     """
     cfg = model.config
     p = model.params
@@ -138,7 +180,8 @@ def predict_noise(model: Denoiser, x_t, t, y: np.ndarray, c=None) -> Tensor:
         raise ValueError(f"text embedding dim {y.shape[2]} != condition dim {cfg.condition_dim}")
     cond_base = Tensor(np.ascontiguousarray(np.broadcast_to(y, (batch, length, cfg.condition_dim)).transpose(0, 2, 1)))
 
-    if model.accepts_style:
+    pair = isinstance(model, DenoiserPair)
+    if pair or model.accepts_style:
         if c is None:
             raise ValueError("this denoiser is style-conditioned; pass c")
         c_t = engine.as_tensor(c)
@@ -147,9 +190,12 @@ def predict_noise(model: Denoiser, x_t, t, y: np.ndarray, c=None) -> Tensor:
         if c_t.shape[1] != cfg.condition_dim:
             raise ValueError(f"style condition dim {c_t.shape[1]} != {cfg.condition_dim}")
         cond = engine.add(cond_base, engine.reshape(c_t, (c_t.shape[0], cfg.condition_dim, 1)))
-    else:
-        if c is not None:
-            raise ValueError("this denoiser is unconditional in style; c must be absent")
+    elif c is not None:
+        raise ValueError("this denoiser is unconditional in style; c must be absent")
+    if pair:  # theta2's condition: its own null vector, stacked after theta1's
+        null = engine.reshape(engine.narrow(p["null_condition"], 0, 1, 2), (1, cfg.condition_dim, 1))
+        cond = engine.stack([cond, engine.add(cond_base, null)])
+    elif not model.accepts_style:
         null = engine.reshape(p["null_condition"], (1, cfg.condition_dim, 1))
         cond = engine.add(cond_base, null)
 
@@ -162,11 +208,8 @@ def predict_noise(model: Denoiser, x_t, t, y: np.ndarray, c=None) -> Tensor:
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
     skip_total = None
     for i, dilation in enumerate(cfg.dilations()):
-        t_proj = engine.add(
-            engine.matmul(t_emb, p[f"layers.{i}.time_proj.weight"]),
-            p[f"layers.{i}.time_proj.bias"],
-        )
-        t_proj = engine.reshape(t_proj, (t_proj.shape[0], channels, 1))
+        t_proj = engine.matmul(t_emb, p[f"layers.{i}.time_proj.weight"], p[f"layers.{i}.time_proj.bias"])
+        t_proj = engine.reshape(t_proj, t_proj.shape[:-1] + (channels, 1))
         gate_in = engine.conv1d(
             engine.add(h, t_proj),
             p[f"layers.{i}.conv.weight"],
@@ -179,11 +222,11 @@ def predict_noise(model: Denoiser, x_t, t, y: np.ndarray, c=None) -> Tensor:
         )
         width = cfg.hidden_channels
         gated = engine.gated_activation(
-            engine.narrow(gate_in, 1, 0, width), engine.narrow(gate_in, 1, width, 2 * width)
+            engine.narrow(gate_in, -2, 0, width), engine.narrow(gate_in, -2, width, 2 * width)
         )
         out = engine.conv1d(gated, p[f"layers.{i}.out_proj.weight"], p[f"layers.{i}.out_proj.bias"])
-        residual = engine.narrow(out, 1, 0, channels)
-        skip = engine.narrow(out, 1, channels, channels + width)
+        residual = engine.narrow(out, -2, 0, channels)
+        skip = engine.narrow(out, -2, channels, channels + width)
         h = engine.mul(engine.add(h, residual), inv_sqrt2)
         skip_total = skip if skip_total is None else engine.add(skip_total, skip)
 
@@ -191,8 +234,8 @@ def predict_noise(model: Denoiser, x_t, t, y: np.ndarray, c=None) -> Tensor:
     s = engine.relu(engine.conv1d(s, p["skip_proj.weight"], p["skip_proj.bias"]))
     out = engine.conv1d(s, p["output_proj.weight"], p["output_proj.bias"])
 
-    gate = engine.add(engine.matmul(t_emb, p["passthrough.weight"]), p["passthrough.bias"])
-    gate = engine.reshape(gate, (gate.shape[0], 1, 1))
+    gate = engine.matmul(t_emb, p["passthrough.weight"], p["passthrough.bias"])
+    gate = engine.reshape(gate, gate.shape[:-1] + (1, 1))
     return engine.add(out, engine.mul(gate, x))
 
 

@@ -9,9 +9,9 @@ blended by gamma. The terminal draw x_T uses covariance (1/tau) * I.
 
 There is one reverse loop, ``reverse_process``: it draws x_T and applies
 ``reverse_step`` for t = T..1 with whatever per-step noise predictor it is
-given. ``sample`` hands it the guided predictor (theta1, then theta2
-unless eta = 1, combine, rescale); a single denoiser's forward pass drives
-the same loop unguided.
+given. ``sample`` hands it the guided predictor (one forward pass of the
+stacked theta1/theta2 pair, or of theta1 alone at eta = 1; combine,
+rescale); a single denoiser's forward pass drives the same loop unguided.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from . import engine
-from .denoiser import Denoiser, predict_noise
+from .denoiser import Denoiser, predict_noise, stack_pair
 from .engine import Tensor
 from .schedule import NoiseSchedule, forward_diffuse
 
@@ -145,17 +145,22 @@ def sample(
     same holds at eta=1 for theta1-only sampling because the combined
     prediction is a bit-exact copy of the conditional one. That is also
     why theta2 does not run at eta=1: its prediction would not be used.
+    Otherwise theta1 and theta2 run as one stacked pair, one forward pass
+    per step.
     """
     y = np.asarray(y, dtype=np.float64)
     if y.ndim != 3:
         raise ValueError(f"sample() wants batched text embeddings [B, L, D], got {y.shape}")
     unconditional = c is None or params.eta == 0.0
+    pair = None if unconditional or params.eta == 1.0 else stack_pair(theta1, theta2)
 
     def guided(x: np.ndarray, t: int) -> np.ndarray:
         if unconditional:
             return predict_noise(theta2, x, t, y).data
-        eps_c = predict_noise(theta1, x, t, y, c).data
-        eps_nc = eps_c if params.eta == 1.0 else predict_noise(theta2, x, t, y).data
+        if pair is None:
+            eps_c = eps_nc = predict_noise(theta1, x, t, y, c).data
+        else:
+            eps_c, eps_nc = predict_noise(pair, x, t, y, c).data
         combined = cfg_combine(eps_c, eps_nc, params.eta)
         eps_hat, diag = rescale(combined, eps_c, params.gamma)
         if diagnostics is not None:

@@ -31,6 +31,9 @@ def optimizer_step(
 ) -> None:
     """Apply one Adam update to every (name, parameter) pair, then clear gradients.
 
+    Each parameter's ``.data`` is updated in place, so arrays that views
+    share (the theta1/theta2 halves of one array) stay shared.
+
     Raises if any parameter is missing its gradient; a partial update
     would silently desynchronise the moment estimates.
     """
@@ -48,7 +51,7 @@ def optimizer_step(
         m_hat = m / (1.0 - beta1**t)
         v_hat = v / (1.0 - beta2**t)
         update = learning_rate * m_hat / (np.sqrt(v_hat) + epsilon)
-        p.data = p.data - update.reshape(p.shape)
+        p.data -= update.reshape(p.shape)
         p.zero_grad()
 
 

@@ -80,7 +80,7 @@ def encode_reference(bank: StyleBank, reference) -> Tensor:
     x = engine.relu(engine.conv1d(x, bank.params["ref.conv2.weight"], bank.params["ref.conv2.bias"]))
     x = engine.downsample(x, 2)
     pooled = engine.mean(x, axis=2)  # [B, ref_channels]
-    query = engine.add(engine.matmul(pooled, bank.params["ref.proj.weight"]), bank.params["ref.proj.bias"])
+    query = engine.matmul(pooled, bank.params["ref.proj.weight"], bank.params["ref.proj.bias"])
     return engine.tanh(query)
 
 

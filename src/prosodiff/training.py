@@ -22,7 +22,7 @@ import numpy as np
 from . import checkpoint as ckpt
 from . import rng as rng_mod
 from .corpus import Corpus, NormStats, Utterance
-from .denoiser import Denoiser, DenoiserConfig, TextEmbedder
+from .denoiser import Denoiser, DenoiserConfig, TextEmbedder, share_storage
 from .guidance import diffusion_loss
 from .engine import Tensor
 from .optim import AdamState, optimizer_step
@@ -101,6 +101,7 @@ def build_models(
         raise ValueError("denoiser and style bank disagree on condition dim")
     theta1 = Denoiser(denoiser_cfg, accepts_style=style_condition, init_rng=rng_mod.substream(seed, rng_mod.INIT_STREAM, 0))
     theta2 = Denoiser(denoiser_cfg, accepts_style=False, init_rng=rng_mod.substream(seed, rng_mod.INIT_STREAM, 1))
+    share_storage(theta1, theta2)
     bank = StyleBank(style_cfg, denoiser_cfg.residual_channels, rng_mod.substream(seed, rng_mod.INIT_STREAM, 2))
     embedder = TextEmbedder(vocab_size, denoiser_cfg.condition_dim, seed)
     return ModelBundle(
@@ -237,7 +238,10 @@ def save_checkpoint(bundle: ModelBundle, trainer_step: int, path: str | Path) ->
 
 
 def load_checkpoint(bundle: ModelBundle, path: str | Path) -> int:
-    """Restore parameters, Adam state and statistics in place; returns the stored step."""
+    """Restore parameters, Adam state and statistics in place; returns the stored step.
+
+    Parameter values are written into the existing arrays, which keeps the
+    theta1/theta2 halves of one array (see ``denoiser.share_storage``)."""
     entries = ckpt.load_entries(path)
 
     def entry(key: str, shape: tuple[int, ...]) -> np.ndarray:
@@ -250,7 +254,7 @@ def load_checkpoint(bundle: ModelBundle, path: str | Path) -> int:
         return entries[key]
 
     for key, p in bundle.named_parameters().items():
-        p.data = entry(key, p.shape)
+        p.data[...] = entry(key, p.shape)
         bundle.adam.moment1[key] = entry(f"moment1.{key}", (p.size,))
         bundle.adam.moment2[key] = entry(f"moment2.{key}", (p.size,))
     bundle.adam.step_counter = int(entry("optim.step_counter", ()))

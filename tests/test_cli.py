@@ -329,10 +329,27 @@ class TestErrors:
         argv += ["--out", str(tmp_path / "o"), "--quiet", "--learning-rate", rate]
         assert_json_error(main(argv), capsys, "learning_rate")
 
-    @pytest.mark.parametrize("flags", [["--eta", "nan"], ["--tau", "inf"], ["--mode", "control", "--token-weights", "nan,1,0"]])
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--eta", "nan"],
+            ["--tau", "inf"],
+            ["--mode", "control", "--token-weights", "nan,1,0"],
+            ["--scale-pitch", "nan"],
+            ["--scale-energy", "inf"],
+            ["--scale-duration=-inf"],
+        ],
+    )
     def test_non_finite_flag_rejected(self, workspace, tmp_path, capsys, flags):
         argv = ["sample", "--checkpoint", str(workspace["checkpoint"]), "--corpus", str(workspace["corpus"])]
         assert_json_error(main(argv + ["--out", str(tmp_path / "o"), *flags]), capsys, "finite")
+        assert not (tmp_path / "o" / "resolved_config.json").exists()
+
+    @pytest.mark.parametrize("count", ["0", "-2"])
+    def test_sample_count_below_one_rejected(self, workspace, tmp_path, capsys, count):
+        argv = ["sample", "--checkpoint", str(workspace["checkpoint"]), "--corpus", str(workspace["corpus"])]
+        assert_json_error(main(argv + ["--out", str(tmp_path / "o"), "--num-samples", count]), capsys, "--num-samples")
+        assert not (tmp_path / "o" / "resolved_config.json").exists()
 
     def test_malformed_config(self, tmp_path, capsys):
         config = tmp_path / "config.json"

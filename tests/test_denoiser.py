@@ -3,7 +3,15 @@ import pytest
 
 from prosodiff import engine, rng as rng_mod
 from prosodiff.corpus import NormStats
-from prosodiff.denoiser import Denoiser, DenoiserConfig, TextEmbedder, embed_time, predict_noise
+from prosodiff.denoiser import (
+    Denoiser,
+    DenoiserConfig,
+    TextEmbedder,
+    embed_time,
+    predict_noise,
+    share_storage,
+    stack_pair,
+)
 from prosodiff.guidance import diffusion_loss
 from prosodiff.schedule import cosine_schedule
 from prosodiff.style import StyleConfig
@@ -20,6 +28,8 @@ TINY = DenoiserConfig(
     time_embedding_dim=8,
     condition_dim=5,
 )
+TINY_STYLE = StyleConfig(token_count=2, token_dim=4, attention_heads=2, condition_dim=5, ref_channels=4)
+UNIT_STATS = NormStats(np.zeros(3), np.ones(3))
 
 
 def make_model(accepts_style=False, seed=0, config=TINY) -> Denoiser:
@@ -147,18 +157,83 @@ class TestParameterSeparation:
         after = predict_noise(b, x, 1, y).data
         assert np.array_equal(before, after)
 
-    def test_null_condition_not_trainable_when_style_supplied(self):
-        style = StyleConfig(token_count=2, token_dim=4, attention_heads=2, condition_dim=5, ref_channels=4)
-        stats = NormStats(np.zeros(3), np.ones(3))
+    def test_in_place_mutation_of_theta1_leaves_theta2_fixed(self):
+        # build_models keeps each theta1/theta2 pair in one array; the halves must not overlap
+        bundle = build_models(TINY, TINY_STYLE, cosine_schedule(4), 4, UNIT_STATS, seed=0)
+        x, y, _ = random_inputs()
+        before = predict_noise(bundle.theta2, x, 1, y).data
+        for p in bundle.theta1.params.values():
+            p.data += 1.0
+        after = predict_noise(bundle.theta2, x, 1, y).data
+        assert np.array_equal(before, after)
 
+    def test_null_condition_not_trainable_when_style_supplied(self):
         def trainable_names(style_condition: bool) -> set[str]:
-            bundle = build_models(TINY, style, cosine_schedule(4), 4, stats, seed=0, style_condition=style_condition)
+            bundle = build_models(TINY, TINY_STYLE, cosine_schedule(4), 4, UNIT_STATS, seed=0, style_condition=style_condition)
             return {name for name, _ in bundle.trainable_parameters()}
 
         styled_names = trainable_names(True)
         unstyled_names = trainable_names(False)
         assert "theta1.null_condition" not in styled_names
         assert "theta1.null_condition" in unstyled_names
+
+
+def random_pair(seed=0) -> tuple[Denoiser, Denoiser]:
+    """theta1 and theta2 in the shared layout, with every parameter drawn at
+    random, so biases, null vectors and passthrough gates all take part."""
+    theta1, theta2 = make_model(True, seed), make_model(False, seed + 1)
+    rng = np.random.default_rng(seed)
+    for model in (theta1, theta2):
+        for p in model.params.values():
+            p.data = 0.5 * rng.standard_normal(p.shape)
+    share_storage(theta1, theta2)
+    return theta1, theta2
+
+
+class TestDenoiserPair:
+    @pytest.mark.parametrize("t", [3, np.array([1, 7])], ids=["shared-step", "per-example-steps"])
+    def test_matches_each_model_bitwise(self, t):
+        theta1, theta2 = random_pair()
+        x, y, c = random_inputs()
+        both = predict_noise(stack_pair(theta1, theta2), x, t, y, c).data
+        assert both.shape == (2,) + x.shape
+        assert np.array_equal(both[0], predict_noise(theta1, x, t, y, c).data)
+        assert np.array_equal(both[1], predict_noise(theta2, x, t, y).data)
+
+    def test_gradients_match_each_model(self):
+        theta1, theta2 = random_pair(seed=3)
+        x, y, c = random_inputs(seed=4)
+        weights = np.random.default_rng(5).standard_normal((2,) + x.shape)
+        pair = stack_pair(theta1, theta2)
+        engine.sum_(engine.mul(predict_noise(pair, x, 2, y, c), weights)).backward()
+        engine.sum_(engine.mul(predict_noise(theta1, x, 2, y, c), weights[0])).backward()
+        engine.sum_(engine.mul(predict_noise(theta2, x, 2, y), weights[1])).backward()
+        for name, p in pair.params.items():
+            for half, model in zip(p.grad, (theta1, theta2)):
+                single = model.params[name].grad  # None for theta1's unused null vector
+                expected = np.zeros_like(half) if single is None else single
+                np.testing.assert_allclose(half, expected, rtol=1e-12, atol=1e-12, err_msg=name)
+
+    def test_shared_storage_is_used_without_a_copy(self):
+        theta1, theta2 = random_pair()
+        pair = stack_pair(theta1, theta2)
+        for name, p in pair.params.items():
+            assert theta1.params[name].data.base is p.data and theta2.params[name].data.base is p.data
+        # a rebound half leaves the shared array: that parameter alone is stacked anew
+        theta1.params["input_proj.bias"].data = theta1.params["input_proj.bias"].data + 1.0
+        again = stack_pair(theta1, theta2)
+        copied = [name for name, p in again.params.items() if p.data is not pair.params[name].data]
+        assert copied == ["input_proj.bias"]
+        assert np.array_equal(again.params["input_proj.bias"].data[0], theta1.params["input_proj.bias"].data)
+
+    def test_needs_a_styled_and_an_unstyled_model(self):
+        with pytest.raises(ValueError, match="pair"):
+            stack_pair(make_model(False), make_model(False, seed=1))
+        with pytest.raises(ValueError, match="pair"):
+            stack_pair(make_model(True), make_model(True, seed=1))
+        x, y, _ = random_inputs()
+        with pytest.raises(ValueError, match="pass c"):
+            predict_noise(stack_pair(*random_pair()), x, 1, y)
 
 
 class TestGradientsThroughDenoiser:

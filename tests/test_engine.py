@@ -108,6 +108,90 @@ class TestConv1d:
             assert hit.min() == 15 - dilation and hit.max() == 15 + dilation
 
 
+class TestStackedModels:
+    """A leading model axis on the weight runs M same-shaped models in one
+    call; each model's slice must equal its own single-model call bit for bit."""
+
+    @pytest.mark.parametrize("kernel", [1, 3])
+    @pytest.mark.parametrize("with_bias", [True, False])
+    @pytest.mark.parametrize("per_model_input", [False, True], ids=["shared-input", "per-model-input"])
+    def test_conv1d(self, kernel, with_bias, per_model_input):
+        rng = np.random.default_rng(kernel + 10 * with_bias + 100 * per_model_input)
+        x = rng.standard_normal((2, 2, 3, 6) if per_model_input else (2, 3, 6))
+        w = rng.standard_normal((2, 4, 3, kernel))
+        b = rng.standard_normal((2, 4))
+
+        def conv(xt, wt, bt=None):
+            return engine.conv1d(xt, wt, bt if with_bias else None, dilation=2)
+
+        out = conv(Tensor(x), Tensor(w), Tensor(b))
+        assert out.shape == (2, 2, 4, 6)
+        for m in range(2):
+            single = conv(Tensor(x[m] if per_model_input else x), Tensor(w[m]), Tensor(b[m]))
+            assert np.array_equal(out.data[m], single.data)
+
+        def loss(*tensors):
+            out = conv(*tensors)
+            return engine.mean(engine.mul(out, out))
+
+        assert_gradients_match(loss, [x, w, b] if with_bias else [x, w])
+
+    @pytest.mark.parametrize("with_bias", [True, False])
+    @pytest.mark.parametrize("per_model_input", [False, True], ids=["shared-input", "per-model-input"])
+    def test_matmul(self, with_bias, per_model_input):
+        rng = np.random.default_rng(1000 + 10 * with_bias + per_model_input)
+        a = rng.standard_normal((2, 3, 4) if per_model_input else (3, 4))
+        w = rng.standard_normal((2, 4, 5))
+        b = rng.standard_normal((2, 5))
+
+        def dense(at, wt, bt=None):
+            return engine.matmul(at, wt, bt if with_bias else None)
+
+        out = dense(Tensor(a), Tensor(w), Tensor(b))
+        assert out.shape == (2, 3, 5)
+        for m in range(2):
+            single = dense(Tensor(a[m] if per_model_input else a), Tensor(w[m]), Tensor(b[m]))
+            assert np.array_equal(out.data[m], single.data)
+
+        def loss(*tensors):
+            out = dense(*tensors)
+            return engine.mean(engine.mul(out, out))
+
+        assert_gradients_match(loss, [a, w, b] if with_bias else [a, w])
+
+    @pytest.mark.parametrize(
+        "op,shapes",
+        [
+            (engine.conv1d, [(3, 2, 3, 5), (2, 4, 3, 3)]),  # three inputs for two models
+            (engine.conv1d, [(2, 3, 5), (4, 3, 3), (2, 4)]),  # stacked bias, single weight
+            (engine.conv1d, [(2, 3, 5), (2, 4, 3, 3), (4,)]),  # single bias, stacked weight
+            (engine.matmul, [(2, 3, 4), (4, 5)]),  # per-model input, single weight
+            (engine.matmul, [(3, 3, 4), (2, 4, 5)]),
+            (engine.matmul, [(3, 4), (2, 4, 5), (5,)]),
+        ],
+    )
+    def test_mismatched_model_axes_rejected(self, op, shapes):
+        with pytest.raises(ValueError):
+            op(*[Tensor(np.zeros(s)) for s in shapes])
+
+
+class TestNarrow:
+    def test_negative_axis_counts_from_the_end(self):
+        x = np.arange(24.0).reshape(2, 3, 4)
+        assert np.array_equal(engine.narrow(Tensor(x), -1, 0, 2).data, x[..., 0:2])
+        assert np.array_equal(engine.narrow(Tensor(x), -2, 1, 3).data, x[:, 1:3])
+        t = Tensor(x)
+        engine.sum_(engine.narrow(t, -1, 1, 3)).backward()
+        expected = np.zeros_like(x)
+        expected[..., 1:3] = 1.0
+        assert np.array_equal(t.grad, expected)
+
+    @pytest.mark.parametrize("axis,start,stop", [(3, 0, 1), (-4, 0, 1), (1, -1, 2), (1, 0, 4), (1, 2, 1)])
+    def test_out_of_range_rejected(self, axis, start, stop):
+        with pytest.raises(ValueError):
+            engine.narrow(Tensor(np.zeros((2, 3, 4))), axis, start, stop)
+
+
 class TestGatedActivation:
     def test_zero_tanh_gives_zero(self):
         a = np.zeros((2, 4))
@@ -182,6 +266,8 @@ class TestBackward:
             ("downsample", lambda a: engine.sum_(engine.mul(engine.downsample(a, 2), engine.downsample(a, 2))), [(2, 2, 7)]),
             ("reshape", lambda a: engine.sum_(engine.mul(engine.reshape(a, (6, 2)), engine.reshape(a, (6, 2)))), [(3, 4)]),
             ("transpose", lambda a: engine.sum_(engine.mul(engine.transpose2d(a), engine.transpose2d(a))), [(3, 4)]),
+            ("narrow_negative_axis", lambda a: engine.sum_(engine.mul(engine.narrow(a, -2, 1, 3), engine.tanh(engine.narrow(a, -2, 0, 2)))), [(2, 3, 4)]),
+            ("stack", lambda a, b: engine.sum_(engine.mul(engine.stack([a, b]), engine.stack([b, engine.tanh(a)]))), [(2, 3), (2, 3)]),
         ],
     )
     def test_op_gradients(self, name, builder, shapes):
@@ -241,6 +327,15 @@ class TestOptimizer:
         p = Tensor(np.zeros(2))
         with pytest.raises(ValueError, match="missing gradients for: w"):
             optimizer_step([("w", p)], AdamState({"w": p}), learning_rate=0.1)
+
+    def test_updates_data_in_place(self):
+        # a parameter that is a view of a shared array must keep writing into it
+        shared = np.zeros((2, 3))
+        p = Tensor(shared[1])
+        p.grad = np.ones(3)
+        optimizer_step([("w", p)], AdamState({"w": p}), learning_rate=0.1)
+        assert p.data.base is shared
+        assert np.all(shared[1] < 0) and np.all(shared[0] == 0)
 
     def test_gradients_cleared_and_counter_incremented(self):
         p = Tensor(np.zeros(2))

@@ -7,7 +7,7 @@ from hypothesis.extra.numpy import arrays
 
 from prosodiff import engine, guidance, rng as rng_mod
 from prosodiff.corpus import CorpusConfig, generate_corpus
-from prosodiff.denoiser import DenoiserConfig, predict_noise
+from prosodiff.denoiser import DenoiserConfig, DenoiserPair, predict_noise
 from prosodiff.guidance import (
     GuidanceParams,
     cfg_combine,
@@ -268,7 +268,77 @@ def single_model(model, y, c, params, schedule, rng):
     return reverse_process(lambda x, t: predict_noise(model, x, t, y, c).data, shape, params.tau, schedule, rng)
 
 
+def randomize(bundle, seed):
+    """Draw every denoiser parameter at random, written in place so the
+    shared theta1/theta2 layout stays; null vectors, biases and passthrough
+    gates then all take part."""
+    rng = np.random.default_rng(seed)
+    for model in (bundle.theta1, bundle.theta2):
+        for p in model.params.values():
+            p.data[...] = 0.1 * rng.standard_normal(p.shape)
+    return bundle
+
+
+def two_forward_reference(bundle, y, c, params, rng, diagnostics):
+    """The guided sampler written out with a separate forward pass of each denoiser per step."""
+    schedule = bundle.schedule
+    x = draw_terminal((y.shape[0], bundle.theta1.config.residual_channels, y.shape[1]), params.tau, rng)
+    with engine.no_grad():
+        for t in range(schedule.step_count, 0, -1):
+            eps_c = predict_noise(bundle.theta1, x, t, y, c).data
+            eps_nc = predict_noise(bundle.theta2, x, t, y).data
+            eps_hat, diag = rescale(cfg_combine(eps_c, eps_nc, params.eta), eps_c, params.gamma)
+            diagnostics.append((t, diag))
+            x = reverse_step(x, t, eps_hat, schedule, rng)
+    return x
+
+
+def assert_matches_reference(bundle, batch, params, seed):
+    rng = np.random.default_rng(seed)
+    y = rng.standard_normal((batch, 5, 6))
+    c = rng.standard_normal((batch, 6))
+    got_diags, want_diags = [], []
+    got = sample(bundle.theta1, bundle.theta2, y, c, params, bundle.schedule, np.random.default_rng(seed + 1), got_diags)
+    want = two_forward_reference(bundle, y, c, params, np.random.default_rng(seed + 1), want_diags)
+    assert np.array_equal(got, want)
+    assert [t for t, _ in got_diags] == [t for t, _ in want_diags]
+    for (_, g), (_, w) in zip(got_diags, want_diags):
+        assert all(np.array_equal(getattr(g, key), getattr(w, key)) for key in vars(w))
+
+
 class TestSampler:
+    @pytest.mark.parametrize("eta", [0.5, 2.0, 4.0])
+    @pytest.mark.parametrize("gamma", [0.0, 0.7, 1.0])
+    @pytest.mark.parametrize("batch", [1, 2, 3])
+    def test_guided_sample_matches_two_forward_reference_bitwise(self, eta, gamma, batch):
+        _, bundle = tiny_bundle()
+        assert_matches_reference(randomize(bundle, 30), batch, GuidanceParams(eta=eta, gamma=gamma), seed=40 + batch)
+
+    @pytest.mark.parametrize("eta", [0.5, 2.0, 4.0])
+    @pytest.mark.parametrize("model", ["theta1", "theta2"])
+    def test_rebound_parameter_falls_back_to_a_copy(self, eta, model):
+        _, bundle = tiny_bundle()
+        randomize(bundle, 31)
+        p = getattr(bundle, model).params["layers.1.conv.weight"]
+        p.data = p.data * 1.5
+        assert_matches_reference(bundle, 2, GuidanceParams(eta=eta), seed=50)
+
+    def test_one_forward_pass_per_guided_step(self, monkeypatch):
+        _, bundle = tiny_bundle()
+        rng = np.random.default_rng(19)
+        y = rng.standard_normal((2, 6, 6))
+        c = rng.standard_normal((2, 6))
+        ran = []
+
+        def spy(model, *args):
+            ran.append(type(model))
+            return predict_noise(model, *args)
+
+        monkeypatch.setattr(guidance, "predict_noise", spy)
+        sample(bundle.theta1, bundle.theta2, y, c, GuidanceParams(eta=2.0), bundle.schedule, np.random.default_rng(5))
+        assert ran == [DenoiserPair] * bundle.schedule.step_count
+
+
     def test_eta_one_matches_conditional_only_bitwise(self, monkeypatch):
         _, bundle = tiny_bundle()
         rng = np.random.default_rng(16)

@@ -6,7 +6,7 @@ import pytest
 from prosodiff import rng as rng_mod
 from prosodiff.checkpoint import CheckpointError
 from prosodiff.corpus import CorpusConfig, NormStats, generate_corpus
-from prosodiff.denoiser import DenoiserConfig, predict_noise
+from prosodiff.denoiser import DenoiserConfig, predict_noise, stack_pair
 from prosodiff.schedule import cosine_schedule
 from prosodiff.style import StyleConfig
 from prosodiff.training import (
@@ -87,6 +87,19 @@ class TestCheckpointRoundTrip:
         for name, _ in bundle.trainable_parameters():
             assert np.array_equal(bundle.adam.moment1[name], bundle2.adam.moment1[name])
         assert bundle.adam.step_counter == bundle2.adam.step_counter == 8
+
+    def test_theta_halves_stay_one_array_through_training_and_loading(self, tmp_path):
+        # Adam and checkpoint loading write in place, so the sampler's pair needs no copy
+        corpus, bundle = tiny_setup()
+        final = train(bundle, corpus, TrainConfig(steps=3, batch_size=4, log_every=1, checkpoint_every=0), tmp_path)
+        _, loaded = tiny_setup()
+        load_checkpoint(loaded, final)
+        for b in (bundle, loaded):
+            pair = stack_pair(b.theta1, b.theta2)
+            for name, p in pair.params.items():
+                assert b.theta1.params[name].data.base is p.data and b.theta2.params[name].data.base is p.data
+        for name, p in bundle.named_parameters().items():
+            assert np.array_equal(p.data, loaded.named_parameters()[name].data)
 
     def test_resume_continues_step_counter(self, tmp_path):
         corpus, bundle = tiny_setup()
