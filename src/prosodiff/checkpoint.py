@@ -34,18 +34,16 @@ class CheckpointError(RuntimeError):
 
 
 def save_entries(path: str | Path, entries: dict[str, np.ndarray]) -> None:
+    """Write every entry in sorted name order, each as soon as it is encoded."""
     path = Path(path)
-    chunks: list[bytes] = [MAGIC, struct.pack("<II", VERSION, len(entries))]
-    for name in sorted(entries):
-        arr = np.asarray(entries[name], dtype="<f8")  # asarray keeps 0-d shapes intact
-        encoded = name.encode("utf-8")
-        chunks.append(struct.pack("<I", len(encoded)))
-        chunks.append(encoded)
-        chunks.append(struct.pack("<I", arr.ndim))
-        chunks.append(struct.pack(f"<{arr.ndim}Q", *arr.shape))
-        chunks.append(arr.tobytes())
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_bytes(b"".join(chunks))
+    with open(path, "wb") as fh:
+        fh.write(MAGIC + struct.pack("<II", VERSION, len(entries)))
+        for name in sorted(entries):
+            arr = np.asarray(entries[name], dtype="<f8")  # asarray keeps 0-d shapes intact
+            encoded = name.encode("utf-8")
+            fh.write(struct.pack(f"<I{len(encoded)}sI{arr.ndim}Q", len(encoded), encoded, arr.ndim, *arr.shape))
+            fh.write(arr.tobytes())
 
 
 def load_entries(path: str | Path) -> dict[str, np.ndarray]:

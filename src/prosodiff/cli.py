@@ -66,6 +66,7 @@ def _load_run_config(args) -> RunConfig:
 def _load_trained(args) -> tuple[Corpus, ModelBundle, RunConfig]:
     """Set-up shared by sample and eval.
 
+    Rejects a style-ablated checkpoint unless sampling --unconditional.
     Applies --eta/--gamma/--tau/--steps to the config archived next to the
     checkpoint, builds the trained bundle from it and applies --seed (after
     the build: the frozen text embedder is keyed by the training seed). The
@@ -73,6 +74,10 @@ def _load_trained(args) -> tuple[Corpus, ModelBundle, RunConfig]:
     """
     corpus = _corpus_for(args)
     run = inference.archived_config(args.checkpoint)
+    if not run.train.style_condition and not getattr(args, "unconditional", False):
+        raise CommandError(
+            f"{args.checkpoint} was trained with train.style_condition false; only sample --unconditional can use it"
+        )
     overrides = {name: getattr(args, name) for name in ("eta", "gamma", "tau") if getattr(args, name) is not None}
     run.guidance = replace(run.guidance, **overrides)
     if args.steps is not None:

@@ -5,8 +5,9 @@ Two instances with identical architectures form the guided module: one is
 conditioned on text plus a style vector, the other on text plus its own
 learned null-condition vector. Conditioning enters each layer's gate as a
 1x1-projected condition sequence; the diffusion step enters as a projected
-sinusoidal embedding added to the layer input. For guided sampling the two
-run as one stacked ``DenoiserPair``, one forward pass for both predictions.
+sinusoidal embedding added to the layer input. The two are stored, trained
+and sampled as one stacked ``DenoiserPair``: one forward pass yields both
+predictions, and ``DenoiserPair.member`` views one half as a single model.
 
 Data layout is [B, C, L] with C=3 prosody channels (log-pitch, energy,
 log-duration).
@@ -116,43 +117,27 @@ class Denoiser:
         add("null_condition", np.zeros(d_cond))
 
 
-@dataclass(frozen=True)
 class DenoiserPair:
-    """theta1 (style-conditioned) and theta2 (on its own null vector) as one
-    model: each parameter is the [2, ...] stack of theirs, so one forward
-    pass serves both guided predictions. Build it with ``stack_pair``."""
+    """theta1 (index 0) and theta2 (index 1) as one model, and the only store
+    of their weights: each parameter is the [2, ...] stack of theirs, so one
+    forward pass serves both predictions, in training and in sampling.
+    theta1 takes a style vector when ``accepts_style``, else its own null
+    vector; theta2 always takes its own. Member i starts as a ``Denoiser``
+    drawn from ``init_rngs[i]``."""
 
-    config: DenoiserConfig
-    params: dict[str, Tensor]
+    def __init__(self, config: DenoiserConfig, accepts_style: bool, init_rngs: tuple[np.random.Generator, ...]):
+        members = (Denoiser(config, accepts_style, init_rngs[0]), Denoiser(config, False, init_rngs[1]))
+        self.config, self.accepts_style = config, accepts_style
+        self.params = {name: Tensor(np.stack([m.params[name].data for m in members])) for name in members[0].params}
 
-
-def share_storage(theta1: Denoiser, theta2: Denoiser) -> None:
-    """Lay out each parameter pair as the two halves of one [2, ...] array,
-    so ``stack_pair`` needs no copy. The layout lasts while ``.data`` is
-    written in place, as the optimiser and checkpoint loading do."""
-    for name, p1 in theta1.params.items():
-        p2 = theta2.params[name]
-        both = np.stack([p1.data, p2.data])
-        p1.data, p2.data = both[0], both[1]
-
-
-def stack_pair(theta1: Denoiser, theta2: Denoiser) -> DenoiserPair:
-    """theta1 and theta2 as one DenoiserPair. A parameter whose halves still
-    are the two halves of one array (see ``share_storage``) is that array;
-    any other, e.g. after a half's ``.data`` was rebound, is stacked anew."""
-    if not theta1.accepts_style or theta2.accepts_style or theta1.config != theta2.config:
-        raise ValueError("a denoiser pair needs a style-conditioned theta1 and an unconditional theta2 of one config")
-    params = {}
-    for name, p1 in theta1.params.items():
-        halves = (p1.data, theta2.params[name].data)
-        both = p1.data.base
-        shared = (
-            both is not None
-            and both.shape == (2,) + p1.shape
-            and all(a.__array_interface__ == b.__array_interface__ for a, b in zip(both, halves))
-        )
-        params[name] = Tensor(both if shared else np.stack(halves))
-    return DenoiserPair(theta1.config, params)
+    def member(self, index: int) -> Denoiser:
+        """Member ``index`` as a single model over views of its halves; for
+        no-grad use, since gradients would not reach the pair."""
+        member = object.__new__(Denoiser)
+        member.config = self.config
+        member.accepts_style = self.accepts_style and index == 0
+        member.params = {name: Tensor(p.data[index]) for name, p in self.params.items()}
+        return member
 
 
 def predict_noise(model: Denoiser | DenoiserPair, x_t, t, y: np.ndarray, c=None) -> Tensor:
@@ -161,8 +146,9 @@ def predict_noise(model: Denoiser | DenoiserPair, x_t, t, y: np.ndarray, c=None)
     x_t: [B, 3, L] array or Tensor. y: text embedding, [L, D] (shared) or
     [B, L, D]. c: style condition [B, D] array/Tensor, required iff
     model.accepts_style. t: scalar step or per-example [B] steps.
-    A DenoiserPair takes c for theta1 and returns [2, B, 3, L]: theta1's
-    prediction, then theta2's, each bit-identical to its own forward pass.
+    A DenoiserPair takes c for theta1 (if theta1 accepts style) and returns
+    [2, B, 3, L]: theta1's prediction, then theta2's, each bit-identical to
+    a single-model forward pass over its half of the weights.
     """
     cfg = model.config
     p = model.params
@@ -180,8 +166,7 @@ def predict_noise(model: Denoiser | DenoiserPair, x_t, t, y: np.ndarray, c=None)
         raise ValueError(f"text embedding dim {y.shape[2]} != condition dim {cfg.condition_dim}")
     cond_base = Tensor(np.ascontiguousarray(np.broadcast_to(y, (batch, length, cfg.condition_dim)).transpose(0, 2, 1)))
 
-    pair = isinstance(model, DenoiserPair)
-    if pair or model.accepts_style:
+    if model.accepts_style:
         if c is None:
             raise ValueError("this denoiser is style-conditioned; pass c")
         c_t = engine.as_tensor(c)
@@ -192,12 +177,12 @@ def predict_noise(model: Denoiser | DenoiserPair, x_t, t, y: np.ndarray, c=None)
         cond = engine.add(cond_base, engine.reshape(c_t, (c_t.shape[0], cfg.condition_dim, 1)))
     elif c is not None:
         raise ValueError("this denoiser is unconditional in style; c must be absent")
-    if pair:  # theta2's condition: its own null vector, stacked after theta1's
+    else:  # each model's own null vector: [D], or [2, D] for a pair
+        null = p["null_condition"]
+        cond = engine.add(cond_base, engine.reshape(null, null.shape[:-1] + (1, cfg.condition_dim, 1)))
+    if isinstance(model, DenoiserPair) and model.accepts_style:  # theta2 on its own null vector
         null = engine.reshape(engine.narrow(p["null_condition"], 0, 1, 2), (1, cfg.condition_dim, 1))
         cond = engine.stack([cond, engine.add(cond_base, null)])
-    elif not model.accepts_style:
-        null = engine.reshape(p["null_condition"], (1, cfg.condition_dim, 1))
-        cond = engine.add(cond_base, null)
 
     t_emb = Tensor(embed_time(t, cfg.time_embedding_dim))  # [B or 1, d_time]
 

@@ -10,8 +10,8 @@ blended by gamma. The terminal draw x_T uses covariance (1/tau) * I.
 There is one reverse loop, ``reverse_process``: it draws x_T and applies
 ``reverse_step`` for t = T..1 with whatever per-step noise predictor it is
 given. ``sample`` hands it the guided predictor (one forward pass of the
-stacked theta1/theta2 pair, or of theta1 alone at eta = 1; combine,
-rescale); a single denoiser's forward pass drives the same loop unguided.
+theta1/theta2 ``DenoiserPair``, or of its theta1 member at eta = 1;
+combine, rescale); one denoiser's forward pass drives it unguided.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from . import engine
-from .denoiser import Denoiser, predict_noise, stack_pair
+from .denoiser import Denoiser, DenoiserPair, predict_noise
 from .engine import Tensor
 from .schedule import NoiseSchedule, forward_diffuse
 
@@ -52,10 +52,15 @@ class RescaleDiagnostics:
     applied_ratio: np.ndarray  # [B] net multiplier that produced the final estimate
 
 
-def diffusion_loss(model: Denoiser, schedule: NoiseSchedule, x0, t, eps, y, c=None) -> Tensor:
-    """Mean squared error between drawn and predicted noise at step(s) t."""
+def diffusion_loss(model: Denoiser | DenoiserPair, schedule: NoiseSchedule, x0, t, eps, y, c=None):
+    """Mean squared error between drawn and predicted noise at step(s) t; a
+    DenoiserPair gives one loss per member, (theta1's, theta2's), from one
+    forward pass."""
     x_t = forward_diffuse(x0, t, eps, schedule)
     predicted = predict_noise(model, x_t, t, y, c)
+    if isinstance(model, DenoiserPair):
+        halves = (engine.reshape(engine.narrow(predicted, 0, i, i + 1), eps.shape) for i in (0, 1))
+        return tuple(engine.mse(Tensor(eps), half) for half in halves)
     return engine.mse(Tensor(eps), predicted)
 
 
@@ -127,12 +132,11 @@ def reverse_process(
 
 
 def sample(
-    theta1: Denoiser,
-    theta2: Denoiser,
+    denoisers: DenoiserPair,
+    schedule: NoiseSchedule,
     y: np.ndarray,
     c: np.ndarray | None,
     params: GuidanceParams,
-    schedule: NoiseSchedule,
     rng: np.random.Generator,
     diagnostics: list | None = None,
 ) -> np.ndarray:
@@ -145,27 +149,24 @@ def sample(
     same holds at eta=1 for theta1-only sampling because the combined
     prediction is a bit-exact copy of the conditional one. That is also
     why theta2 does not run at eta=1: its prediction would not be used.
-    Otherwise theta1 and theta2 run as one stacked pair, one forward pass
-    per step.
+    Otherwise the pair runs, one forward pass per step.
     """
     y = np.asarray(y, dtype=np.float64)
     if y.ndim != 3:
         raise ValueError(f"sample() wants batched text embeddings [B, L, D], got {y.shape}")
     unconditional = c is None or params.eta == 0.0
-    pair = None if unconditional or params.eta == 1.0 else stack_pair(theta1, theta2)
+    model = denoisers.member(1) if unconditional else denoisers.member(0) if params.eta == 1.0 else denoisers
 
     def guided(x: np.ndarray, t: int) -> np.ndarray:
         if unconditional:
-            return predict_noise(theta2, x, t, y).data
-        if pair is None:
-            eps_c = eps_nc = predict_noise(theta1, x, t, y, c).data
-        else:
-            eps_c, eps_nc = predict_noise(pair, x, t, y, c).data
+            return predict_noise(model, x, t, y).data
+        eps = predict_noise(model, x, t, y, c).data
+        eps_c, eps_nc = eps if model is denoisers else (eps, eps)
         combined = cfg_combine(eps_c, eps_nc, params.eta)
         eps_hat, diag = rescale(combined, eps_c, params.gamma)
         if diagnostics is not None:
             diagnostics.append((t, diag))
         return eps_hat
 
-    shape = (y.shape[0], theta1.config.residual_channels, y.shape[1])
+    shape = (y.shape[0], denoisers.config.residual_channels, y.shape[1])
     return reverse_process(guided, shape, params.tau, schedule, rng)

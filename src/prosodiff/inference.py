@@ -89,7 +89,7 @@ def generate(
             y = np.zeros_like(y)
         c = np.stack([conditions[i] for i in indices]) if conditions is not None else None
         gen = rng_mod.substream(seed, rng_mod.SAMPLE_STREAM, length)
-        batch = sample(bundle.theta1, bundle.theta2, y, c, guidance, bundle.schedule, gen, diagnostics)
+        batch = sample(bundle.denoisers, bundle.schedule, y, c, guidance, gen, diagnostics)
         for row, i in enumerate(indices):
             results[i] = batch[row]
     return results  # type: ignore[return-value]

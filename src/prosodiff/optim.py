@@ -1,4 +1,6 @@
-"""Adaptive-moment (Adam) parameter updates."""
+"""Adaptive-moment (Adam) parameter updates. They are elementwise: each half
+of a stacked theta1/theta2 parameter moves exactly as a tensor of its own
+would, and a half whose gradient is exactly zero does not move at all."""
 
 from __future__ import annotations
 
@@ -12,8 +14,8 @@ from .engine import Tensor
 
 class AdamState:
     """Adam's optimiser state: flat (row-major) first and second moments per
-    parameter, keyed by the parameter's checkpoint name, and one step counter
-    shared by every update."""
+    parameter, keyed by the parameter's name, and one step counter shared
+    by every update."""
 
     def __init__(self, params: dict[str, Tensor]):
         self.moment1 = {name: np.zeros(p.size) for name, p in params.items()}
@@ -30,9 +32,6 @@ def optimizer_step(
     epsilon: float = 1e-8,
 ) -> None:
     """Apply one Adam update to every (name, parameter) pair, then clear gradients.
-
-    Each parameter's ``.data`` is updated in place, so arrays that views
-    share (the theta1/theta2 halves of one array) stay shared.
 
     Raises if any parameter is missing its gradient; a partial update
     would silently desynchronise the moment estimates.

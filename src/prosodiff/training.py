@@ -1,9 +1,11 @@
 """Joint training of the two denoisers and the style bank.
 
 Per step: draw a length-homogeneous mini-batch, one diffusion step t and
-one noise draw per example; the style-conditioned loss backpropagates into
-the conditional denoiser and the style bank, the unconditional loss into
-the other denoiser; one adaptive-moment update applies to all of them.
+one noise draw per example; one forward pass of the stacked denoiser pair
+predicts the noise for both members, and one backward pass of the summed
+losses takes the style-conditioned loss into theta1 and the style bank and
+the unconditional loss into theta2; one adaptive-moment update applies to
+all of them.
 
 Every step draws from its own rng substream keyed by the step index, so a
 resumed run continues exactly where the checkpoint left off.
@@ -22,9 +24,9 @@ import numpy as np
 from . import checkpoint as ckpt
 from . import rng as rng_mod
 from .corpus import Corpus, NormStats, Utterance
-from .denoiser import Denoiser, DenoiserConfig, TextEmbedder, share_storage
+from .denoiser import DenoiserConfig, DenoiserPair, TextEmbedder
+from .engine import Tensor, add
 from .guidance import diffusion_loss
-from .engine import Tensor
 from .optim import AdamState, optimizer_step
 from .schedule import NoiseSchedule
 from .style import StyleBank, StyleConfig, encode_style
@@ -59,12 +61,11 @@ class TrainConfig:
 
 @dataclass
 class ModelBundle:
-    """Everything a trained run needs to predict: both denoisers, the style
+    """Everything a trained run needs to predict: the denoiser pair, the style
     bank, the frozen text embedder, the schedule and the channel statistics;
     plus the Adam state that training updates them with."""
 
-    theta1: Denoiser
-    theta2: Denoiser
+    denoisers: DenoiserPair
     bank: StyleBank
     embedder: TextEmbedder
     schedule: NoiseSchedule
@@ -76,16 +77,17 @@ class ModelBundle:
         self.adam = AdamState(self.named_parameters())
 
     def named_parameters(self) -> dict[str, Tensor]:
-        """Every parameter under its checkpoint name (theta1.*, theta2.*, bank.*)."""
-        groups = (("theta1", self.theta1), ("theta2", self.theta2), ("bank", self.bank))
+        """Every parameter under its bundle name: denoisers.* (stacked theta1/theta2), bank.*."""
+        groups = (("denoisers", self.denoisers), ("bank", self.bank))
         return {f"{prefix}.{name}": p for prefix, model in groups for name, p in model.params.items()}
 
     def trainable_parameters(self) -> list[tuple[str, Tensor]]:
-        """(name, parameter) pairs that take part in the forward passes: theta1's
-        null vector is dead weight while theta1 takes a style vector, and the
-        bank is while it does not."""
-        dead = "theta1.null_condition" if self.theta1.accepts_style else "bank."
-        return [(name, p) for name, p in self.named_parameters().items() if not name.startswith(dead)]
+        """(name, parameter) pairs that take part in the forward pass: the bank
+        is dead weight while theta1 takes no style vector. (While it does,
+        theta1's null-vector half gets exact zero gradients and stays put.)"""
+        if self.denoisers.accepts_style:
+            return list(self.named_parameters().items())
+        return [(name, p) for name, p in self.named_parameters().items() if not name.startswith("bank.")]
 
 
 def build_models(
@@ -99,14 +101,12 @@ def build_models(
 ) -> ModelBundle:
     if denoiser_cfg.condition_dim != style_cfg.condition_dim:
         raise ValueError("denoiser and style bank disagree on condition dim")
-    theta1 = Denoiser(denoiser_cfg, accepts_style=style_condition, init_rng=rng_mod.substream(seed, rng_mod.INIT_STREAM, 0))
-    theta2 = Denoiser(denoiser_cfg, accepts_style=False, init_rng=rng_mod.substream(seed, rng_mod.INIT_STREAM, 1))
-    share_storage(theta1, theta2)
+    init_rngs = (rng_mod.substream(seed, rng_mod.INIT_STREAM, 0), rng_mod.substream(seed, rng_mod.INIT_STREAM, 1))
+    denoisers = DenoiserPair(denoiser_cfg, style_condition, init_rngs)
     bank = StyleBank(style_cfg, denoiser_cfg.residual_channels, rng_mod.substream(seed, rng_mod.INIT_STREAM, 2))
     embedder = TextEmbedder(vocab_size, denoiser_cfg.condition_dim, seed)
     return ModelBundle(
-        theta1=theta1,
-        theta2=theta2,
+        denoisers=denoisers,
         bank=bank,
         embedder=embedder,
         schedule=schedule,
@@ -159,18 +159,15 @@ def train_step(
     eps = gen.standard_normal(batch.x0.shape)
     y = batch.y if cfg.text_condition else np.zeros_like(batch.y)
 
-    if bundle.theta1.accepts_style:
+    c = None
+    if bundle.denoisers.accepts_style:
         c, _ = encode_style(bundle.bank, batch.x0)  # reference is the target utterance itself
-        loss_c = diffusion_loss(bundle.theta1, bundle.schedule, batch.x0, t, eps, y, c)
-    else:
-        loss_c = diffusion_loss(bundle.theta1, bundle.schedule, batch.x0, t, eps, y, None)
-    loss_nc = diffusion_loss(bundle.theta2, bundle.schedule, batch.x0, t, eps, y, None)
+    loss_c, loss_nc = diffusion_loss(bundle.denoisers, bundle.schedule, batch.x0, t, eps, y, c)
 
     loss_c_value, loss_nc_value = loss_c.item(), loss_nc.item()
     if not (math.isfinite(loss_c_value) and math.isfinite(loss_nc_value)):
         raise ValueError(f"non-finite training loss at step {step}: loss_c={loss_c_value}, loss_nc={loss_nc_value}")
-    loss_c.backward()
-    loss_nc.backward()
+    add(loss_c, loss_nc).backward()
     optimizer_step(
         bundle.trainable_parameters(),
         bundle.adam,
@@ -224,12 +221,25 @@ def train(
 # checkpoint (de)serialisation ----------------------------------------------
 
 
+def _state_entries(bundle: ModelBundle) -> dict[str, np.ndarray]:
+    """Every parameter and Adam moment as a view of the live array, under its
+    checkpoint entry name: a stacked denoiser parameter is one entry per
+    member (theta1.*, theta2.*), moments are flat (moment1.*, moment2.*).
+    Save reads these views and load writes into them."""
+    views = {}
+    for name, p in bundle.named_parameters().items():
+        group, leaf = name.split(".", 1)
+        keys = [f"theta1.{leaf}", f"theta2.{leaf}"] if group == "denoisers" else [name]
+        values = p.data if group == "denoisers" else [p.data]
+        for i, (key, value) in enumerate(zip(keys, values)):
+            views[key] = value
+            for moment, flat in (("moment1", bundle.adam.moment1[name]), ("moment2", bundle.adam.moment2[name])):
+                views[f"{moment}.{key}"] = flat[i * value.size : (i + 1) * value.size]
+    return views
+
+
 def save_checkpoint(bundle: ModelBundle, trainer_step: int, path: str | Path) -> None:
-    entries: dict[str, np.ndarray] = {}
-    for key, p in bundle.named_parameters().items():
-        entries[key] = p.data
-        entries[f"moment1.{key}"] = bundle.adam.moment1[key]
-        entries[f"moment2.{key}"] = bundle.adam.moment2[key]
+    entries = _state_entries(bundle)
     entries["trainer.step"] = np.array(float(trainer_step))
     entries["optim.step_counter"] = np.array(float(bundle.adam.step_counter))
     entries["norm.mean"] = bundle.stats.mean
@@ -238,10 +248,7 @@ def save_checkpoint(bundle: ModelBundle, trainer_step: int, path: str | Path) ->
 
 
 def load_checkpoint(bundle: ModelBundle, path: str | Path) -> int:
-    """Restore parameters, Adam state and statistics in place; returns the stored step.
-
-    Parameter values are written into the existing arrays, which keeps the
-    theta1/theta2 halves of one array (see ``denoiser.share_storage``)."""
+    """Restore parameters, Adam state and statistics; returns the stored step."""
     entries = ckpt.load_entries(path)
 
     def entry(key: str, shape: tuple[int, ...]) -> np.ndarray:
@@ -253,10 +260,8 @@ def load_checkpoint(bundle: ModelBundle, path: str | Path) -> int:
             )
         return entries[key]
 
-    for key, p in bundle.named_parameters().items():
-        p.data[...] = entry(key, p.shape)
-        bundle.adam.moment1[key] = entry(f"moment1.{key}", (p.size,))
-        bundle.adam.moment2[key] = entry(f"moment2.{key}", (p.size,))
+    for key, view in _state_entries(bundle).items():
+        view[...] = entry(key, view.shape)
     bundle.adam.step_counter = int(entry("optim.step_counter", ()))
     bundle.stats.mean = entry("norm.mean", bundle.stats.mean.shape)
     bundle.stats.std = entry("norm.std", bundle.stats.std.shape)

@@ -227,6 +227,39 @@ class TestPlotAndSchedule:
         assert "error" in capsys.readouterr().err
 
 
+@pytest.fixture(scope="module")
+def ablated(workspace):
+    """A checkpoint trained with --no-style-condition on the workspace corpus."""
+    out = workspace["root"] / "ablated"
+    argv = ["train", "--config", str(workspace["config"]), "--corpus", str(workspace["corpus"])]
+    assert main(argv + ["--out", str(out), "--quiet", "--no-style-condition"]) == 0
+    return out / "final.bin"
+
+
+class TestStyleAblatedCheckpoint:
+    @pytest.mark.parametrize(
+        "command",
+        [["sample"], ["sample", "--eta", "1"], ["sample", "--eta", "2"], ["eval"]],
+        ids=["sample", "sample-eta-1", "sample-eta-2", "eval"],
+    )
+    def test_styled_use_rejected_before_archiving(self, workspace, ablated, tmp_path, capsys, command):
+        argv = [command[0], "--checkpoint", str(ablated), "--corpus", str(workspace["corpus"])]
+        code = main(argv + ["--out", str(tmp_path / "o"), *command[1:]])
+        assert code == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1, lines
+        error = json.loads(lines[0])["error"]
+        assert "train.style_condition" in error and "--unconditional" in error
+        assert not (tmp_path / "o").exists()
+
+    def test_unconditional_sample_works(self, workspace, ablated, tmp_path):
+        argv = ["sample", "--checkpoint", str(ablated), "--corpus", str(workspace["corpus"]), "--num-samples", "3"]
+        assert main(argv + ["--out", str(tmp_path / "o"), "--unconditional"]) == 0
+        samples = sorted((tmp_path / "o" / "samples").glob("unconditional_*.csv"))
+        assert len(samples) == 3
+        assert all(np.all(np.isfinite(read_utterance_csv(f)[1])) for f in samples)
+
+
 def assert_json_error(code, capsys, fragment):
     """Exit code 1 and exactly one JSON line on stderr whose error mentions fragment."""
     assert code == 1

@@ -6,11 +6,10 @@ from prosodiff.corpus import NormStats
 from prosodiff.denoiser import (
     Denoiser,
     DenoiserConfig,
+    DenoiserPair,
     TextEmbedder,
     embed_time,
     predict_noise,
-    share_storage,
-    stack_pair,
 )
 from prosodiff.guidance import diffusion_loss
 from prosodiff.schedule import cosine_schedule
@@ -161,50 +160,66 @@ class TestParameterSeparation:
         # build_models keeps each theta1/theta2 pair in one array; the halves must not overlap
         bundle = build_models(TINY, TINY_STYLE, cosine_schedule(4), 4, UNIT_STATS, seed=0)
         x, y, _ = random_inputs()
-        before = predict_noise(bundle.theta2, x, 1, y).data
-        for p in bundle.theta1.params.values():
-            p.data += 1.0
-        after = predict_noise(bundle.theta2, x, 1, y).data
+        before = predict_noise(bundle.denoisers.member(1), x, 1, y).data
+        for p in bundle.denoisers.params.values():
+            p.data[0] += 1.0
+        after = predict_noise(bundle.denoisers.member(1), x, 1, y).data
         assert np.array_equal(before, after)
 
     def test_null_condition_not_trainable_when_style_supplied(self):
-        def trainable_names(style_condition: bool) -> set[str]:
-            bundle = build_models(TINY, TINY_STYLE, cosine_schedule(4), 4, UNIT_STATS, seed=0, style_condition=style_condition)
-            return {name for name, _ in bundle.trainable_parameters()}
+        def null_grad(style_condition: bool) -> np.ndarray:
+            pair = DenoiserPair(TINY, style_condition, init_rngs(0))
+            x, y, c = random_inputs()
+            out = predict_noise(pair, x, 2, y, c if style_condition else None)
+            engine.sum_(engine.mul(out, out)).backward()
+            return pair.params["null_condition"].grad
 
-        styled_names = trainable_names(True)
-        unstyled_names = trainable_names(False)
-        assert "theta1.null_condition" not in styled_names
-        assert "theta1.null_condition" in unstyled_names
+        styled, unstyled = null_grad(True), null_grad(False)
+        assert not np.any(styled[0]) and np.any(styled[1])
+        assert np.any(unstyled[0]) and np.any(unstyled[1])
 
 
-def random_pair(seed=0) -> tuple[Denoiser, Denoiser]:
-    """theta1 and theta2 in the shared layout, with every parameter drawn at
-    random, so biases, null vectors and passthrough gates all take part."""
-    theta1, theta2 = make_model(True, seed), make_model(False, seed + 1)
+def init_rngs(seed: int) -> tuple:
+    return tuple(rng_mod.substream(seed, rng_mod.INIT_STREAM, i) for i in (0, 1))
+
+
+def random_pair(seed=0, accepts_style=True) -> DenoiserPair:
+    """A pair with every parameter drawn at random, so biases, null vectors
+    and passthrough gates all take part."""
+    pair = DenoiserPair(TINY, accepts_style, init_rngs(seed))
     rng = np.random.default_rng(seed)
-    for model in (theta1, theta2):
-        for p in model.params.values():
-            p.data = 0.5 * rng.standard_normal(p.shape)
-    share_storage(theta1, theta2)
-    return theta1, theta2
+    for member in (0, 1):
+        for p in pair.params.values():
+            p.data[member] = 0.5 * rng.standard_normal(p.shape[1:])
+    return pair
+
+
+def copy_of_member(pair: DenoiserPair, index: int) -> Denoiser:
+    """A stand-alone Denoiser holding copies of the pair's ``index`` half."""
+    model = make_model(pair.accepts_style and index == 0)
+    for name, p in model.params.items():
+        p.data = pair.params[name].data[index].copy()
+    return model
 
 
 class TestDenoiserPair:
     @pytest.mark.parametrize("t", [3, np.array([1, 7])], ids=["shared-step", "per-example-steps"])
     def test_matches_each_model_bitwise(self, t):
-        theta1, theta2 = random_pair()
+        pair = random_pair()
+        theta1, theta2 = copy_of_member(pair, 0), copy_of_member(pair, 1)
         x, y, c = random_inputs()
-        both = predict_noise(stack_pair(theta1, theta2), x, t, y, c).data
+        both = predict_noise(pair, x, t, y, c).data
         assert both.shape == (2,) + x.shape
         assert np.array_equal(both[0], predict_noise(theta1, x, t, y, c).data)
         assert np.array_equal(both[1], predict_noise(theta2, x, t, y).data)
+        assert np.array_equal(both[0], predict_noise(pair.member(0), x, t, y, c).data)
+        assert np.array_equal(both[1], predict_noise(pair.member(1), x, t, y).data)
 
     def test_gradients_match_each_model(self):
-        theta1, theta2 = random_pair(seed=3)
+        pair = random_pair(seed=3)
+        theta1, theta2 = copy_of_member(pair, 0), copy_of_member(pair, 1)
         x, y, c = random_inputs(seed=4)
         weights = np.random.default_rng(5).standard_normal((2,) + x.shape)
-        pair = stack_pair(theta1, theta2)
         engine.sum_(engine.mul(predict_noise(pair, x, 2, y, c), weights)).backward()
         engine.sum_(engine.mul(predict_noise(theta1, x, 2, y, c), weights[0])).backward()
         engine.sum_(engine.mul(predict_noise(theta2, x, 2, y), weights[1])).backward()
@@ -214,26 +229,19 @@ class TestDenoiserPair:
                 expected = np.zeros_like(half) if single is None else single
                 np.testing.assert_allclose(half, expected, rtol=1e-12, atol=1e-12, err_msg=name)
 
-    def test_shared_storage_is_used_without_a_copy(self):
-        theta1, theta2 = random_pair()
-        pair = stack_pair(theta1, theta2)
-        for name, p in pair.params.items():
-            assert theta1.params[name].data.base is p.data and theta2.params[name].data.base is p.data
-        # a rebound half leaves the shared array: that parameter alone is stacked anew
-        theta1.params["input_proj.bias"].data = theta1.params["input_proj.bias"].data + 1.0
-        again = stack_pair(theta1, theta2)
-        copied = [name for name, p in again.params.items() if p.data is not pair.params[name].data]
-        assert copied == ["input_proj.bias"]
-        assert np.array_equal(again.params["input_proj.bias"].data[0], theta1.params["input_proj.bias"].data)
-
     def test_needs_a_styled_and_an_unstyled_model(self):
-        with pytest.raises(ValueError, match="pair"):
-            stack_pair(make_model(False), make_model(False, seed=1))
-        with pytest.raises(ValueError, match="pair"):
-            stack_pair(make_model(True), make_model(True, seed=1))
-        x, y, _ = random_inputs()
+        # theta2 never takes a style vector; theta1 does unless the style pathway is ablated
+        styled, ablated = random_pair(), random_pair(accepts_style=False)
+        assert [styled.member(i).accepts_style for i in (0, 1)] == [True, False]
+        assert [ablated.member(i).accepts_style for i in (0, 1)] == [False, False]
+        x, y, c = random_inputs()
         with pytest.raises(ValueError, match="pass c"):
-            predict_noise(stack_pair(*random_pair()), x, 1, y)
+            predict_noise(styled, x, 1, y)
+        with pytest.raises(ValueError, match="c must be absent"):
+            predict_noise(ablated, x, 1, y, c)
+        both = predict_noise(ablated, x, 1, y).data
+        assert np.array_equal(both[0], predict_noise(copy_of_member(ablated, 0), x, 1, y).data)
+        assert np.array_equal(both[1], predict_noise(copy_of_member(ablated, 1), x, 1, y).data)
 
 
 class TestGradientsThroughDenoiser:

@@ -63,10 +63,11 @@ class TestDiffusionLoss:
         x0 = rng.standard_normal((1, 3, 5))
         eps = rng.standard_normal((1, 3, 5))
         y = rng.standard_normal((5, 6))
-        loss = diffusion_loss(bundle.theta2, bundle.schedule, x0, 4, eps, y).item()
+        theta2 = bundle.denoisers.member(1)
+        loss = diffusion_loss(theta2, bundle.schedule, x0, 4, eps, y).item()
         x_t = forward_diffuse(x0, 4, eps, bundle.schedule)
         with engine.no_grad():
-            pred = predict_noise(bundle.theta2, x_t, 4, y).data
+            pred = predict_noise(theta2, x_t, 4, y).data
         acc = 0.0
         for b in range(1):
             for ch in range(3):
@@ -77,16 +78,18 @@ class TestDiffusionLoss:
     def test_differentiable(self):
         _, bundle = tiny_bundle()
         rng = np.random.default_rng(2)
-        loss = diffusion_loss(
-            bundle.theta2,
+        loss_c, loss_nc = diffusion_loss(
+            bundle.denoisers,
             bundle.schedule,
             rng.standard_normal((1, 3, 5)),
             2,
             rng.standard_normal((1, 3, 5)),
             rng.standard_normal((5, 6)),
+            rng.standard_normal((1, 6)),
         )
-        loss.backward()
-        assert bundle.theta2.params["output_proj.weight"].grad is not None
+        engine.add(loss_c, loss_nc).backward()
+        grad = bundle.denoisers.params["output_proj.weight"].grad
+        assert grad is not None and np.any(grad[0]) and np.any(grad[1])
 
     @pytest.mark.parametrize(
         "t", [0, 13, np.array([1, 13]), np.array([0, 5])], ids=["zero", "past-T", "per-example-past-T", "per-example-zero"]
@@ -95,7 +98,7 @@ class TestDiffusionLoss:
         _, bundle = tiny_bundle()
         x0 = np.zeros((2, 3, 5))
         with pytest.raises(ValueError, match="outside 1..12"):
-            diffusion_loss(bundle.theta2, bundle.schedule, x0, t, np.zeros_like(x0), np.zeros((5, 6)))
+            diffusion_loss(bundle.denoisers.member(1), bundle.schedule, x0, t, np.zeros_like(x0), np.zeros((5, 6)))
 
 
 class TestCfgCombine:
@@ -269,24 +272,24 @@ def single_model(model, y, c, params, schedule, rng):
 
 
 def randomize(bundle, seed):
-    """Draw every denoiser parameter at random, written in place so the
-    shared theta1/theta2 layout stays; null vectors, biases and passthrough
-    gates then all take part."""
+    """Draw every denoiser parameter at random; null vectors, biases and
+    passthrough gates then all take part."""
     rng = np.random.default_rng(seed)
-    for model in (bundle.theta1, bundle.theta2):
-        for p in model.params.values():
-            p.data[...] = 0.1 * rng.standard_normal(p.shape)
+    for member in (0, 1):
+        for p in bundle.denoisers.params.values():
+            p.data[member] = 0.1 * rng.standard_normal(p.shape[1:])
     return bundle
 
 
 def two_forward_reference(bundle, y, c, params, rng, diagnostics):
     """The guided sampler written out with a separate forward pass of each denoiser per step."""
     schedule = bundle.schedule
-    x = draw_terminal((y.shape[0], bundle.theta1.config.residual_channels, y.shape[1]), params.tau, rng)
+    theta1, theta2 = bundle.denoisers.member(0), bundle.denoisers.member(1)
+    x = draw_terminal((y.shape[0], theta1.config.residual_channels, y.shape[1]), params.tau, rng)
     with engine.no_grad():
         for t in range(schedule.step_count, 0, -1):
-            eps_c = predict_noise(bundle.theta1, x, t, y, c).data
-            eps_nc = predict_noise(bundle.theta2, x, t, y).data
+            eps_c = predict_noise(theta1, x, t, y, c).data
+            eps_nc = predict_noise(theta2, x, t, y).data
             eps_hat, diag = rescale(cfg_combine(eps_c, eps_nc, params.eta), eps_c, params.gamma)
             diagnostics.append((t, diag))
             x = reverse_step(x, t, eps_hat, schedule, rng)
@@ -298,7 +301,7 @@ def assert_matches_reference(bundle, batch, params, seed):
     y = rng.standard_normal((batch, 5, 6))
     c = rng.standard_normal((batch, 6))
     got_diags, want_diags = [], []
-    got = sample(bundle.theta1, bundle.theta2, y, c, params, bundle.schedule, np.random.default_rng(seed + 1), got_diags)
+    got = sample(bundle.denoisers, bundle.schedule, y, c, params, np.random.default_rng(seed + 1), got_diags)
     want = two_forward_reference(bundle, y, c, params, np.random.default_rng(seed + 1), want_diags)
     assert np.array_equal(got, want)
     assert [t for t, _ in got_diags] == [t for t, _ in want_diags]
@@ -314,15 +317,6 @@ class TestSampler:
         _, bundle = tiny_bundle()
         assert_matches_reference(randomize(bundle, 30), batch, GuidanceParams(eta=eta, gamma=gamma), seed=40 + batch)
 
-    @pytest.mark.parametrize("eta", [0.5, 2.0, 4.0])
-    @pytest.mark.parametrize("model", ["theta1", "theta2"])
-    def test_rebound_parameter_falls_back_to_a_copy(self, eta, model):
-        _, bundle = tiny_bundle()
-        randomize(bundle, 31)
-        p = getattr(bundle, model).params["layers.1.conv.weight"]
-        p.data = p.data * 1.5
-        assert_matches_reference(bundle, 2, GuidanceParams(eta=eta), seed=50)
-
     def test_one_forward_pass_per_guided_step(self, monkeypatch):
         _, bundle = tiny_bundle()
         rng = np.random.default_rng(19)
@@ -335,7 +329,7 @@ class TestSampler:
             return predict_noise(model, *args)
 
         monkeypatch.setattr(guidance, "predict_noise", spy)
-        sample(bundle.theta1, bundle.theta2, y, c, GuidanceParams(eta=2.0), bundle.schedule, np.random.default_rng(5))
+        sample(bundle.denoisers, bundle.schedule, y, c, GuidanceParams(eta=2.0), np.random.default_rng(5))
         assert ran == [DenoiserPair] * bundle.schedule.step_count
 
 
@@ -352,11 +346,15 @@ class TestSampler:
             return predict_noise(model, *args)
 
         monkeypatch.setattr(guidance, "predict_noise", spy)
-        guided = sample(bundle.theta1, bundle.theta2, y, c, params, bundle.schedule, np.random.default_rng(5))
-        solo = single_model(bundle.theta1, y, c, params, bundle.schedule, np.random.default_rng(5))
+        guided = sample(bundle.denoisers, bundle.schedule, y, c, params, np.random.default_rng(5))
+        solo = single_model(bundle.denoisers.member(0), y, c, params, bundle.schedule, np.random.default_rng(5))
         assert np.array_equal(guided, solo)
-        # theta2's prediction would go unused at eta=1, so it is not computed
-        assert ran == [bundle.theta1] * bundle.schedule.step_count
+        # theta2's prediction would go unused at eta=1, so it is not computed:
+        # every step runs one single model, theta1 over its half of the weights
+        assert len(ran) == bundle.schedule.step_count
+        for model in ran:
+            assert not isinstance(model, DenoiserPair) and model.accepts_style
+            assert all(p.data.base is bundle.denoisers.params[name].data for name, p in model.params.items())
 
     def test_eta_zero_matches_unconditional_only_bitwise(self):
         _, bundle = tiny_bundle()
@@ -364,16 +362,16 @@ class TestSampler:
         y = rng.standard_normal((1, 6, 6))
         c = rng.standard_normal((1, 6))
         params = GuidanceParams(eta=0.0, gamma=0.7, tau=1.0)
-        guided = sample(bundle.theta1, bundle.theta2, y, c, params, bundle.schedule, np.random.default_rng(5))
-        solo = single_model(bundle.theta2, y, None, params, bundle.schedule, np.random.default_rng(5))
+        guided = sample(bundle.denoisers, bundle.schedule, y, c, params, np.random.default_rng(5))
+        solo = single_model(bundle.denoisers.member(1), y, None, params, bundle.schedule, np.random.default_rng(5))
         assert np.array_equal(guided, solo)
 
     def test_absent_style_uses_unconditional_path(self):
         _, bundle = tiny_bundle()
         y = np.random.default_rng(18).standard_normal((2, 5, 6))
         params = GuidanceParams(eta=2.0, gamma=0.5, tau=1.0)
-        a = sample(bundle.theta1, bundle.theta2, y, None, params, bundle.schedule, np.random.default_rng(9))
-        b = single_model(bundle.theta2, y, None, params, bundle.schedule, np.random.default_rng(9))
+        a = sample(bundle.denoisers, bundle.schedule, y, None, params, np.random.default_rng(9))
+        b = single_model(bundle.denoisers.member(1), y, None, params, bundle.schedule, np.random.default_rng(9))
         assert np.array_equal(a, b)
 
     def test_terminal_temperature_scales_std(self):
@@ -391,7 +389,7 @@ class TestSampler:
         c = rng.standard_normal((1, 6))
         for eta in (0.0, 1.0, 4.0, 10.0):
             params = GuidanceParams(eta=eta, gamma=0.7, tau=1.0)
-            out = sample(bundle.theta1, bundle.theta2, y, c, params, bundle.schedule, np.random.default_rng(3))
+            out = sample(bundle.denoisers, bundle.schedule, y, c, params, np.random.default_rng(3))
             assert np.all(np.isfinite(out))
 
     def test_diagnostics_recorded_per_step(self):
@@ -401,7 +399,7 @@ class TestSampler:
         c = rng.standard_normal((1, 6))
         diags: list = []
         params = GuidanceParams(eta=2.0, gamma=0.7, tau=1.0)
-        sample(bundle.theta1, bundle.theta2, y, c, params, bundle.schedule, np.random.default_rng(1), diags)
+        sample(bundle.denoisers, bundle.schedule, y, c, params, np.random.default_rng(1), diags)
         assert len(diags) == 12
         assert diags[0][0] == 12 and diags[-1][0] == 1
         for _, d in diags:
@@ -456,17 +454,16 @@ class TestTrainStep:
         eps = np.random.default_rng(0).standard_normal(batch.x0.shape)
 
         def probe_nc() -> float:
-            return diffusion_loss(bundle.theta2, bundle.schedule, batch.x0, 3, eps, batch.y).item()
+            return diffusion_loss(bundle.denoisers.member(1), bundle.schedule, batch.x0, 3, eps, batch.y).item()
 
         before = probe_nc()
         from prosodiff.optim import optimizer_step
         from prosodiff.style import encode_style
 
         c, _ = encode_style(bundle.bank, batch.x0)
-        loss_c = diffusion_loss(bundle.theta1, bundle.schedule, batch.x0, 3, eps, batch.y, c)
-        loss_c.backward()
-        conditional = [(name, p) for name, p in bundle.trainable_parameters() if not name.startswith("theta2.")]
-        optimizer_step(conditional, bundle.adam, 1e-2)
+        loss_c, _ = diffusion_loss(bundle.denoisers, bundle.schedule, batch.x0, 3, eps, batch.y, c)
+        loss_c.backward()  # reaches theta2's halves only as exact zeros
+        optimizer_step(bundle.trainable_parameters(), bundle.adam, 1e-2)
         assert probe_nc() == before
 
     def test_non_finite_loss_names_the_step(self):
@@ -474,11 +471,11 @@ class TestTrainStep:
         cfg = TrainConfig(steps=5, batch_size=4)
         sampler = LengthBucketSampler(corpus.split("train"), bundle.stats, bundle.embedder, 4)
         gen = rng_mod.substream(7, rng_mod.TRAIN_STREAM, 3)
-        bundle.theta2.params["output_proj.bias"].data = np.array([np.nan, 0.0, 0.0])
-        before = bundle.theta1.params["output_proj.weight"].data.copy()
+        bundle.denoisers.params["output_proj.bias"].data[1] = [np.nan, 0.0, 0.0]  # theta2's half
+        before = bundle.denoisers.params["output_proj.weight"].data.copy()
         with pytest.raises(ValueError, match="non-finite training loss at step 3"):
             train_step(bundle, sampler.next_batch(gen), cfg, gen, step=3)
-        assert np.array_equal(bundle.theta1.params["output_proj.weight"].data, before)
+        assert np.array_equal(bundle.denoisers.params["output_proj.weight"].data, before)
         assert bundle.adam.step_counter == 0
 
     def test_empty_batch_rejected(self):

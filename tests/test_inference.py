@@ -87,8 +87,8 @@ class TestLoadTrained:
         step = load_checkpoint(loaded, tmp_path / "final.bin")
         assert step == 4
         assert run2.seed == run.seed
-        a = loaded.theta1.params["output_proj.weight"].data
-        b = bundle.theta1.params["output_proj.weight"].data
+        a = loaded.denoisers.params["output_proj.weight"].data
+        b = bundle.denoisers.params["output_proj.weight"].data
         assert np.array_equal(a, b)
 
     def test_missing_config_rejected(self, setup, tmp_path):

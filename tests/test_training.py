@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from prosodiff import rng as rng_mod
-from prosodiff.checkpoint import CheckpointError
+from prosodiff.checkpoint import CheckpointError, load_entries
 from prosodiff.corpus import CorpusConfig, NormStats, generate_corpus
-from prosodiff.denoiser import DenoiserConfig, predict_noise, stack_pair
+from prosodiff.denoiser import Denoiser, DenoiserConfig, predict_noise
+from prosodiff.guidance import diffusion_loss
 from prosodiff.schedule import cosine_schedule
-from prosodiff.style import StyleConfig
+from prosodiff.style import StyleBank, StyleConfig, encode_style
 from prosodiff.training import (
     LengthBucketSampler,
     TrainConfig,
@@ -16,6 +17,7 @@ from prosodiff.training import (
     load_checkpoint,
     save_checkpoint,
     train,
+    train_step,
 )
 
 TINY_DENOISER = DenoiserConfig(
@@ -29,9 +31,11 @@ TINY_STYLE = StyleConfig(token_count=3, token_dim=8, attention_heads=2, conditio
 TINY_CORPUS = CorpusConfig(style_count=2, utterances_per_style=10, length_range=(5, 7), vocab_size=12)
 
 
-def tiny_setup(seed=3):
+def tiny_setup(seed=3, style_condition=True):
     corpus = generate_corpus(TINY_CORPUS, seed=seed)
-    bundle = build_models(TINY_DENOISER, TINY_STYLE, cosine_schedule(12), 12, corpus.stats, seed=seed)
+    bundle = build_models(
+        TINY_DENOISER, TINY_STYLE, cosine_schedule(12), 12, corpus.stats, seed=seed, style_condition=style_condition
+    )
     return corpus, bundle
 
 
@@ -81,25 +85,12 @@ class TestCheckpointRoundTrip:
         x = rng.standard_normal((1, 3, 5))
         y = rng.standard_normal((5, 6))
         c = rng.standard_normal(6)
-        a = predict_noise(bundle.theta1, x, 3, y, c).data
-        b = predict_noise(bundle2.theta1, x, 3, y, c).data
+        a = predict_noise(bundle.denoisers.member(0), x, 3, y, c).data
+        b = predict_noise(bundle2.denoisers.member(0), x, 3, y, c).data
         assert np.array_equal(a, b)
         for name, _ in bundle.trainable_parameters():
             assert np.array_equal(bundle.adam.moment1[name], bundle2.adam.moment1[name])
         assert bundle.adam.step_counter == bundle2.adam.step_counter == 8
-
-    def test_theta_halves_stay_one_array_through_training_and_loading(self, tmp_path):
-        # Adam and checkpoint loading write in place, so the sampler's pair needs no copy
-        corpus, bundle = tiny_setup()
-        final = train(bundle, corpus, TrainConfig(steps=3, batch_size=4, log_every=1, checkpoint_every=0), tmp_path)
-        _, loaded = tiny_setup()
-        load_checkpoint(loaded, final)
-        for b in (bundle, loaded):
-            pair = stack_pair(b.theta1, b.theta2)
-            for name, p in pair.params.items():
-                assert b.theta1.params[name].data.base is p.data and b.theta2.params[name].data.base is p.data
-        for name, p in bundle.named_parameters().items():
-            assert np.array_equal(p.data, loaded.named_parameters()[name].data)
 
     def test_resume_continues_step_counter(self, tmp_path):
         corpus, bundle = tiny_setup()
@@ -150,19 +141,100 @@ class TestTrainableParameters:
         stats = NormStats(np.zeros(3), np.ones(3))
         bundle = build_models(DenoiserConfig(), StyleConfig(), cosine_schedule(4), 40, stats, seed=0)
         names = [name for name, _ in bundle.trainable_parameters()]
-        assert len(names) == 219
-        assert [n.split(".")[0] for n in names] == ["theta1"] * 104 + ["theta2"] * 105 + ["bank"] * 10
-        assert "theta1.null_condition" not in names and "theta2.null_condition" in names
-        assert names == [n for n in bundle.named_parameters() if n in names]
+        # 105 stacked theta1/theta2 tensors (theta1's null half takes exact zero gradients), 10 bank tensors
+        assert len(names) == 115
+        assert [n.split(".")[0] for n in names] == ["denoisers"] * 105 + ["bank"] * 10
+        assert all(p.shape[0] == 2 for name, p in bundle.trainable_parameters() if name.startswith("denoisers."))
+        assert names == list(bundle.named_parameters())
         assert set(bundle.adam.moment1) == set(bundle.adam.moment2) == set(bundle.named_parameters())
 
     def test_unstyled_run_leaves_the_bank_out(self):
         stats = NormStats(np.zeros(3), np.ones(3))
         bundle = build_models(TINY_DENOISER, TINY_STYLE, cosine_schedule(12), 12, stats, seed=0, style_condition=False)
         names = [name for name, _ in bundle.trainable_parameters()]
-        assert "theta1.null_condition" in names
+        assert "denoisers.null_condition" in names
         assert not [n for n in names if n.startswith("bank.")]
         assert len(names) == len(bundle.named_parameters()) - len(bundle.bank.params)
+
+
+class TwoModelReference:
+    """Training as two separate models: theta1 and theta2 are stand-alone
+    Denoisers drawn from the same init substreams as the pair's halves, each
+    loss gets its own forward and backward pass, and Adam runs per
+    checkpoint name with its own flat moments."""
+
+    def __init__(self, seed: int, style_condition: bool, schedule):
+        init = [rng_mod.substream(seed, rng_mod.INIT_STREAM, i) for i in range(3)]
+        self.theta1 = Denoiser(TINY_DENOISER, style_condition, init[0])
+        self.theta2 = Denoiser(TINY_DENOISER, False, init[1])
+        self.bank = StyleBank(TINY_STYLE, 3, init[2])
+        self.schedule = schedule
+        groups = (("theta1", self.theta1), ("theta2", self.theta2), ("bank", self.bank))
+        self.params = {f"{prefix}.{name}": p for prefix, model in groups for name, p in model.params.items()}
+        dead = "theta1.null_condition" if style_condition else "bank."
+        self.trainable = [name for name in self.params if not name.startswith(dead)]
+        self.moment1 = {name: np.zeros(p.size) for name, p in self.params.items()}
+        self.moment2 = {name: np.zeros(p.size) for name, p in self.params.items()}
+        self.steps = 0
+
+    def step(self, batch, cfg: TrainConfig, gen, step: int) -> tuple[float, float]:
+        t = gen.integers(1, self.schedule.step_count + 1, size=batch.x0.shape[0])
+        eps = gen.standard_normal(batch.x0.shape)
+        c = encode_style(self.bank, batch.x0)[0] if self.theta1.accepts_style else None
+        loss_c = diffusion_loss(self.theta1, self.schedule, batch.x0, t, eps, batch.y, c)
+        loss_nc = diffusion_loss(self.theta2, self.schedule, batch.x0, t, eps, batch.y)
+        loss_c.backward()
+        loss_nc.backward()
+        self.steps += 1
+        rate = cfg.rate_at(step)
+        for name in self.trainable:
+            p = self.params[name]
+            g = p.grad.reshape(-1)
+            m = self.moment1[name] = cfg.adam_beta1 * self.moment1[name] + (1.0 - cfg.adam_beta1) * g
+            v = self.moment2[name] = cfg.adam_beta2 * self.moment2[name] + (1.0 - cfg.adam_beta2) * (g * g)
+            m_hat = m / (1.0 - cfg.adam_beta1**self.steps)
+            v_hat = v / (1.0 - cfg.adam_beta2**self.steps)
+            p.data = p.data - (rate * m_hat / (np.sqrt(v_hat) + cfg.adam_epsilon)).reshape(p.shape)
+            p.grad = None
+        return loss_c.item(), loss_nc.item()
+
+    def entries(self) -> dict[str, np.ndarray]:
+        out = {}
+        for name, p in self.params.items():
+            out[name] = p.data
+            out[f"moment1.{name}"] = self.moment1[name]
+            out[f"moment2.{name}"] = self.moment2[name]
+        return out
+
+
+class TestStackedTrainStep:
+    @pytest.mark.parametrize("style_condition", [True, False], ids=["styled", "no-style-condition"])
+    def test_matches_two_model_reference_bitwise(self, style_condition, tmp_path):
+        seed = 3
+        corpus, bundle = tiny_setup(seed, style_condition)
+        reference = TwoModelReference(seed, style_condition, bundle.schedule)
+        initial = {name: p.data.copy() for name, p in reference.params.items()}
+        cfg = TrainConfig(steps=3, batch_size=4)
+        sampler = LengthBucketSampler(corpus.split("train"), bundle.stats, bundle.embedder, cfg.batch_size)
+        for step in range(1, cfg.steps + 1):
+            gen = rng_mod.substream(seed, rng_mod.TRAIN_STREAM, step)
+            got = train_step(bundle, sampler.next_batch(gen), cfg, gen, step)
+            gen = rng_mod.substream(seed, rng_mod.TRAIN_STREAM, step)
+            assert got == reference.step(sampler.next_batch(gen), cfg, gen, step)
+
+        save_checkpoint(bundle, cfg.steps, tmp_path / "state.bin")
+        saved = load_entries(tmp_path / "state.bin")
+        want = reference.entries()
+        assert set(saved) - set(want) == {"trainer.step", "optim.step_counter", "norm.mean", "norm.std"}
+        for key, value in want.items():
+            assert np.array_equal(saved[key], value), key
+        if style_condition:  # theta1's null vector is dead weight: it and its moments stay as initialised
+            assert np.array_equal(saved["theta1.null_condition"], initial["theta1.null_condition"])
+            for moment in ("moment1", "moment2"):
+                assert not np.any(saved[f"{moment}.theta1.null_condition"])
+        else:  # the bank is dead weight
+            for name in reference.bank.params:
+                assert np.array_equal(saved[f"bank.{name}"], initial[f"bank.{name}"]), name
 
 
 class TestBatchSampler:
