@@ -33,7 +33,7 @@ from .corpus import (
     write_utterance_csv,
 )
 from .schedule import cosine_schedule
-from .style import normalize_weights, one_hot_weights
+from .style import condition_from_weights, normalize_weights, one_hot_weights
 from .training import ModelBundle, load_checkpoint, train
 
 
@@ -67,10 +67,9 @@ def _load_trained(args) -> tuple[Corpus, ModelBundle, RunConfig]:
     """Set-up shared by sample and eval.
 
     Rejects a style-ablated checkpoint unless sampling --unconditional.
-    Applies --eta/--gamma/--tau/--steps to the config archived next to the
-    checkpoint, builds the trained bundle from it and applies --seed (after
-    the build: the frozen text embedder is keyed by the training seed). The
-    caller archives the config once its own inputs have been validated.
+    Applies --eta/--gamma/--tau/--steps/--seed to the config archived next
+    to the checkpoint and builds the trained bundle from it. The caller
+    archives the config once its own inputs have been validated.
     """
     corpus = _corpus_for(args)
     run = inference.archived_config(args.checkpoint)
@@ -82,10 +81,10 @@ def _load_trained(args) -> tuple[Corpus, ModelBundle, RunConfig]:
     run.guidance = replace(run.guidance, **overrides)
     if args.steps is not None:
         run.schedule = replace(run.schedule, steps=args.steps)
-    bundle = inference.bundle_from_config(run, corpus)
-    load_checkpoint(bundle, args.checkpoint)
     if args.seed is not None:
         run.seed = args.seed
+    bundle = inference.bundle_from_config(run, corpus)
+    load_checkpoint(bundle, args.checkpoint)
     return corpus, bundle, run
 
 
@@ -116,6 +115,10 @@ def cmd_gen_data(args) -> None:
 def cmd_train(args) -> None:
     run = _load_run_config(args)
     corpus = _corpus_for(args)
+    if args.resume:  # read before archiving: --out may be the checkpoint's own directory
+        trained = inference.archived_config(args.resume).train.style_condition
+        if trained != run.train.style_condition:
+            raise CommandError(f"{args.resume} was trained with train.style_condition {json.dumps(trained)}")
     out_dir = Path(args.out)
     _archive_config(run, out_dir)
     bundle = inference.bundle_from_config(run, corpus)
@@ -149,8 +152,6 @@ def _resolve_mode_conditions(args, bundle, corpus, run, n_samples):
                 weights = normalize_weights(weights)
         else:
             raise CommandError("control mode needs --token-id or --token-weights")
-        from .style import condition_from_weights
-
         c = condition_from_weights(bundle.bank, weights, raw=args.raw_weights).data[0]
         return texts, [c] * len(texts), "control"
 
@@ -284,8 +285,11 @@ def cmd_plot(args) -> None:
     header, body = rows[0], rows[1:]
     if any(len(r) != len(header) for r in body):
         raise CommandError(f"{src}: every row needs {len(header)} fields")
-    x = [float(r[0]) for r in body]
-    series = {name: [float(r[i]) for r in body] for i, name in enumerate(header) if i > 0}
+    values = [[float(v) for v in r] for r in body]
+    if not all(math.isfinite(v) for r in values for v in r):
+        raise CommandError(f"{src}: every value must be finite")
+    x = [r[0] for r in values]
+    series = {name: [r[i] for r in values] for i, name in enumerate(header) if i > 0}
     write_line_chart(args.out, x, series, src.stem, x_label=header[0])
     print(f"wrote {args.out}")
 

@@ -1,13 +1,14 @@
 """Noise-prediction network: a stack of bidirectional dilated-convolution
 residual layers with gated activations.
 
-Two instances with identical architectures form the guided module: one is
-conditioned on text plus a style vector, the other on text plus its own
+Two members with identical architectures form the guided module: theta1 is
+conditioned on text plus a style vector, theta2 on text plus its own
 learned null-condition vector. Conditioning enters each layer's gate as a
 1x1-projected condition sequence; the diffusion step enters as a projected
-sinusoidal embedding added to the layer input. The two are stored, trained
-and sampled as one stacked ``DenoiserPair``: one forward pass yields both
-predictions, and ``DenoiserPair.member`` views one half as a single model.
+sinusoidal embedding added to the layer input. A ``Denoiser`` holds M such
+members stacked (theta1 and theta2 are members 0 and 1 of one): one forward
+pass yields every member's prediction, and ``Denoiser.member`` views one
+member as a one-member model.
 
 Data layout is [B, C, L] with C=3 prosody channels (log-pitch, energy,
 log-duration).
@@ -15,6 +16,7 @@ log-duration).
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 
@@ -74,81 +76,73 @@ def embed_time(t, dim: int) -> np.ndarray:
 
 
 class Denoiser:
-    """One noise predictor eps(x_t, t, condition) over [B, 3, L] sequences."""
+    """M same-architecture noise predictors eps(x_t, t, condition) over
+    [B, 3, L] sequences, stacked: each parameter is the [M, ...] stack of
+    the members' own, so one forward pass serves every member. Member i is
+    drawn from ``init_rngs[i]``. Member 0 takes the style vector when
+    ``accepts_style``; every other member takes its own null vector."""
 
-    def __init__(self, config: DenoiserConfig, accepts_style: bool, init_rng: np.random.Generator):
+    def __init__(self, config: DenoiserConfig, accepts_style: bool, *init_rngs: np.random.Generator):
         self.config = config
         self.accepts_style = accepts_style
-        self.params: dict[str, Tensor] = {}
-        c = config.residual_channels
-        h = config.hidden_channels
-        k = config.kernel_size
-        d_cond = config.condition_dim
-        d_time = config.time_embedding_dim
-
-        def add(name: str, value: np.ndarray):
-            self.params[name] = Tensor(value)
-
-        def add_conv(name: str, cout: int, cin: int, width: int):
-            add(name + ".weight", engine.uniform_init((cout, cin, width), cin * width, init_rng))
-            add(name + ".bias", np.zeros(cout))
-
-        def add_dense(name: str, din: int, dout: int):
-            add(name + ".weight", engine.uniform_init((din, dout), din, init_rng))
-            add(name + ".bias", np.zeros(dout))
-
-        add_conv("input_proj", c, c, 1)
-        for i in range(config.residual_layers):
-            add_dense(f"layers.{i}.time_proj", d_time, c)
-            add_conv(f"layers.{i}.conv", 2 * h, c, k)
-            add_conv(f"layers.{i}.cond_proj", 2 * h, d_cond, 1)
-            # residual half stays data-width, skip half keeps the gate width
-            add_conv(f"layers.{i}.out_proj", c + h, h, 1)
-        add_conv("skip_proj", h, h, 1)
-        add_conv("output_proj", c, h, 1)
-        # time-gated linear passthrough: the optimal predictor is close to
-        # sqrt(1-abar_t) * x_t at high noise, which bounded gates cannot
-        # reach with the precision the terminal (clipped-beta) reverse
-        # steps demand; a learned scalar gate of t absorbs that part
-        add("passthrough.weight", np.zeros((d_time, 1)))
-        add("passthrough.bias", np.zeros(1))
-        # stands in for an absent style vector; only consulted when
-        # accepts_style is False, so both instances share one name set
-        add("null_condition", np.zeros(d_cond))
-
-
-class DenoiserPair:
-    """theta1 (index 0) and theta2 (index 1) as one model, and the only store
-    of their weights: each parameter is the [2, ...] stack of theirs, so one
-    forward pass serves both predictions, in training and in sampling.
-    theta1 takes a style vector when ``accepts_style``, else its own null
-    vector; theta2 always takes its own. Member i starts as a ``Denoiser``
-    drawn from ``init_rngs[i]``."""
-
-    def __init__(self, config: DenoiserConfig, accepts_style: bool, init_rngs: tuple[np.random.Generator, ...]):
-        members = (Denoiser(config, accepts_style, init_rngs[0]), Denoiser(config, False, init_rngs[1]))
-        self.config, self.accepts_style = config, accepts_style
-        self.params = {name: Tensor(np.stack([m.params[name].data for m in members])) for name in members[0].params}
+        drawn = [_initial_params(config, init_rng) for init_rng in init_rngs]
+        self.params = {name: Tensor(np.stack([member[name] for member in drawn])) for name in drawn[0]}
 
     def member(self, index: int) -> Denoiser:
-        """Member ``index`` as a single model over views of its halves; for
-        no-grad use, since gradients would not reach the pair."""
-        member = object.__new__(Denoiser)
-        member.config = self.config
-        member.accepts_style = self.accepts_style and index == 0
-        member.params = {name: Tensor(p.data[index]) for name, p in self.params.items()}
-        return member
+        """Member ``index`` as a one-member denoiser over views of its slices;
+        for no-grad use, since gradients would not reach this model."""
+        view = copy.copy(self)
+        view.accepts_style = self.accepts_style and index == 0
+        view.params = {name: Tensor(p.data[index : index + 1]) for name, p in self.params.items()}
+        return view
 
 
-def predict_noise(model: Denoiser | DenoiserPair, x_t, t, y: np.ndarray, c=None) -> Tensor:
-    """Run the denoiser; returns the noise estimate as a [B, 3, L] tensor.
+def _initial_params(config: DenoiserConfig, init_rng: np.random.Generator) -> dict[str, np.ndarray]:
+    """One member's freshly drawn parameters, by name."""
+    params: dict[str, np.ndarray] = {}
+    c = config.residual_channels
+    h = config.hidden_channels
+    k = config.kernel_size
+    d_cond = config.condition_dim
+    d_time = config.time_embedding_dim
+
+    def add_conv(name: str, cout: int, cin: int, width: int):
+        params[name + ".weight"] = engine.uniform_init((cout, cin, width), cin * width, init_rng)
+        params[name + ".bias"] = np.zeros(cout)
+
+    def add_dense(name: str, din: int, dout: int):
+        params[name + ".weight"] = engine.uniform_init((din, dout), din, init_rng)
+        params[name + ".bias"] = np.zeros(dout)
+
+    add_conv("input_proj", c, c, 1)
+    for i in range(config.residual_layers):
+        add_dense(f"layers.{i}.time_proj", d_time, c)
+        add_conv(f"layers.{i}.conv", 2 * h, c, k)
+        add_conv(f"layers.{i}.cond_proj", 2 * h, d_cond, 1)
+        # residual half stays data-width, skip half keeps the gate width
+        add_conv(f"layers.{i}.out_proj", c + h, h, 1)
+    add_conv("skip_proj", h, h, 1)
+    add_conv("output_proj", c, h, 1)
+    # time-gated linear passthrough: the optimal predictor is close to
+    # sqrt(1-abar_t) * x_t at high noise, which bounded gates cannot
+    # reach with the precision the terminal (clipped-beta) reverse
+    # steps demand; a learned scalar gate of t absorbs that part
+    params["passthrough.weight"] = np.zeros((d_time, 1))
+    params["passthrough.bias"] = np.zeros(1)
+    # stands in for an absent style vector; every member has one, so all
+    # members share one name set, but member 0 ignores it when accepts_style
+    params["null_condition"] = np.zeros(d_cond)
+    return params
+
+
+def predict_noise(model: Denoiser, x_t, t, y: np.ndarray, c=None) -> Tensor:
+    """Run every member of the denoiser; returns the noise estimates as an
+    [M, B, 3, L] tensor, member i's at index i, each bit-identical to a
+    one-member forward pass over its slice of the weights.
 
     x_t: [B, 3, L] array or Tensor. y: text embedding, [L, D] (shared) or
-    [B, L, D]. c: style condition [B, D] array/Tensor, required iff
-    model.accepts_style. t: scalar step or per-example [B] steps.
-    A DenoiserPair takes c for theta1 (if theta1 accepts style) and returns
-    [2, B, 3, L]: theta1's prediction, then theta2's, each bit-identical to
-    a single-model forward pass over its half of the weights.
+    [B, L, D]. c: style condition [B, D] array/Tensor for member 0, required
+    iff model.accepts_style. t: scalar step or per-example [B] steps.
     """
     cfg = model.config
     p = model.params
@@ -166,23 +160,19 @@ def predict_noise(model: Denoiser | DenoiserPair, x_t, t, y: np.ndarray, c=None)
         raise ValueError(f"text embedding dim {y.shape[2]} != condition dim {cfg.condition_dim}")
     cond_base = Tensor(np.ascontiguousarray(np.broadcast_to(y, (batch, length, cfg.condition_dim)).transpose(0, 2, 1)))
 
+    # every member on its own null vector, except member 0 on the style vector
+    null = p["null_condition"]  # [M, D]
+    offsets = [engine.narrow(null, 0, i, i + 1) for i in range(null.shape[0])]  # [1, D] each
     if model.accepts_style:
         if c is None:
             raise ValueError("this denoiser is style-conditioned; pass c")
         c_t = engine.as_tensor(c)
-        if c_t.ndim == 1:
-            c_t = engine.reshape(c_t, (1, cfg.condition_dim))
-        if c_t.shape[1] != cfg.condition_dim:
-            raise ValueError(f"style condition dim {c_t.shape[1]} != {cfg.condition_dim}")
-        cond = engine.add(cond_base, engine.reshape(c_t, (c_t.shape[0], cfg.condition_dim, 1)))
+        if c_t.shape[-1] != cfg.condition_dim:
+            raise ValueError(f"style condition dim {c_t.shape[-1]} != {cfg.condition_dim}")
+        offsets[0] = engine.reshape(c_t, (-1, cfg.condition_dim))  # [B or 1, D]
     elif c is not None:
         raise ValueError("this denoiser is unconditional in style; c must be absent")
-    else:  # each model's own null vector: [D], or [2, D] for a pair
-        null = p["null_condition"]
-        cond = engine.add(cond_base, engine.reshape(null, null.shape[:-1] + (1, cfg.condition_dim, 1)))
-    if isinstance(model, DenoiserPair) and model.accepts_style:  # theta2 on its own null vector
-        null = engine.reshape(engine.narrow(p["null_condition"], 0, 1, 2), (1, cfg.condition_dim, 1))
-        cond = engine.stack([cond, engine.add(cond_base, null)])
+    cond = engine.stack([engine.add(cond_base, engine.reshape(o, o.shape + (1,))) for o in offsets])  # [M, B, D, L]
 
     t_emb = Tensor(embed_time(t, cfg.time_embedding_dim))  # [B or 1, d_time]
 
@@ -231,6 +221,8 @@ class TextEmbedder:
     vectors, so the (trained) per-layer condition projections can extract
     whatever identity/position signal they need. Not in any model's
     ``params`` on purpose; the two denoisers must share no trainable state.
+    Checkpoints store ``table``, so a trained model keeps its embedding
+    whatever seed later loads it.
     """
 
     def __init__(self, vocab_size: int, dim: int, seed: int):

@@ -10,8 +10,8 @@ blended by gamma. The terminal draw x_T uses covariance (1/tau) * I.
 There is one reverse loop, ``reverse_process``: it draws x_T and applies
 ``reverse_step`` for t = T..1 with whatever per-step noise predictor it is
 given. ``sample`` hands it the guided predictor (one forward pass of the
-theta1/theta2 ``DenoiserPair``, or of its theta1 member at eta = 1;
-combine, rescale); one denoiser's forward pass drives it unguided.
+stacked theta1/theta2 ``Denoiser``, or of its theta1 member at eta = 1;
+combine, rescale); one member's forward pass drives it unguided.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from . import engine
-from .denoiser import Denoiser, DenoiserPair, predict_noise
+from .denoiser import Denoiser, predict_noise
 from .engine import Tensor
 from .schedule import NoiseSchedule, forward_diffuse
 
@@ -52,16 +52,14 @@ class RescaleDiagnostics:
     applied_ratio: np.ndarray  # [B] net multiplier that produced the final estimate
 
 
-def diffusion_loss(model: Denoiser | DenoiserPair, schedule: NoiseSchedule, x0, t, eps, y, c=None):
-    """Mean squared error between drawn and predicted noise at step(s) t; a
-    DenoiserPair gives one loss per member, (theta1's, theta2's), from one
+def diffusion_loss(model: Denoiser, schedule: NoiseSchedule, x0, t, eps, y, c=None) -> tuple[Tensor, ...]:
+    """Mean squared error between drawn and predicted noise at step(s) t, one
+    loss per member ((theta1's, theta2's) for the guided pair) from one
     forward pass."""
     x_t = forward_diffuse(x0, t, eps, schedule)
     predicted = predict_noise(model, x_t, t, y, c)
-    if isinstance(model, DenoiserPair):
-        halves = (engine.reshape(engine.narrow(predicted, 0, i, i + 1), eps.shape) for i in (0, 1))
-        return tuple(engine.mse(Tensor(eps), half) for half in halves)
-    return engine.mse(Tensor(eps), predicted)
+    members = (engine.reshape(engine.narrow(predicted, 0, i, i + 1), eps.shape) for i in range(predicted.shape[0]))
+    return tuple(engine.mse(Tensor(eps), member) for member in members)
 
 
 def cfg_combine(eps_c: np.ndarray, eps_nc: np.ndarray, eta: float) -> np.ndarray:
@@ -132,7 +130,7 @@ def reverse_process(
 
 
 def sample(
-    denoisers: DenoiserPair,
+    denoisers: Denoiser,
     schedule: NoiseSchedule,
     y: np.ndarray,
     c: np.ndarray | None,
@@ -149,7 +147,7 @@ def sample(
     same holds at eta=1 for theta1-only sampling because the combined
     prediction is a bit-exact copy of the conditional one. That is also
     why theta2 does not run at eta=1: its prediction would not be used.
-    Otherwise the pair runs, one forward pass per step.
+    Otherwise both members run, one forward pass per step.
     """
     y = np.asarray(y, dtype=np.float64)
     if y.ndim != 3:
@@ -159,9 +157,9 @@ def sample(
 
     def guided(x: np.ndarray, t: int) -> np.ndarray:
         if unconditional:
-            return predict_noise(model, x, t, y).data
+            return predict_noise(model, x, t, y).data[0]
         eps = predict_noise(model, x, t, y, c).data
-        eps_c, eps_nc = eps if model is denoisers else (eps, eps)
+        eps_c, eps_nc = eps[0], eps[-1]  # one and the same at eta = 1, where only theta1 runs
         combined = cfg_combine(eps_c, eps_nc, params.eta)
         eps_hat, diag = rescale(combined, eps_c, params.gamma)
         if diagnostics is not None:

@@ -1,6 +1,7 @@
-"""Adaptive-moment (Adam) parameter updates. They are elementwise: each half
-of a stacked theta1/theta2 parameter moves exactly as a tensor of its own
-would, and a half whose gradient is exactly zero does not move at all."""
+"""Adaptive-moment (Adam) parameter updates. They are elementwise: each
+member's slice of a stacked theta1/theta2 parameter moves exactly as a
+tensor of its own would, and a slice whose gradient is exactly zero does
+not move at all."""
 
 from __future__ import annotations
 
@@ -13,13 +14,13 @@ from .engine import Tensor
 
 
 class AdamState:
-    """Adam's optimiser state: flat (row-major) first and second moments per
-    parameter, keyed by the parameter's name, and one step counter shared
-    by every update."""
+    """Adam's optimiser state: first and second moments per parameter, in
+    the parameter's shape and keyed by its name, and one step counter
+    shared by every update."""
 
     def __init__(self, params: dict[str, Tensor]):
-        self.moment1 = {name: np.zeros(p.size) for name, p in params.items()}
-        self.moment2 = {name: np.zeros(p.size) for name, p in params.items()}
+        self.moment1 = {name: np.zeros(p.shape) for name, p in params.items()}
+        self.moment2 = {name: np.zeros(p.shape) for name, p in params.items()}
         self.step_counter = 0
 
 
@@ -44,13 +45,13 @@ def optimizer_step(
     state.step_counter += 1
     t = state.step_counter
     for name, p in params:
-        g = p.grad.reshape(-1)
+        g = p.grad
         m = state.moment1[name] = beta1 * state.moment1[name] + (1.0 - beta1) * g
         v = state.moment2[name] = beta2 * state.moment2[name] + (1.0 - beta2) * (g * g)
         m_hat = m / (1.0 - beta1**t)
         v_hat = v / (1.0 - beta2**t)
         update = learning_rate * m_hat / (np.sqrt(v_hat) + epsilon)
-        p.data -= update.reshape(p.shape)
+        p.data -= update
         p.zero_grad()
 
 

@@ -1,14 +1,17 @@
 """Joint training of the two denoisers and the style bank.
 
 Per step: draw a length-homogeneous mini-batch, one diffusion step t and
-one noise draw per example; one forward pass of the stacked denoiser pair
+one noise draw per example; one forward pass of the stacked denoiser
 predicts the noise for both members, and one backward pass of the summed
 losses takes the style-conditioned loss into theta1 and the style bank and
 the unconditional loss into theta2; one adaptive-moment update applies to
 all of them.
 
 Every step draws from its own rng substream keyed by the step index, so a
-resumed run continues exactly where the checkpoint left off.
+resumed run continues exactly where the checkpoint left off. A checkpoint
+names each parameter once, under its bundle name (``denoisers.*`` as the
+stacked [2, ...] arrays, ``bank.*``), with its Adam moments in the same
+shape (``moment1.*``, ``moment2.*``), next to the text embedder's table.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import numpy as np
 from . import checkpoint as ckpt
 from . import rng as rng_mod
 from .corpus import Corpus, NormStats, Utterance
-from .denoiser import DenoiserConfig, DenoiserPair, TextEmbedder
+from .denoiser import Denoiser, DenoiserConfig, TextEmbedder
 from .engine import Tensor, add
 from .guidance import diffusion_loss
 from .optim import AdamState, optimizer_step
@@ -61,11 +64,11 @@ class TrainConfig:
 
 @dataclass
 class ModelBundle:
-    """Everything a trained run needs to predict: the denoiser pair, the style
-    bank, the frozen text embedder, the schedule and the channel statistics;
-    plus the Adam state that training updates them with."""
+    """Everything a trained run needs to predict: the stacked theta1/theta2
+    denoiser, the style bank, the frozen text embedder, the schedule and the
+    channel statistics; plus the Adam state that training updates them with."""
 
-    denoisers: DenoiserPair
+    denoisers: Denoiser
     bank: StyleBank
     embedder: TextEmbedder
     schedule: NoiseSchedule
@@ -84,7 +87,7 @@ class ModelBundle:
     def trainable_parameters(self) -> list[tuple[str, Tensor]]:
         """(name, parameter) pairs that take part in the forward pass: the bank
         is dead weight while theta1 takes no style vector. (While it does,
-        theta1's null-vector half gets exact zero gradients and stays put.)"""
+        theta1's row of the null vector gets exact zero gradients and stays put.)"""
         if self.denoisers.accepts_style:
             return list(self.named_parameters().items())
         return [(name, p) for name, p in self.named_parameters().items() if not name.startswith("bank.")]
@@ -102,7 +105,7 @@ def build_models(
     if denoiser_cfg.condition_dim != style_cfg.condition_dim:
         raise ValueError("denoiser and style bank disagree on condition dim")
     init_rngs = (rng_mod.substream(seed, rng_mod.INIT_STREAM, 0), rng_mod.substream(seed, rng_mod.INIT_STREAM, 1))
-    denoisers = DenoiserPair(denoiser_cfg, style_condition, init_rngs)
+    denoisers = Denoiser(denoiser_cfg, style_condition, *init_rngs)
     bank = StyleBank(style_cfg, denoiser_cfg.residual_channels, rng_mod.substream(seed, rng_mod.INIT_STREAM, 2))
     embedder = TextEmbedder(vocab_size, denoiser_cfg.condition_dim, seed)
     return ModelBundle(
@@ -222,19 +225,14 @@ def train(
 
 
 def _state_entries(bundle: ModelBundle) -> dict[str, np.ndarray]:
-    """Every parameter and Adam moment as a view of the live array, under its
-    checkpoint entry name: a stacked denoiser parameter is one entry per
-    member (theta1.*, theta2.*), moments are flat (moment1.*, moment2.*).
-    Save reads these views and load writes into them."""
-    views = {}
+    """Every parameter under its bundle name, its Adam moments under
+    moment1.<name> and moment2.<name>, and the text embedder's table, each
+    as the live array. Save reads these arrays and load writes into them."""
+    views = {"embedder.table": bundle.embedder.table}
     for name, p in bundle.named_parameters().items():
-        group, leaf = name.split(".", 1)
-        keys = [f"theta1.{leaf}", f"theta2.{leaf}"] if group == "denoisers" else [name]
-        values = p.data if group == "denoisers" else [p.data]
-        for i, (key, value) in enumerate(zip(keys, values)):
-            views[key] = value
-            for moment, flat in (("moment1", bundle.adam.moment1[name]), ("moment2", bundle.adam.moment2[name])):
-                views[f"{moment}.{key}"] = flat[i * value.size : (i + 1) * value.size]
+        views[name] = p.data
+        views[f"moment1.{name}"] = bundle.adam.moment1[name]
+        views[f"moment2.{name}"] = bundle.adam.moment2[name]
     return views
 
 
@@ -248,7 +246,8 @@ def save_checkpoint(bundle: ModelBundle, trainer_step: int, path: str | Path) ->
 
 
 def load_checkpoint(bundle: ModelBundle, path: str | Path) -> int:
-    """Restore parameters, Adam state and statistics; returns the stored step."""
+    """Restore parameters, Adam state, the text embedder and statistics;
+    returns the stored step."""
     entries = ckpt.load_entries(path)
 
     def entry(key: str, shape: tuple[int, ...]) -> np.ndarray:

@@ -177,7 +177,7 @@ class TestCriterion3GuidanceEndpoints:
         params = GuidanceParams(eta=1.0, gamma=0.7, tau=1.0)
         guided = sample(bundle.denoisers, bundle.schedule, y, c, params, np.random.default_rng(7))
         solo = reverse_process(
-            lambda x, t: predict_noise(bundle.denoisers.member(0), x, t, y, c).data,
+            lambda x, t: predict_noise(bundle.denoisers.member(0), x, t, y, c).data[0],
             guided.shape,
             params.tau,
             bundle.schedule,
@@ -194,7 +194,7 @@ class TestCriterion3GuidanceEndpoints:
         params = GuidanceParams(eta=0.0, gamma=0.7, tau=1.0)
         guided = sample(bundle.denoisers, bundle.schedule, y, c, params, np.random.default_rng(7))
         solo = reverse_process(
-            lambda x, t: predict_noise(bundle.denoisers.member(1), x, t, y).data,
+            lambda x, t: predict_noise(bundle.denoisers.member(1), x, t, y).data[0],
             guided.shape,
             params.tau,
             bundle.schedule,
@@ -216,8 +216,8 @@ class TestCriterion4RescaleContract:
         theta1, theta2 = bundle.denoisers.member(0), bundle.denoisers.member(1)
         with engine.no_grad():
             for t in range(12, 0, -1):
-                eps_c = predict_noise(theta1, x, t, y, c).data
-                eps_nc = predict_noise(theta2, x, t, y).data
+                eps_c = predict_noise(theta1, x, t, y, c).data[0]
+                eps_nc = predict_noise(theta2, x, t, y).data[0]
                 combined = cfg_combine(eps_c, eps_nc, 3.0)
 
                 noop, _ = rescale(combined, eps_c, 0.0)

@@ -7,8 +7,11 @@ import sys
 import numpy as np
 import pytest
 
+from prosodiff import inference
 from prosodiff.cli import main
-from prosodiff.corpus import read_utterance_csv, write_utterance_csv
+from prosodiff.config import RunConfig
+from prosodiff.corpus import load_corpus, read_utterance_csv, write_utterance_csv
+from prosodiff.training import load_checkpoint
 
 TINY_CONFIG = {
     "seed": 5,
@@ -147,6 +150,19 @@ class TestSample:
         lines = (tmp_path / "diag" / "diagnostics.csv").read_text().splitlines()
         assert lines[0] == "t,example,sigma_cond,sigma_cfg,applied_ratio"
         assert len(lines) > 12  # 12 steps, one row per example per step
+
+    def test_sample_archive_rebuilds_the_trained_text_embedder(self, workspace, tmp_path):
+        assert self.run_sample(workspace, tmp_path / "a") == 0
+        archive = tmp_path / "a" / "resolved_config.json"
+        assert json.loads(archive.read_text())["seed"] == 9  # training ran at seed 5
+        corpus = load_corpus(workspace["corpus"])
+
+        def embedding(config_path):
+            bundle = inference.bundle_from_config(RunConfig.load(config_path), corpus)
+            load_checkpoint(bundle, workspace["checkpoint"])
+            return bundle.embedder.embed(np.arange(12))
+
+        assert np.array_equal(embedding(archive), embedding(workspace["root"] / "model" / "resolved_config.json"))
 
     def test_guidance_overrides_archived(self, workspace, tmp_path):
         assert self.run_sample(workspace, tmp_path / "ov", "--eta", "3.0", "--gamma", "0.4") == 0
@@ -298,6 +314,19 @@ class TestErrors:
         code = main(argv + ["--corpus", str(workspace["corpus"]), "--out", str(tmp_path / "o")])
         assert_json_error(code, capsys, "bad magic")
 
+    def test_resume_with_other_style_condition_rejected(self, workspace, tmp_path, capsys):
+        # --out is the checkpoint's own directory, so the check must read the archive before it is rewritten
+        model = tmp_path / "model"
+        model.mkdir()
+        (model / "ckpt_000012.bin").write_bytes(workspace["checkpoint"].read_bytes())
+        archive = (workspace["root"] / "model" / "resolved_config.json").read_bytes()
+        (model / "resolved_config.json").write_bytes(archive)
+        argv = ["train", "--config", str(workspace["config"]), "--corpus", str(workspace["corpus"]), "--steps", "16"]
+        argv += ["--resume", str(model / "ckpt_000012.bin"), "--out", str(model), "--quiet", "--no-style-condition"]
+        assert_json_error(main(argv), capsys, "train.style_condition")
+        assert not (model / "final.bin").exists()
+        assert (model / "resolved_config.json").read_bytes() == archive
+
     @pytest.mark.parametrize("length", [22, 3000])
     def test_truncated_checkpoint(self, workspace, tmp_path, capsys, length):
         model = tmp_path / "model"
@@ -330,7 +359,11 @@ class TestErrors:
         assert_json_error(main(argv + ["--out", str(tmp_path / "o"), "--eta-sweep", "abc"]), capsys, "abc")
         assert not (tmp_path / "o" / "resolved_config.json").exists()
 
-    @pytest.mark.parametrize("content", ["", "step,loss_c,loss_nc\n1,0.5\n"], ids=["empty", "short-row"])
+    @pytest.mark.parametrize(
+        "content",
+        ["", "step,loss_c,loss_nc\n1,0.5\n", "step,loss_c,loss_nc\n1,0.5,0.4\n2,nan,0.3\n", "step,loss_c\ninf,0.4\n"],
+        ids=["empty", "short-row", "nan", "inf"],
+    )
     def test_plot_malformed_csv(self, tmp_path, capsys, content):
         src = tmp_path / "loss.csv"
         src.write_text(content)

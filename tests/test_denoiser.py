@@ -6,7 +6,6 @@ from prosodiff.corpus import NormStats
 from prosodiff.denoiser import (
     Denoiser,
     DenoiserConfig,
-    DenoiserPair,
     TextEmbedder,
     embed_time,
     predict_noise,
@@ -71,7 +70,7 @@ class TestPredictNoise:
         model = make_model()
         x, y, _ = random_inputs()
         out = predict_noise(model, x, 3, y)
-        assert out.shape == x.shape
+        assert out.shape == (1,) + x.shape
         assert np.all(np.isfinite(out.data))
 
     def test_bit_identical_on_repeat(self):
@@ -109,10 +108,10 @@ class TestPredictNoise:
         rng = np.random.default_rng(3)
         x = rng.standard_normal((1, 3, length))
         y = rng.standard_normal((length, 5))
-        base = predict_noise(model, x, 2, y).data
+        base = predict_noise(model, x, 2, y).data[0]
         bumped = x.copy()
         bumped[0, :, center] += 1.0
-        diff = np.abs(predict_noise(model, bumped, 2, y).data - base).sum(axis=(0, 1))
+        diff = np.abs(predict_noise(model, bumped, 2, y).data[0] - base).sum(axis=(0, 1))
         changed = np.nonzero(diff > 1e-14)[0]
         assert changed.min() >= center - radius
         assert changed.max() <= center + radius
@@ -125,18 +124,18 @@ class TestPredictNoise:
         rng = np.random.default_rng(4)
         x = rng.standard_normal((1, 3, length))
         y = rng.standard_normal((length, 5))
-        base = predict_noise(model, x, 1, y).data
+        base = predict_noise(model, x, 1, y).data[0]
         bumped = x.copy()
         bumped[0, 1, 7] += 1.0
-        diff = np.abs(predict_noise(model, bumped, 1, y).data - base).sum(axis=(0, 1))
+        diff = np.abs(predict_noise(model, bumped, 1, y).data[0] - base).sum(axis=(0, 1))
         assert diff[6] > 1e-12 and diff[8] > 1e-12
 
     def test_per_example_steps(self):
         model = make_model()
         x, y, _ = random_inputs(batch=3)
-        batched = predict_noise(model, x, np.array([1, 2, 3]), y).data
+        batched = predict_noise(model, x, np.array([1, 2, 3]), y).data[0]
         for i, t in enumerate((1, 2, 3)):
-            single = predict_noise(model, x[i : i + 1], t, y).data
+            single = predict_noise(model, x[i : i + 1], t, y).data[0]
             np.testing.assert_allclose(batched[i], single[0], atol=1e-12)
 
 
@@ -157,7 +156,7 @@ class TestParameterSeparation:
         assert np.array_equal(before, after)
 
     def test_in_place_mutation_of_theta1_leaves_theta2_fixed(self):
-        # build_models keeps each theta1/theta2 pair in one array; the halves must not overlap
+        # build_models keeps each theta1/theta2 pair in one array; the members' slices must not overlap
         bundle = build_models(TINY, TINY_STYLE, cosine_schedule(4), 4, UNIT_STATS, seed=0)
         x, y, _ = random_inputs()
         before = predict_noise(bundle.denoisers.member(1), x, 1, y).data
@@ -168,7 +167,7 @@ class TestParameterSeparation:
 
     def test_null_condition_not_trainable_when_style_supplied(self):
         def null_grad(style_condition: bool) -> np.ndarray:
-            pair = DenoiserPair(TINY, style_condition, init_rngs(0))
+            pair = Denoiser(TINY, style_condition, *init_rngs(0))
             x, y, c = random_inputs()
             out = predict_noise(pair, x, 2, y, c if style_condition else None)
             engine.sum_(engine.mul(out, out)).backward()
@@ -183,10 +182,10 @@ def init_rngs(seed: int) -> tuple:
     return tuple(rng_mod.substream(seed, rng_mod.INIT_STREAM, i) for i in (0, 1))
 
 
-def random_pair(seed=0, accepts_style=True) -> DenoiserPair:
-    """A pair with every parameter drawn at random, so biases, null vectors
-    and passthrough gates all take part."""
-    pair = DenoiserPair(TINY, accepts_style, init_rngs(seed))
+def random_pair(seed=0, accepts_style=True) -> Denoiser:
+    """A two-member denoiser with every parameter drawn at random, so biases,
+    null vectors and passthrough gates all take part."""
+    pair = Denoiser(TINY, accepts_style, *init_rngs(seed))
     rng = np.random.default_rng(seed)
     for member in (0, 1):
         for p in pair.params.values():
@@ -194,15 +193,15 @@ def random_pair(seed=0, accepts_style=True) -> DenoiserPair:
     return pair
 
 
-def copy_of_member(pair: DenoiserPair, index: int) -> Denoiser:
-    """A stand-alone Denoiser holding copies of the pair's ``index`` half."""
+def copy_of_member(pair: Denoiser, index: int) -> Denoiser:
+    """A stand-alone one-member Denoiser holding copies of member ``index``'s slices."""
     model = make_model(pair.accepts_style and index == 0)
     for name, p in model.params.items():
-        p.data = pair.params[name].data[index].copy()
+        p.data = pair.params[name].data[index : index + 1].copy()
     return model
 
 
-class TestDenoiserPair:
+class TestStackedMembers:
     @pytest.mark.parametrize("t", [3, np.array([1, 7])], ids=["shared-step", "per-example-steps"])
     def test_matches_each_model_bitwise(self, t):
         pair = random_pair()
@@ -210,10 +209,10 @@ class TestDenoiserPair:
         x, y, c = random_inputs()
         both = predict_noise(pair, x, t, y, c).data
         assert both.shape == (2,) + x.shape
-        assert np.array_equal(both[0], predict_noise(theta1, x, t, y, c).data)
-        assert np.array_equal(both[1], predict_noise(theta2, x, t, y).data)
-        assert np.array_equal(both[0], predict_noise(pair.member(0), x, t, y, c).data)
-        assert np.array_equal(both[1], predict_noise(pair.member(1), x, t, y).data)
+        assert np.array_equal(both[0], predict_noise(theta1, x, t, y, c).data[0])
+        assert np.array_equal(both[1], predict_noise(theta2, x, t, y).data[0])
+        assert np.array_equal(both[0], predict_noise(pair.member(0), x, t, y, c).data[0])
+        assert np.array_equal(both[1], predict_noise(pair.member(1), x, t, y).data[0])
 
     def test_gradients_match_each_model(self):
         pair = random_pair(seed=3)
@@ -226,7 +225,7 @@ class TestDenoiserPair:
         for name, p in pair.params.items():
             for half, model in zip(p.grad, (theta1, theta2)):
                 single = model.params[name].grad  # None for theta1's unused null vector
-                expected = np.zeros_like(half) if single is None else single
+                expected = np.zeros_like(half) if single is None else single[0]
                 np.testing.assert_allclose(half, expected, rtol=1e-12, atol=1e-12, err_msg=name)
 
     def test_needs_a_styled_and_an_unstyled_model(self):
@@ -240,8 +239,8 @@ class TestDenoiserPair:
         with pytest.raises(ValueError, match="c must be absent"):
             predict_noise(ablated, x, 1, y, c)
         both = predict_noise(ablated, x, 1, y).data
-        assert np.array_equal(both[0], predict_noise(copy_of_member(ablated, 0), x, 1, y).data)
-        assert np.array_equal(both[1], predict_noise(copy_of_member(ablated, 1), x, 1, y).data)
+        assert np.array_equal(both[0], predict_noise(copy_of_member(ablated, 0), x, 1, y).data[0])
+        assert np.array_equal(both[1], predict_noise(copy_of_member(ablated, 1), x, 1, y).data[0])
 
 
 class TestGradientsThroughDenoiser:
@@ -256,9 +255,9 @@ class TestGradientsThroughDenoiser:
         c = rng.standard_normal(5)
 
         def loss_value() -> float:
-            return diffusion_loss(model, schedule, x0, 3, eps, y, c).item()
+            return diffusion_loss(model, schedule, x0, 3, eps, y, c)[0].item()
 
-        loss = diffusion_loss(model, schedule, x0, 3, eps, y, c)
+        (loss,) = diffusion_loss(model, schedule, x0, 3, eps, y, c)
         loss.backward()
         for name, p in model.params.items():
             if name == "null_condition":

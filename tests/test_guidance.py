@@ -7,7 +7,7 @@ from hypothesis.extra.numpy import arrays
 
 from prosodiff import engine, guidance, rng as rng_mod
 from prosodiff.corpus import CorpusConfig, generate_corpus
-from prosodiff.denoiser import DenoiserConfig, DenoiserPair, predict_noise
+from prosodiff.denoiser import DenoiserConfig, predict_noise
 from prosodiff.guidance import (
     GuidanceParams,
     cfg_combine,
@@ -64,10 +64,10 @@ class TestDiffusionLoss:
         eps = rng.standard_normal((1, 3, 5))
         y = rng.standard_normal((5, 6))
         theta2 = bundle.denoisers.member(1)
-        loss = diffusion_loss(theta2, bundle.schedule, x0, 4, eps, y).item()
+        loss = diffusion_loss(theta2, bundle.schedule, x0, 4, eps, y)[0].item()
         x_t = forward_diffuse(x0, 4, eps, bundle.schedule)
         with engine.no_grad():
-            pred = predict_noise(theta2, x_t, 4, y).data
+            pred = predict_noise(theta2, x_t, 4, y).data[0]
         acc = 0.0
         for b in range(1):
             for ch in range(3):
@@ -268,7 +268,7 @@ class TestReverseStep:
 def single_model(model, y, c, params, schedule, rng):
     """The reverse loop driven by one denoiser alone (no guidance stages)."""
     shape = (y.shape[0], model.config.residual_channels, y.shape[1])
-    return reverse_process(lambda x, t: predict_noise(model, x, t, y, c).data, shape, params.tau, schedule, rng)
+    return reverse_process(lambda x, t: predict_noise(model, x, t, y, c).data[0], shape, params.tau, schedule, rng)
 
 
 def randomize(bundle, seed):
@@ -288,8 +288,8 @@ def two_forward_reference(bundle, y, c, params, rng, diagnostics):
     x = draw_terminal((y.shape[0], theta1.config.residual_channels, y.shape[1]), params.tau, rng)
     with engine.no_grad():
         for t in range(schedule.step_count, 0, -1):
-            eps_c = predict_noise(theta1, x, t, y, c).data
-            eps_nc = predict_noise(theta2, x, t, y).data
+            eps_c = predict_noise(theta1, x, t, y, c).data[0]
+            eps_nc = predict_noise(theta2, x, t, y).data[0]
             eps_hat, diag = rescale(cfg_combine(eps_c, eps_nc, params.eta), eps_c, params.gamma)
             diagnostics.append((t, diag))
             x = reverse_step(x, t, eps_hat, schedule, rng)
@@ -325,12 +325,12 @@ class TestSampler:
         ran = []
 
         def spy(model, *args):
-            ran.append(type(model))
+            ran.append(model)
             return predict_noise(model, *args)
 
         monkeypatch.setattr(guidance, "predict_noise", spy)
         sample(bundle.denoisers, bundle.schedule, y, c, GuidanceParams(eta=2.0), np.random.default_rng(5))
-        assert ran == [DenoiserPair] * bundle.schedule.step_count
+        assert ran == [bundle.denoisers] * bundle.schedule.step_count
 
 
     def test_eta_one_matches_conditional_only_bitwise(self, monkeypatch):
@@ -350,10 +350,11 @@ class TestSampler:
         solo = single_model(bundle.denoisers.member(0), y, c, params, bundle.schedule, np.random.default_rng(5))
         assert np.array_equal(guided, solo)
         # theta2's prediction would go unused at eta=1, so it is not computed:
-        # every step runs one single model, theta1 over its half of the weights
+        # every step runs a one-member view: theta1 over its slice of the weights
         assert len(ran) == bundle.schedule.step_count
         for model in ran:
-            assert not isinstance(model, DenoiserPair) and model.accepts_style
+            assert model is not bundle.denoisers and model.accepts_style
+            assert all(p.shape[0] == 1 for p in model.params.values())
             assert all(p.data.base is bundle.denoisers.params[name].data for name, p in model.params.items())
 
     def test_eta_zero_matches_unconditional_only_bitwise(self):
@@ -454,7 +455,7 @@ class TestTrainStep:
         eps = np.random.default_rng(0).standard_normal(batch.x0.shape)
 
         def probe_nc() -> float:
-            return diffusion_loss(bundle.denoisers.member(1), bundle.schedule, batch.x0, 3, eps, batch.y).item()
+            return diffusion_loss(bundle.denoisers.member(1), bundle.schedule, batch.x0, 3, eps, batch.y)[0].item()
 
         before = probe_nc()
         from prosodiff.optim import optimizer_step
@@ -462,7 +463,7 @@ class TestTrainStep:
 
         c, _ = encode_style(bundle.bank, batch.x0)
         loss_c, _ = diffusion_loss(bundle.denoisers, bundle.schedule, batch.x0, 3, eps, batch.y, c)
-        loss_c.backward()  # reaches theta2's halves only as exact zeros
+        loss_c.backward()  # reaches theta2's slices only as exact zeros
         optimizer_step(bundle.trainable_parameters(), bundle.adam, 1e-2)
         assert probe_nc() == before
 

@@ -127,6 +127,17 @@ class TestCheckpointRoundTrip:
         with pytest.raises(CheckpointError):
             load_checkpoint(other, tmp_path / "state.bin")
 
+    def test_entries_name_each_parameter_once_in_its_shape(self, tmp_path):
+        corpus, bundle = tiny_setup()
+        save_checkpoint(bundle, 1, tmp_path / "state.bin")
+        saved = load_entries(tmp_path / "state.bin")
+        params = bundle.named_parameters()
+        moments = {f"{moment}.{name}" for name in params for moment in ("moment1", "moment2")}
+        extras = {"trainer.step", "optim.step_counter", "norm.mean", "norm.std", "embedder.table"}
+        assert set(saved) == set(params) | moments | extras
+        for name, p in params.items():
+            assert saved[name].shape == saved[f"moment1.{name}"].shape == saved[f"moment2.{name}"].shape == p.shape
+
     def test_stats_travel_with_checkpoint(self, tmp_path):
         corpus, bundle = tiny_setup()
         save_checkpoint(bundle, 0, tmp_path / "state.bin")
@@ -159,9 +170,9 @@ class TestTrainableParameters:
 
 class TwoModelReference:
     """Training as two separate models: theta1 and theta2 are stand-alone
-    Denoisers drawn from the same init substreams as the pair's halves, each
-    loss gets its own forward and backward pass, and Adam runs per
-    checkpoint name with its own flat moments."""
+    one-member Denoisers drawn from the same init substreams as the stacked
+    members, each loss gets its own forward and backward pass, and Adam runs
+    per parameter with its own flat moments."""
 
     def __init__(self, seed: int, style_condition: bool, schedule):
         init = [rng_mod.substream(seed, rng_mod.INIT_STREAM, i) for i in range(3)]
@@ -181,8 +192,8 @@ class TwoModelReference:
         t = gen.integers(1, self.schedule.step_count + 1, size=batch.x0.shape[0])
         eps = gen.standard_normal(batch.x0.shape)
         c = encode_style(self.bank, batch.x0)[0] if self.theta1.accepts_style else None
-        loss_c = diffusion_loss(self.theta1, self.schedule, batch.x0, t, eps, batch.y, c)
-        loss_nc = diffusion_loss(self.theta2, self.schedule, batch.x0, t, eps, batch.y)
+        (loss_c,) = diffusion_loss(self.theta1, self.schedule, batch.x0, t, eps, batch.y, c)
+        (loss_nc,) = diffusion_loss(self.theta2, self.schedule, batch.x0, t, eps, batch.y)
         loss_c.backward()
         loss_nc.backward()
         self.steps += 1
@@ -198,12 +209,17 @@ class TwoModelReference:
             p.grad = None
         return loss_c.item(), loss_nc.item()
 
-    def entries(self) -> dict[str, np.ndarray]:
-        out = {}
+    def entries(self) -> dict[str, list[np.ndarray]]:
+        """Per checkpoint entry, the reference arrays it stacks along its
+        leading axis: theta1's then theta2's for denoisers.*, the bank's own
+        for bank.*; moments in their parameter's shape."""
+        out: dict[str, list[np.ndarray]] = {}
         for name, p in self.params.items():
-            out[name] = p.data
-            out[f"moment1.{name}"] = self.moment1[name]
-            out[f"moment2.{name}"] = self.moment2[name]
+            group, leaf = name.split(".", 1)
+            key = name if group == "bank" else f"denoisers.{leaf}"
+            out.setdefault(key, []).append(p.data)
+            out.setdefault(f"moment1.{key}", []).append(self.moment1[name].reshape(p.shape))
+            out.setdefault(f"moment2.{key}", []).append(self.moment2[name].reshape(p.shape))
         return out
 
 
@@ -225,13 +241,14 @@ class TestStackedTrainStep:
         save_checkpoint(bundle, cfg.steps, tmp_path / "state.bin")
         saved = load_entries(tmp_path / "state.bin")
         want = reference.entries()
-        assert set(saved) - set(want) == {"trainer.step", "optim.step_counter", "norm.mean", "norm.std"}
-        for key, value in want.items():
-            assert np.array_equal(saved[key], value), key
+        extras = {"trainer.step", "optim.step_counter", "norm.mean", "norm.std", "embedder.table"}
+        assert set(saved) - set(want) == extras
+        for key, members in want.items():
+            assert np.array_equal(saved[key], np.concatenate(members)), key
         if style_condition:  # theta1's null vector is dead weight: it and its moments stay as initialised
-            assert np.array_equal(saved["theta1.null_condition"], initial["theta1.null_condition"])
+            assert np.array_equal(saved["denoisers.null_condition"][0], initial["theta1.null_condition"][0])
             for moment in ("moment1", "moment2"):
-                assert not np.any(saved[f"{moment}.theta1.null_condition"])
+                assert not np.any(saved[f"{moment}.denoisers.null_condition"][0])
         else:  # the bank is dead weight
             for name in reference.bank.params:
                 assert np.array_equal(saved[f"bank.{name}"], initial[f"bank.{name}"]), name
