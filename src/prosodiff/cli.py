@@ -116,9 +116,11 @@ def cmd_train(args) -> None:
     run = _load_run_config(args)
     corpus = _corpus_for(args)
     if args.resume:  # read before archiving: --out may be the checkpoint's own directory
-        trained = inference.archived_config(args.resume).train.style_condition
-        if trained != run.train.style_condition:
-            raise CommandError(f"{args.resume} was trained with train.style_condition {json.dumps(trained)}")
+        archived = inference.archived_config(args.resume).train
+        for ablation in ("style_condition", "text_condition"):
+            trained = getattr(archived, ablation)
+            if trained != getattr(run.train, ablation):
+                raise CommandError(f"{args.resume} was trained with train.{ablation} {json.dumps(trained)}")
     out_dir = Path(args.out)
     _archive_config(run, out_dir)
     bundle = inference.bundle_from_config(run, corpus)
@@ -186,7 +188,9 @@ def cmd_sample(args) -> None:
     texts, conditions, tag = _resolve_mode_conditions(args, bundle, corpus, run, args.num_samples)
     _archive_config(run, out_dir)
     diagnostics: list | None = [] if args.diagnostics else None
-    generated = inference.generate(bundle, texts, conditions, run.guidance, run.seed, diagnostics=diagnostics)
+    generated = inference.generate(
+        bundle, texts, conditions, run.guidance, run.seed, zero_text=not run.train.text_condition, diagnostics=diagnostics
+    )
 
     scale = np.array([args.scale_pitch, args.scale_energy, args.scale_duration])[:, None]
     sample_dir = out_dir / "samples"
@@ -218,7 +222,8 @@ def cmd_eval(args) -> None:
     out_dir = Path(args.out)
     _archive_config(run, out_dir)
     val = corpus.split("val")
-    generated = inference.reconstruct(bundle, val, run.guidance, run.seed)
+    zero_text = not run.train.text_condition
+    generated = inference.reconstruct(bundle, val, run.guidance, run.seed, zero_text=zero_text)
     js = evaluate.js_report(generated, val)
 
     rows = [("js_divergence", name, value) for name, value in js.items()]
@@ -234,7 +239,9 @@ def cmd_eval(args) -> None:
 
     sweep_rows = []
     for params in sweep:
-        cv = evaluate.mean_cv(inference.reconstruct(bundle, val[: args.sweep_utterances], params, run.seed))
+        cv = evaluate.mean_cv(
+            inference.reconstruct(bundle, val[: args.sweep_utterances], params, run.seed, zero_text=zero_text)
+        )
         sweep_rows.append((params.eta, cv[0], cv[1], cv[2]))
 
     with open(out_dir / "report.csv", "w", newline="") as fh:
@@ -285,7 +292,10 @@ def cmd_plot(args) -> None:
     header, body = rows[0], rows[1:]
     if any(len(r) != len(header) for r in body):
         raise CommandError(f"{src}: every row needs {len(header)} fields")
-    values = [[float(v) for v in r] for r in body]
+    try:
+        values = [[float(v) for v in r] for r in body]
+    except ValueError as exc:
+        raise CommandError(f"{src}: {exc}") from None
     if not all(math.isfinite(v) for r in values for v in r):
         raise CommandError(f"{src}: every value must be finite")
     x = [r[0] for r in values]

@@ -39,10 +39,6 @@ class RunConfig:
     train: TrainConfig = field(default_factory=TrainConfig)
     guidance: GuidanceParams = field(default_factory=GuidanceParams)
 
-    def __post_init__(self):
-        if self.denoiser.condition_dim != self.style.condition_dim:
-            raise ValueError("denoiser.condition_dim must equal style.condition_dim")
-
     def to_dict(self) -> dict:
         d = asdict(self)
         d["corpus"]["length_range"] = list(self.corpus.length_range)

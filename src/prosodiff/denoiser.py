@@ -23,13 +23,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import engine, rng as rng_mod
+from .corpus import CHANNEL_NAMES
 from .engine import Tensor
 
 
 @dataclass(frozen=True)
 class DenoiserConfig:
     residual_layers: int = 12
-    residual_channels: int = 3  # the explicit prosody channels flowing through the stack
     kernel_size: int = 3
     dilation_cycle: tuple[int, ...] = (1, 2, 4, 8)
     hidden_channels: int = 64  # gate width; absorbs the condition projection
@@ -100,7 +100,7 @@ class Denoiser:
 def _initial_params(config: DenoiserConfig, init_rng: np.random.Generator) -> dict[str, np.ndarray]:
     """One member's freshly drawn parameters, by name."""
     params: dict[str, np.ndarray] = {}
-    c = config.residual_channels
+    c = len(CHANNEL_NAMES)  # the residual stream is the prosody channels themselves
     h = config.hidden_channels
     k = config.kernel_size
     d_cond = config.condition_dim
@@ -147,8 +147,8 @@ def predict_noise(model: Denoiser, x_t, t, y: np.ndarray, c=None) -> Tensor:
     cfg = model.config
     p = model.params
     x = engine.as_tensor(x_t)
-    if x.ndim != 3 or x.shape[1] != cfg.residual_channels:
-        raise ValueError(f"expected [B, {cfg.residual_channels}, L] input, got {x.shape}")
+    if x.ndim != 3 or x.shape[1] != len(CHANNEL_NAMES):
+        raise ValueError(f"expected [B, {len(CHANNEL_NAMES)}, L] input, got {x.shape}")
     batch, channels, length = x.shape
 
     y = np.asarray(y, dtype=np.float64)

@@ -23,6 +23,7 @@ from typing import Callable
 import numpy as np
 
 from . import engine
+from .corpus import CHANNEL_NAMES
 from .denoiser import Denoiser, predict_noise
 from .engine import Tensor
 from .schedule import NoiseSchedule, forward_diffuse
@@ -166,5 +167,5 @@ def sample(
             diagnostics.append((t, diag))
         return eps_hat
 
-    shape = (y.shape[0], denoisers.config.residual_channels, y.shape[1])
+    shape = (y.shape[0], len(CHANNEL_NAMES), y.shape[1])
     return reverse_process(guided, shape, params.tau, schedule, rng)

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import engine
+from .corpus import CHANNEL_NAMES
 from .engine import Tensor
 
 SIMPLEX_TOL = 1e-9
@@ -25,7 +26,6 @@ class StyleConfig:
     token_count: int = 4  # desk-scale default: one per corpus archetype
     token_dim: int = 64
     attention_heads: int = 4
-    condition_dim: int = 64
     ref_channels: int = 32
 
     def __post_init__(self):
@@ -36,13 +36,14 @@ class StyleConfig:
 
 
 class StyleBank:
-    """Learnable tokens plus the reference-encoder and attention parameters."""
+    """Learnable tokens plus the reference-encoder and attention parameters;
+    token values have the denoiser's ``condition_dim`` width."""
 
-    def __init__(self, config: StyleConfig, data_channels: int, init_rng: np.random.Generator):
+    def __init__(self, config: StyleConfig, condition_dim: int, init_rng: np.random.Generator):
         self.config = config
-        self.data_channels = data_channels
         self.params: dict[str, Tensor] = {}
         k, d, rc = config.token_count, config.token_dim, config.ref_channels
+        channels = len(CHANNEL_NAMES)
 
         def add(name, value):
             self.params[name] = Tensor(value)
@@ -53,8 +54,8 @@ class StyleBank:
         # tokens never specialise
         add("attn.query.weight", 3.0 * engine.uniform_init((d, d), d, init_rng))
         add("attn.key.weight", 3.0 * engine.uniform_init((d, d), d, init_rng))
-        add("value.weight", engine.uniform_init((d, config.condition_dim), d, init_rng))
-        add("ref.conv1.weight", engine.uniform_init((rc, data_channels, 3), data_channels * 3, init_rng))
+        add("value.weight", engine.uniform_init((d, condition_dim), d, init_rng))
+        add("ref.conv1.weight", engine.uniform_init((rc, channels, 3), channels * 3, init_rng))
         add("ref.conv1.bias", np.zeros(rc))
         add("ref.conv2.weight", engine.uniform_init((rc, rc, 3), rc * 3, init_rng))
         add("ref.conv2.bias", np.zeros(rc))
@@ -71,8 +72,8 @@ def encode_reference(bank: StyleBank, reference) -> Tensor:
     x = engine.as_tensor(reference)
     if x.ndim == 2:
         x = engine.reshape(x, (1, *x.shape))
-    if x.ndim != 3 or x.shape[1] != bank.data_channels:
-        raise ValueError(f"reference must be [B, {bank.data_channels}, L], got {x.shape}")
+    if x.ndim != 3 or x.shape[1] != len(CHANNEL_NAMES):
+        raise ValueError(f"reference must be [B, {len(CHANNEL_NAMES)}, L], got {x.shape}")
     if x.shape[2] < 1:
         raise ValueError("reference is empty")
     x = engine.relu(engine.conv1d(x, bank.params["ref.conv1.weight"], bank.params["ref.conv1.bias"]))

@@ -41,9 +41,6 @@ class TrainConfig:
     batch_size: int = 16
     learning_rate: float = 1e-3
     lr_decay: bool = True  # cosine decay to 10% of the base rate over the run
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_epsilon: float = 1e-8
     log_every: int = 50
     checkpoint_every: int = 1000
     style_condition: bool = True  # False: train the conditional denoiser without its style pathway
@@ -102,11 +99,9 @@ def build_models(
     seed: int,
     style_condition: bool = True,
 ) -> ModelBundle:
-    if denoiser_cfg.condition_dim != style_cfg.condition_dim:
-        raise ValueError("denoiser and style bank disagree on condition dim")
     init_rngs = (rng_mod.substream(seed, rng_mod.INIT_STREAM, 0), rng_mod.substream(seed, rng_mod.INIT_STREAM, 1))
     denoisers = Denoiser(denoiser_cfg, style_condition, *init_rngs)
-    bank = StyleBank(style_cfg, denoiser_cfg.residual_channels, rng_mod.substream(seed, rng_mod.INIT_STREAM, 2))
+    bank = StyleBank(style_cfg, denoiser_cfg.condition_dim, rng_mod.substream(seed, rng_mod.INIT_STREAM, 2))
     embedder = TextEmbedder(vocab_size, denoiser_cfg.condition_dim, seed)
     return ModelBundle(
         denoisers=denoisers,
@@ -171,14 +166,7 @@ def train_step(
     if not (math.isfinite(loss_c_value) and math.isfinite(loss_nc_value)):
         raise ValueError(f"non-finite training loss at step {step}: loss_c={loss_c_value}, loss_nc={loss_nc_value}")
     add(loss_c, loss_nc).backward()
-    optimizer_step(
-        bundle.trainable_parameters(),
-        bundle.adam,
-        cfg.rate_at(step),
-        cfg.adam_beta1,
-        cfg.adam_beta2,
-        cfg.adam_epsilon,
-    )
+    optimizer_step(bundle.trainable_parameters(), bundle.adam, cfg.rate_at(step))
     return loss_c_value, loss_nc_value
 
 

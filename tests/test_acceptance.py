@@ -46,7 +46,7 @@ def tiny_bundle(seed=0):
         DenoiserConfig(
             residual_layers=2, dilation_cycle=(1, 2), hidden_channels=6, time_embedding_dim=8, condition_dim=6
         ),
-        StyleConfig(token_count=3, token_dim=8, attention_heads=2, condition_dim=6, ref_channels=4),
+        StyleConfig(token_count=3, token_dim=8, attention_heads=2, ref_channels=4),
         schedule=cosine_schedule(12),
         vocab_size=12,
         stats=corpus.stats,
@@ -373,7 +373,6 @@ class TestCriterion11Reproducibility:
             "token_count": 3,
             "token_dim": 8,
             "attention_heads": 2,
-            "condition_dim": 6,
             "ref_channels": 4,
         },
         "schedule": {"steps": 12},

@@ -3,12 +3,13 @@ import math
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from prosodiff import inference
-from prosodiff.cli import main
+from prosodiff import evaluate, inference
+from prosodiff.cli import _resolve_mode_conditions, build_parser, main
 from prosodiff.config import RunConfig
 from prosodiff.corpus import load_corpus, read_utterance_csv, write_utterance_csv
 from prosodiff.training import load_checkpoint
@@ -28,7 +29,7 @@ TINY_CONFIG = {
         "time_embedding_dim": 8,
         "condition_dim": 6,
     },
-    "style": {"token_count": 3, "token_dim": 8, "attention_heads": 2, "condition_dim": 6, "ref_channels": 4},
+    "style": {"token_count": 3, "token_dim": 8, "attention_heads": 2, "ref_channels": 4},
     "schedule": {"steps": 12},
     "train": {"steps": 12, "batch_size": 4, "log_every": 4, "checkpoint_every": 0},
 }
@@ -252,6 +253,56 @@ def ablated(workspace):
     return out / "final.bin"
 
 
+@pytest.fixture(scope="module")
+def text_ablated(workspace):
+    """A checkpoint trained with --no-text-condition on the workspace corpus."""
+    out = workspace["root"] / "text_ablated"
+    argv = ["train", "--config", str(workspace["config"]), "--corpus", str(workspace["corpus"])]
+    assert main(argv + ["--out", str(out), "--quiet", "--no-text-condition"]) == 0
+    return out / "final.bin"
+
+
+def trained_bundle(workspace, checkpoint, archive):
+    corpus = load_corpus(workspace["corpus"])
+    run = RunConfig.load(archive)
+    bundle = inference.bundle_from_config(run, corpus)
+    load_checkpoint(bundle, checkpoint)
+    return corpus, bundle, run
+
+
+class TestTextAblatedCheckpoint:
+    @pytest.mark.parametrize(
+        "mode", [["--mode", "diversified"], ["--mode", "control", "--token-id", "1"]], ids=["diversified", "control"]
+    )
+    def test_sample_zeroes_text(self, workspace, text_ablated, tmp_path, mode):
+        argv = ["sample", "--checkpoint", str(text_ablated), "--corpus", str(workspace["corpus"])]
+        argv += ["--out", str(tmp_path / "o"), "--num-samples", "3", "--eta", "2", *mode]
+        assert main(argv) == 0
+        corpus, bundle, run = trained_bundle(workspace, text_ablated, tmp_path / "o" / "resolved_config.json")
+        assert not run.train.text_condition
+        texts, conditions, tag = _resolve_mode_conditions(build_parser().parse_args(argv), bundle, corpus, run, 3)
+        expected = inference.generate(bundle, texts, conditions, run.guidance, run.seed, zero_text=True)
+        for i, x in enumerate(expected):
+            _, prosody = read_utterance_csv(tmp_path / "o" / "samples" / f"{tag}_{i:04d}.csv")
+            assert np.array_equal(prosody, bundle.stats.denormalize(x)), i
+
+    def test_eval_zeroes_text(self, workspace, text_ablated, tmp_path):
+        argv = ["eval", "--checkpoint", str(text_ablated), "--corpus", str(workspace["corpus"])]
+        argv += ["--out", str(tmp_path / "o"), "--eta", "2", "--eta-sweep", "3", "--sweep-utterances", "4"]
+        assert main(argv) == 0
+        corpus, bundle, run = trained_bundle(workspace, text_ablated, tmp_path / "o" / "resolved_config.json")
+        val = corpus.split("val")
+        js = evaluate.js_report(inference.reconstruct(bundle, val, run.guidance, run.seed, zero_text=True), val)
+        report = (tmp_path / "o" / "report.csv").read_text().splitlines()
+        assert [r for r in report if r.startswith("js_divergence")] == [
+            f"js_divergence,{name},{float(value)!r}" for name, value in js.items()
+        ]
+        swept = replace(run.guidance, eta=3.0)
+        cv = evaluate.mean_cv(inference.reconstruct(bundle, val[:4], swept, run.seed, zero_text=True))
+        sweep = (tmp_path / "o" / "cv_sweep.csv").read_text().splitlines()
+        assert sweep[1] == ",".join(repr(float(v)) for v in (3.0, *cv))
+
+
 class TestStyleAblatedCheckpoint:
     @pytest.mark.parametrize(
         "command",
@@ -314,7 +365,12 @@ class TestErrors:
         code = main(argv + ["--corpus", str(workspace["corpus"]), "--out", str(tmp_path / "o")])
         assert_json_error(code, capsys, "bad magic")
 
-    def test_resume_with_other_style_condition_rejected(self, workspace, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "flag, field",
+        [("--no-style-condition", "train.style_condition"), ("--no-text-condition", "train.text_condition")],
+        ids=["style", "text"],
+    )
+    def test_resume_with_other_style_condition_rejected(self, workspace, tmp_path, capsys, flag, field):
         # --out is the checkpoint's own directory, so the check must read the archive before it is rewritten
         model = tmp_path / "model"
         model.mkdir()
@@ -322,8 +378,8 @@ class TestErrors:
         archive = (workspace["root"] / "model" / "resolved_config.json").read_bytes()
         (model / "resolved_config.json").write_bytes(archive)
         argv = ["train", "--config", str(workspace["config"]), "--corpus", str(workspace["corpus"]), "--steps", "16"]
-        argv += ["--resume", str(model / "ckpt_000012.bin"), "--out", str(model), "--quiet", "--no-style-condition"]
-        assert_json_error(main(argv), capsys, "train.style_condition")
+        argv += ["--resume", str(model / "ckpt_000012.bin"), "--out", str(model), "--quiet", flag]
+        assert_json_error(main(argv), capsys, field)
         assert not (model / "final.bin").exists()
         assert (model / "resolved_config.json").read_bytes() == archive
 
@@ -361,8 +417,14 @@ class TestErrors:
 
     @pytest.mark.parametrize(
         "content",
-        ["", "step,loss_c,loss_nc\n1,0.5\n", "step,loss_c,loss_nc\n1,0.5,0.4\n2,nan,0.3\n", "step,loss_c\ninf,0.4\n"],
-        ids=["empty", "short-row", "nan", "inf"],
+        [
+            "",
+            "step,loss_c,loss_nc\n1,0.5\n",
+            "step,loss_c,loss_nc\n1,0.5,0.4\n2,nan,0.3\n",
+            "step,loss_c\ninf,0.4\n",
+            "step,loss_c\n1,abc\n",
+        ],
+        ids=["empty", "short-row", "nan", "inf", "non-numeric"],
     )
     def test_plot_malformed_csv(self, tmp_path, capsys, content):
         src = tmp_path / "loss.csv"

@@ -16,7 +16,7 @@ class TestRunConfig:
             seed=42,
             corpus=CorpusConfig(style_count=3, utterances_per_style=11, length_range=(4, 9)),
             denoiser=DenoiserConfig(residual_layers=4, dilation_cycle=(1, 3)),
-            style=StyleConfig(token_count=5, token_dim=32, condition_dim=64),
+            style=StyleConfig(token_count=5, token_dim=32),
             schedule=ScheduleSettings(steps=64, offset=0.01),
             train=TrainConfig(steps=123, learning_rate=3e-4, style_condition=False),
             guidance=GuidanceParams(eta=2.5, gamma=0.4, tau=1.5),
@@ -35,10 +35,6 @@ class TestRunConfig:
         assert run.denoiser.residual_layers == 12
         assert run.corpus.style_count == 4
 
-    def test_condition_dims_must_agree(self):
-        with pytest.raises(ValueError):
-            RunConfig(style=StyleConfig(condition_dim=32), denoiser=DenoiserConfig(condition_dim=64))
-
     def test_partial_dict_uses_defaults(self):
         run = RunConfig.from_dict({"seed": 5, "train": {"steps": 10}})
         assert run.seed == 5
@@ -47,7 +43,19 @@ class TestRunConfig:
 
     @pytest.mark.parametrize(
         "data",
-        [[1, 2], {"sched": {}}, {"train": {"stepz": 3}}, {"corpus": [1]}, {"guidance": {"eta": float("nan")}}],
+        [
+            [1, 2],
+            {"sched": {}},
+            {"train": {"stepz": 3}},
+            {"corpus": [1]},
+            {"guidance": {"eta": float("nan")}},
+            # fixed or derived values that are not settable
+            {"denoiser": {"residual_channels": 3}},
+            {"style": {"condition_dim": 64}},
+            {"train": {"adam_beta1": 0.9}},
+            {"train": {"adam_beta2": 0.999}},
+            {"train": {"adam_epsilon": 1e-8}},
+        ],
     )
     def test_malformed_config_rejected(self, data):
         with pytest.raises(ValueError):

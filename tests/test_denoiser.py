@@ -19,14 +19,13 @@ from helpers import numeric_gradient
 
 TINY = DenoiserConfig(
     residual_layers=2,
-    residual_channels=3,
     kernel_size=3,
     dilation_cycle=(1, 2),
     hidden_channels=6,
     time_embedding_dim=8,
     condition_dim=5,
 )
-TINY_STYLE = StyleConfig(token_count=2, token_dim=4, attention_heads=2, condition_dim=5, ref_channels=4)
+TINY_STYLE = StyleConfig(token_count=2, token_dim=4, attention_heads=2, ref_channels=4)
 UNIT_STATS = NormStats(np.zeros(3), np.ones(3))
 
 
@@ -36,7 +35,7 @@ def make_model(accepts_style=False, seed=0, config=TINY) -> Denoiser:
 
 def random_inputs(config=TINY, batch=2, length=6, seed=1):
     rng = np.random.default_rng(seed)
-    x = rng.standard_normal((batch, config.residual_channels, length))
+    x = rng.standard_normal((batch, 3, length))
     y = rng.standard_normal((length, config.condition_dim))
     c = rng.standard_normal(config.condition_dim)
     return x, y, c

@@ -36,7 +36,7 @@ def tiny_bundle(seed=0, style_condition=True):
             time_embedding_dim=8,
             condition_dim=6,
         ),
-        StyleConfig(token_count=3, token_dim=8, attention_heads=2, condition_dim=6, ref_channels=4),
+        StyleConfig(token_count=3, token_dim=8, attention_heads=2, ref_channels=4),
         schedule=cosine_schedule(12),
         vocab_size=12,
         stats=corpus.stats,
@@ -267,7 +267,7 @@ class TestReverseStep:
 
 def single_model(model, y, c, params, schedule, rng):
     """The reverse loop driven by one denoiser alone (no guidance stages)."""
-    shape = (y.shape[0], model.config.residual_channels, y.shape[1])
+    shape = (y.shape[0], 3, y.shape[1])
     return reverse_process(lambda x, t: predict_noise(model, x, t, y, c).data[0], shape, params.tau, schedule, rng)
 
 
@@ -285,7 +285,7 @@ def two_forward_reference(bundle, y, c, params, rng, diagnostics):
     """The guided sampler written out with a separate forward pass of each denoiser per step."""
     schedule = bundle.schedule
     theta1, theta2 = bundle.denoisers.member(0), bundle.denoisers.member(1)
-    x = draw_terminal((y.shape[0], theta1.config.residual_channels, y.shape[1]), params.tau, rng)
+    x = draw_terminal((y.shape[0], 3, y.shape[1]), params.tau, rng)
     with engine.no_grad():
         for t in range(schedule.step_count, 0, -1):
             eps_c = predict_noise(theta1, x, t, y, c).data[0]

@@ -21,7 +21,7 @@ def setup():
         denoiser=DenoiserConfig(
             residual_layers=2, dilation_cycle=(1, 2), hidden_channels=6, time_embedding_dim=8, condition_dim=6
         ),
-        style=StyleConfig(token_count=3, token_dim=8, attention_heads=2, condition_dim=6, ref_channels=4),
+        style=StyleConfig(token_count=3, token_dim=8, attention_heads=2, ref_channels=4),
         train=TrainConfig(steps=4, batch_size=4, checkpoint_every=0),
     )
     run.schedule = ScheduleSettings(steps=12)

@@ -12,11 +12,12 @@ from prosodiff.style import (
     one_hot_weights,
 )
 
-SMALL = StyleConfig(token_count=4, token_dim=8, attention_heads=2, condition_dim=6, ref_channels=5)
+SMALL = StyleConfig(token_count=4, token_dim=8, attention_heads=2, ref_channels=5)
+CONDITION_DIM = 6
 
 
 def make_bank(seed=0, config=SMALL) -> StyleBank:
-    return StyleBank(config, data_channels=3, init_rng=rng_mod.substream(seed, rng_mod.INIT_STREAM, 2))
+    return StyleBank(config, CONDITION_DIM, init_rng=rng_mod.substream(seed, rng_mod.INIT_STREAM, 2))
 
 
 class TestEncodeStyle:
@@ -82,7 +83,7 @@ class TestConditionFromWeights:
         w = raw / raw.sum()
         with engine.no_grad():
             values = engine.matmul(bank.params["tokens"], bank.params["value.weight"]).data
-        expected = np.zeros(SMALL.condition_dim)
+        expected = np.zeros(CONDITION_DIM)
         for k in range(4):
             expected = expected + w[k] * values[k]
         c = condition_from_weights(bank, w).data[0]

@@ -27,7 +27,7 @@ TINY_DENOISER = DenoiserConfig(
     time_embedding_dim=8,
     condition_dim=6,
 )
-TINY_STYLE = StyleConfig(token_count=3, token_dim=8, attention_heads=2, condition_dim=6, ref_channels=4)
+TINY_STYLE = StyleConfig(token_count=3, token_dim=8, attention_heads=2, ref_channels=4)
 TINY_CORPUS = CorpusConfig(style_count=2, utterances_per_style=10, length_range=(5, 7), vocab_size=12)
 
 
@@ -178,7 +178,7 @@ class TwoModelReference:
         init = [rng_mod.substream(seed, rng_mod.INIT_STREAM, i) for i in range(3)]
         self.theta1 = Denoiser(TINY_DENOISER, style_condition, init[0])
         self.theta2 = Denoiser(TINY_DENOISER, False, init[1])
-        self.bank = StyleBank(TINY_STYLE, 3, init[2])
+        self.bank = StyleBank(TINY_STYLE, TINY_DENOISER.condition_dim, init[2])
         self.schedule = schedule
         groups = (("theta1", self.theta1), ("theta2", self.theta2), ("bank", self.bank))
         self.params = {f"{prefix}.{name}": p for prefix, model in groups for name, p in model.params.items()}
@@ -198,14 +198,15 @@ class TwoModelReference:
         loss_nc.backward()
         self.steps += 1
         rate = cfg.rate_at(step)
+        beta1, beta2, epsilon = 0.9, 0.999, 1e-8
         for name in self.trainable:
             p = self.params[name]
             g = p.grad.reshape(-1)
-            m = self.moment1[name] = cfg.adam_beta1 * self.moment1[name] + (1.0 - cfg.adam_beta1) * g
-            v = self.moment2[name] = cfg.adam_beta2 * self.moment2[name] + (1.0 - cfg.adam_beta2) * (g * g)
-            m_hat = m / (1.0 - cfg.adam_beta1**self.steps)
-            v_hat = v / (1.0 - cfg.adam_beta2**self.steps)
-            p.data = p.data - (rate * m_hat / (np.sqrt(v_hat) + cfg.adam_epsilon)).reshape(p.shape)
+            m = self.moment1[name] = beta1 * self.moment1[name] + (1.0 - beta1) * g
+            v = self.moment2[name] = beta2 * self.moment2[name] + (1.0 - beta2) * (g * g)
+            m_hat = m / (1.0 - beta1**self.steps)
+            v_hat = v / (1.0 - beta2**self.steps)
+            p.data = p.data - (rate * m_hat / (np.sqrt(v_hat) + epsilon)).reshape(p.shape)
             p.grad = None
         return loss_c.item(), loss_nc.item()
 
