@@ -6,6 +6,7 @@ no timestamps, random ids or library version strings may leak in.
 
 from __future__ import annotations
 
+from html import escape
 from pathlib import Path
 
 WIDTH, HEIGHT = 640, 360
@@ -22,7 +23,7 @@ def _header(title: str) -> list[str]:
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
         f'viewBox="0 0 {WIDTH} {HEIGHT}" font-family="sans-serif">',
         f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
-        f'<text x="{WIDTH / 2}" y="24" text-anchor="middle" font-size="16">{title}</text>',
+        f'<text x="{WIDTH / 2}" y="24" text-anchor="middle" font-size="16">{escape(title, quote=False)}</text>',
     ]
 
 
@@ -66,7 +67,7 @@ def write_bar_chart(path: str | Path, labels: list[str], values: list[float], ti
         )
         parts.append(
             f'<text x="{_fmt(x + bar_w / 2)}" y="{HEIGHT - MARGIN_B + 18}" '
-            f'text-anchor="middle" font-size="11">{label}</text>'
+            f'text-anchor="middle" font-size="11">{escape(label, quote=False)}</text>'
         )
     parts.append("</svg>")
     Path(path).write_text("\n".join(parts) + "\n")
@@ -100,12 +101,12 @@ def write_line_chart(
         parts.append(f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="1.5"/>')
         parts.append(
             f'<text x="{WIDTH - MARGIN_R - 8}" y="{MARGIN_T + 16 * i + 12}" text-anchor="end" '
-            f'font-size="11" fill="{color}">{name}</text>'
+            f'font-size="11" fill="{color}">{escape(name, quote=False)}</text>'
         )
     if x_label:
         parts.append(
             f'<text x="{(MARGIN_L + WIDTH - MARGIN_R) / 2}" y="{HEIGHT - 12}" '
-            f'text-anchor="middle" font-size="12">{x_label}</text>'
+            f'text-anchor="middle" font-size="12">{escape(x_label, quote=False)}</text>'
         )
     parts.append("</svg>")
     Path(path).write_text("\n".join(parts) + "\n")

@@ -34,7 +34,7 @@ from .corpus import (
 )
 from .schedule import cosine_schedule
 from .style import condition_from_weights, normalize_weights, one_hot_weights
-from .training import ModelBundle, load_checkpoint, train
+from .training import ModelBundle, build_models, load_checkpoint, train
 
 
 class CommandError(Exception):
@@ -83,7 +83,7 @@ def _load_trained(args) -> tuple[Corpus, ModelBundle, RunConfig]:
         run.schedule = replace(run.schedule, steps=args.steps)
     if args.seed is not None:
         run.seed = args.seed
-    bundle = inference.bundle_from_config(run, corpus)
+    bundle = build_models(run, corpus.stats)
     load_checkpoint(bundle, args.checkpoint)
     return corpus, bundle, run
 
@@ -123,7 +123,7 @@ def cmd_train(args) -> None:
                 raise CommandError(f"{args.resume} was trained with train.{ablation} {json.dumps(trained)}")
     out_dir = Path(args.out)
     _archive_config(run, out_dir)
-    bundle = inference.bundle_from_config(run, corpus)
+    bundle = build_models(run, corpus.stats)
     start = 0
     if args.resume:
         start = load_checkpoint(bundle, args.resume)
@@ -188,9 +188,7 @@ def cmd_sample(args) -> None:
     texts, conditions, tag = _resolve_mode_conditions(args, bundle, corpus, run, args.num_samples)
     _archive_config(run, out_dir)
     diagnostics: list | None = [] if args.diagnostics else None
-    generated = inference.generate(
-        bundle, texts, conditions, run.guidance, run.seed, zero_text=not run.train.text_condition, diagnostics=diagnostics
-    )
+    generated = inference.generate(bundle, texts, conditions, run.guidance, run.seed, diagnostics=diagnostics)
 
     scale = np.array([args.scale_pitch, args.scale_energy, args.scale_duration])[:, None]
     sample_dir = out_dir / "samples"
@@ -202,10 +200,10 @@ def cmd_sample(args) -> None:
         with open(out_dir / "diagnostics.csv", "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["t", "example", "sigma_cond", "sigma_cfg", "applied_ratio"])
-            for t, diag in diagnostics:
-                for b in range(len(diag.sigma_cond)):
+            for t, indices, diag in diagnostics:
+                for b, i in enumerate(indices):
                     writer.writerow(
-                        [t, b] + [repr(float(v[b])) for v in (diag.sigma_cond, diag.sigma_cfg, diag.applied_ratio)]
+                        [t, i] + [repr(float(v[b])) for v in (diag.sigma_cond, diag.sigma_cfg, diag.applied_ratio)]
                     )
     print(f"wrote {len(generated)} samples to {sample_dir}")
 
@@ -222,8 +220,7 @@ def cmd_eval(args) -> None:
     out_dir = Path(args.out)
     _archive_config(run, out_dir)
     val = corpus.split("val")
-    zero_text = not run.train.text_condition
-    generated = inference.reconstruct(bundle, val, run.guidance, run.seed, zero_text=zero_text)
+    generated = inference.reconstruct(bundle, val, run.guidance, run.seed)
     js = evaluate.js_report(generated, val)
 
     rows = [("js_divergence", name, value) for name, value in js.items()]
@@ -239,9 +236,7 @@ def cmd_eval(args) -> None:
 
     sweep_rows = []
     for params in sweep:
-        cv = evaluate.mean_cv(
-            inference.reconstruct(bundle, val[: args.sweep_utterances], params, run.seed, zero_text=zero_text)
-        )
+        cv = evaluate.mean_cv(inference.reconstruct(bundle, val[: args.sweep_utterances], params, run.seed))
         sweep_rows.append((params.eta, cv[0], cv[1], cv[2]))
 
     with open(out_dir / "report.csv", "w", newline="") as fh:

@@ -18,7 +18,6 @@ import numpy as np
 
 from . import rng as rng_mod
 
-PITCH, ENERGY, DURATION = 0, 1, 2
 CHANNEL_NAMES = ("log_pitch", "energy", "log_duration")
 
 PITCH_NOISE_STD = 0.05

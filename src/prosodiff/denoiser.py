@@ -222,13 +222,16 @@ class TextEmbedder:
     whatever identity/position signal they need. Not in any model's
     ``params`` on purpose; the two denoisers must share no trainable state.
     Checkpoints store ``table``, so a trained model keeps its embedding
-    whatever seed later loads it.
+    whatever seed later loads it. An ``ablated`` embedder (the
+    text-conditioning ablation) embeds every valid text as zeros; it still
+    draws and checkpoints its table.
     """
 
-    def __init__(self, vocab_size: int, dim: int, seed: int):
+    def __init__(self, vocab_size: int, dim: int, seed: int, ablated: bool = False):
         gen = rng_mod.substream(seed, rng_mod.MISC_STREAM, 1)
         self.vocab_size = vocab_size
         self.dim = dim
+        self.ablated = ablated
         # the text pathway must carry real signal energy relative to the
         # style vector, otherwise conditioning degenerates to style alone
         self.table = 1.5 * gen.standard_normal((vocab_size, dim))
@@ -238,4 +241,6 @@ class TextEmbedder:
         ids = np.asarray(phoneme_ids)
         if np.any(ids < 0) or np.any(ids >= self.vocab_size):
             raise ValueError("phoneme id outside vocabulary")
+        if self.ablated:
+            return np.zeros(ids.shape + (self.dim,))
         return self.table[ids] + sinusoid(np.arange(ids.shape[-1], dtype=np.float64), self.dim)

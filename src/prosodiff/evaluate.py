@@ -17,8 +17,6 @@ from .corpus import CHANNEL_NAMES, Utterance
 HISTOGRAM_BINS = 50
 SMOOTHING_MASS = 1e-9
 
-DESCRIPTOR_STATS = ("mean", "std", "median", "min", "max", "skewness", "kurtosis")
-
 
 @dataclass(frozen=True)
 class Histogram:

@@ -13,26 +13,11 @@ import numpy as np
 
 from . import rng as rng_mod
 from .config import RunConfig
-from .corpus import Corpus, Utterance
+from .corpus import Utterance
 from .engine import no_grad
 from .guidance import GuidanceParams, sample
-from .schedule import cosine_schedule
 from .style import encode_style
-from .training import ModelBundle, build_models
-
-
-def bundle_from_config(run: RunConfig, corpus: Corpus) -> ModelBundle:
-    """Freshly initialised models for ``run``; the only place a run's
-    schedule settings become a NoiseSchedule."""
-    return build_models(
-        run.denoiser,
-        run.style,
-        cosine_schedule(run.schedule.steps, run.schedule.offset),
-        run.corpus.vocab_size,
-        corpus.stats,
-        run.seed,
-        style_condition=run.train.style_condition,
-    )
+from .training import ModelBundle
 
 
 def archived_config(checkpoint_path: str | Path) -> RunConfig:
@@ -72,7 +57,10 @@ def generate(
 
     conditions: one style vector per text, or None for the
     style-unconditional path. zero_text replaces text embeddings with
-    zeros (text-conditioning ablation).
+    zeros, to probe a text-conditioned model without its text (a
+    text-ablated model's embedder returns zeros by itself). diagnostics, if
+    given, receives (t, text indices, RescaleDiagnostics) per guided step of
+    each length group, one diagnostics row per listed text.
     """
     if conditions is not None and len(conditions) != len(texts):
         raise ValueError("need one style condition per text")
@@ -89,7 +77,10 @@ def generate(
             y = np.zeros_like(y)
         c = np.stack([conditions[i] for i in indices]) if conditions is not None else None
         gen = rng_mod.substream(seed, rng_mod.SAMPLE_STREAM, length)
-        batch = sample(bundle.denoisers, bundle.schedule, y, c, guidance, gen, diagnostics)
+        steps: list | None = None if diagnostics is None else []
+        batch = sample(bundle.denoisers, bundle.schedule, y, c, guidance, gen, steps)
+        if diagnostics is not None:
+            diagnostics.extend((t, indices, diag) for t, diag in steps)
         for row, i in enumerate(indices):
             results[i] = batch[row]
     return results  # type: ignore[return-value]

@@ -21,18 +21,22 @@ import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import checkpoint as ckpt
 from . import rng as rng_mod
 from .corpus import Corpus, NormStats, Utterance
-from .denoiser import Denoiser, DenoiserConfig, TextEmbedder
+from .denoiser import Denoiser, TextEmbedder
 from .engine import Tensor, add
 from .guidance import diffusion_loss
 from .optim import AdamState, optimizer_step
-from .schedule import NoiseSchedule
-from .style import StyleBank, StyleConfig, encode_style
+from .schedule import NoiseSchedule, cosine_schedule
+from .style import StyleBank, encode_style
+
+if TYPE_CHECKING:  # config imports this module
+    from .config import RunConfig
 
 
 @dataclass
@@ -44,7 +48,7 @@ class TrainConfig:
     log_every: int = 50
     checkpoint_every: int = 1000
     style_condition: bool = True  # False: train the conditional denoiser without its style pathway
-    text_condition: bool = True  # False: zero out text embeddings during training
+    text_condition: bool = True  # False: the text embedder embeds every text as zeros
 
     def __post_init__(self):
         if self.steps < 1 or self.batch_size < 1:
@@ -90,24 +94,19 @@ class ModelBundle:
         return [(name, p) for name, p in self.named_parameters().items() if not name.startswith("bank.")]
 
 
-def build_models(
-    denoiser_cfg: DenoiserConfig,
-    style_cfg: StyleConfig,
-    schedule: NoiseSchedule,
-    vocab_size: int,
-    stats: NormStats,
-    seed: int,
-    style_condition: bool = True,
-) -> ModelBundle:
+def build_models(run: RunConfig, stats: NormStats) -> ModelBundle:
+    """Freshly initialised models for ``run``: the only place a run's
+    schedule settings become a NoiseSchedule and its two training ablations
+    are applied. Without ``train.style_condition`` theta1 takes no style
+    vector; without ``train.text_condition`` the embedder embeds every text
+    as zeros, for training batches and sampling alike."""
+    seed, cfg = run.seed, run.denoiser
     init_rngs = (rng_mod.substream(seed, rng_mod.INIT_STREAM, 0), rng_mod.substream(seed, rng_mod.INIT_STREAM, 1))
-    denoisers = Denoiser(denoiser_cfg, style_condition, *init_rngs)
-    bank = StyleBank(style_cfg, denoiser_cfg.condition_dim, rng_mod.substream(seed, rng_mod.INIT_STREAM, 2))
-    embedder = TextEmbedder(vocab_size, denoiser_cfg.condition_dim, seed)
     return ModelBundle(
-        denoisers=denoisers,
-        bank=bank,
-        embedder=embedder,
-        schedule=schedule,
+        denoisers=Denoiser(cfg, run.train.style_condition, *init_rngs),
+        bank=StyleBank(run.style, cfg.condition_dim, rng_mod.substream(seed, rng_mod.INIT_STREAM, 2)),
+        embedder=TextEmbedder(run.corpus.vocab_size, cfg.condition_dim, seed, ablated=not run.train.text_condition),
+        schedule=cosine_schedule(run.schedule.steps, run.schedule.offset),
         stats=stats,
         seed=seed,
     )
@@ -155,12 +154,11 @@ def train_step(
         raise ValueError("empty batch")
     t = gen.integers(1, bundle.schedule.step_count + 1, size=batch.x0.shape[0])
     eps = gen.standard_normal(batch.x0.shape)
-    y = batch.y if cfg.text_condition else np.zeros_like(batch.y)
 
     c = None
     if bundle.denoisers.accepts_style:
         c, _ = encode_style(bundle.bank, batch.x0)  # reference is the target utterance itself
-    loss_c, loss_nc = diffusion_loss(bundle.denoisers, bundle.schedule, batch.x0, t, eps, y, c)
+    loss_c, loss_nc = diffusion_loss(bundle.denoisers, bundle.schedule, batch.x0, t, eps, batch.y, c)
 
     loss_c_value, loss_nc_value = loss_c.item(), loss_nc.item()
     if not (math.isfinite(loss_c_value) and math.isfinite(loss_nc_value)):
@@ -250,6 +248,6 @@ def load_checkpoint(bundle: ModelBundle, path: str | Path) -> int:
     for key, view in _state_entries(bundle).items():
         view[...] = entry(key, view.shape)
     bundle.adam.step_counter = int(entry("optim.step_counter", ()))
-    bundle.stats.mean = entry("norm.mean", bundle.stats.mean.shape)
-    bundle.stats.std = entry("norm.std", bundle.stats.std.shape)
+    # a new object: the bundle may share its statistics with the corpus it was built for
+    bundle.stats = NormStats(entry("norm.mean", bundle.stats.mean.shape), entry("norm.std", bundle.stats.std.shape))
     return int(entry("trainer.step", ()))

@@ -12,8 +12,7 @@ import pytest
 
 from prosodiff.config import RunConfig
 from prosodiff.corpus import generate_corpus
-from prosodiff.inference import bundle_from_config
-from prosodiff.training import train
+from prosodiff.training import build_models, train
 
 
 @pytest.fixture(scope="session")
@@ -23,7 +22,7 @@ def default_run(tmp_path_factory):
     run = RunConfig()
     out_dir = tmp_path_factory.mktemp("default_run")
     corpus = generate_corpus(run.corpus, run.seed)
-    bundle = bundle_from_config(run, corpus)
+    bundle = build_models(run, corpus.stats)
     started = time.time()
     checkpoint = train(bundle, corpus, run.train, out_dir)
     wall_seconds = time.time() - started

@@ -1,4 +1,5 @@
-"""Shared test utilities: the central finite-difference oracle.
+"""Shared test utilities: the central finite-difference oracle, and run
+configs built from component configs.
 
 The numeric gradient is computed entirely outside the autodiff engine so
 every comparison is against an independent path.
@@ -9,6 +10,9 @@ from __future__ import annotations
 import numpy as np
 
 from prosodiff import engine
+from prosodiff.config import RunConfig, ScheduleSettings
+from prosodiff.corpus import CorpusConfig
+from prosodiff.training import TrainConfig
 
 FD_STEP = 1e-4
 FD_TOL = 1e-4
@@ -44,3 +48,16 @@ def assert_gradients_match(build_loss, arrays: list[np.ndarray], tol: float = FD
         scale = np.maximum(1.0, np.maximum(np.abs(numeric), np.abs(analytic)))
         worst = np.max(np.abs(numeric - analytic) / scale)
         assert worst < tol, f"input {idx}: finite-difference mismatch {worst:.3e}"
+
+
+def run_config(denoiser, style, schedule_steps: int, seed: int, corpus: CorpusConfig | None = None, **train) -> RunConfig:
+    """A RunConfig around component configs, for building models with
+    ``build_models``; ``train`` overrides TrainConfig fields."""
+    return RunConfig(
+        seed=seed,
+        corpus=corpus or CorpusConfig(),
+        denoiser=denoiser,
+        style=style,
+        schedule=ScheduleSettings(steps=schedule_steps),
+        train=TrainConfig(**train),
+    )

@@ -32,7 +32,7 @@ from prosodiff.schedule import cosine_schedule, forward_diffuse
 from prosodiff.style import StyleConfig, condition_from_weights, encode_style, one_hot_weights
 from prosodiff.training import build_models
 
-from helpers import FD_TOL, numeric_gradient
+from helpers import FD_TOL, numeric_gradient, run_config
 
 EVAL_GUIDANCE = GuidanceParams(eta=1.0, gamma=0.7, tau=1.0)
 
@@ -42,16 +42,16 @@ def tiny_bundle(seed=0):
         CorpusConfig(style_count=2, utterances_per_style=8, length_range=(5, 7), vocab_size=12),
         seed=seed,
     )
-    bundle = build_models(
+    run = run_config(
         DenoiserConfig(
             residual_layers=2, dilation_cycle=(1, 2), hidden_channels=6, time_embedding_dim=8, condition_dim=6
         ),
         StyleConfig(token_count=3, token_dim=8, attention_heads=2, ref_channels=4),
-        schedule=cosine_schedule(12),
-        vocab_size=12,
-        stats=corpus.stats,
-        seed=seed,
+        12,
+        seed,
+        corpus=corpus.config,
     )
+    bundle = build_models(run, corpus.stats)
     return corpus, bundle
 
 

@@ -4,6 +4,7 @@ import shutil
 import subprocess
 import sys
 from dataclasses import replace
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from prosodiff import evaluate, inference
 from prosodiff.cli import _resolve_mode_conditions, build_parser, main
 from prosodiff.config import RunConfig
 from prosodiff.corpus import load_corpus, read_utterance_csv, write_utterance_csv
-from prosodiff.training import load_checkpoint
+from prosodiff.training import build_models, load_checkpoint
 
 TINY_CONFIG = {
     "seed": 5,
@@ -147,10 +148,16 @@ class TestSample:
         assert len(files) == 3
 
     def test_diagnostics_csv(self, workspace, tmp_path):
-        assert self.run_sample(workspace, tmp_path / "diag", "--diagnostics", "--eta", "2.0") == 0
-        lines = (tmp_path / "diag" / "diagnostics.csv").read_text().splitlines()
+        out = tmp_path / "diag"
+        assert self.run_sample(workspace, out, "--diagnostics", "--eta", "2.0", "--num-samples", "5") == 0
+        lines = (out / "diagnostics.csv").read_text().splitlines()
         assert lines[0] == "t,example,sigma_cond,sigma_cfg,applied_ratio"
-        assert len(lines) > 12  # 12 steps, one row per example per step
+        lengths = {len(read_utterance_csv(f)[0]) for f in (out / "samples").glob("*.csv")}
+        assert len(lengths) > 1  # several length groups, each sampled as its own batch
+        # example is the index i of the sample file diversified_{i:04d}.csv, not the row within a group
+        keys = [tuple(int(v) for v in line.split(",")[:2]) for line in lines[1:]]
+        assert len(keys) == len(set(keys)) == 12 * 5  # 12 steps, one row per example per step
+        assert {example for _, example in keys} == set(range(5))
 
     def test_sample_archive_rebuilds_the_trained_text_embedder(self, workspace, tmp_path):
         assert self.run_sample(workspace, tmp_path / "a") == 0
@@ -159,7 +166,7 @@ class TestSample:
         corpus = load_corpus(workspace["corpus"])
 
         def embedding(config_path):
-            bundle = inference.bundle_from_config(RunConfig.load(config_path), corpus)
+            bundle = build_models(RunConfig.load(config_path), corpus.stats)
             load_checkpoint(bundle, workspace["checkpoint"])
             return bundle.embedder.embed(np.arange(12))
 
@@ -239,6 +246,15 @@ class TestPlotAndSchedule:
         assert lines[0] == "t,beta,alpha,alpha_bar"
         assert len(lines) == 17
 
+    def test_plot_escapes_markup(self, tmp_path):
+        src = tmp_path / "r&d.csv"
+        src.write_text("step,loss<c>&d\n1,0.5\n2,0.25\n")
+        out = tmp_path / "r.svg"
+        assert main(["plot", "--input", str(src), "--out", str(out)]) == 0
+        texts = [el.text for el in ElementTree.parse(out).getroot().iter("{http://www.w3.org/2000/svg}text")]
+        assert texts[0] == "r&d"
+        assert "loss<c>&d" in texts and "step" in texts
+
     def test_missing_input_fails_cleanly(self, tmp_path, capsys):
         assert main(["plot", "--input", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "x.svg")]) == 1
         assert "error" in capsys.readouterr().err
@@ -265,7 +281,7 @@ def text_ablated(workspace):
 def trained_bundle(workspace, checkpoint, archive):
     corpus = load_corpus(workspace["corpus"])
     run = RunConfig.load(archive)
-    bundle = inference.bundle_from_config(run, corpus)
+    bundle = build_models(run, corpus.stats)
     load_checkpoint(bundle, checkpoint)
     return corpus, bundle, run
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from prosodiff import engine, rng as rng_mod
-from prosodiff.corpus import NormStats
+from prosodiff.corpus import CorpusConfig, NormStats
 from prosodiff.denoiser import (
     Denoiser,
     DenoiserConfig,
@@ -15,7 +15,7 @@ from prosodiff.schedule import cosine_schedule
 from prosodiff.style import StyleConfig
 from prosodiff.training import build_models
 
-from helpers import numeric_gradient
+from helpers import numeric_gradient, run_config
 
 TINY = DenoiserConfig(
     residual_layers=2,
@@ -156,7 +156,7 @@ class TestParameterSeparation:
 
     def test_in_place_mutation_of_theta1_leaves_theta2_fixed(self):
         # build_models keeps each theta1/theta2 pair in one array; the members' slices must not overlap
-        bundle = build_models(TINY, TINY_STYLE, cosine_schedule(4), 4, UNIT_STATS, seed=0)
+        bundle = build_models(run_config(TINY, TINY_STYLE, 4, 0, corpus=CorpusConfig(vocab_size=4)), UNIT_STATS)
         x, y, _ = random_inputs()
         before = predict_noise(bundle.denoisers.member(1), x, 1, y).data
         for p in bundle.denoisers.params.values():

@@ -22,13 +22,15 @@ from prosodiff.schedule import cosine_schedule, forward_diffuse
 from prosodiff.style import StyleConfig
 from prosodiff.training import TrainConfig, build_models, train_step, LengthBucketSampler
 
+from helpers import run_config
+
 
 def tiny_bundle(seed=0, style_condition=True):
     corpus = generate_corpus(
         CorpusConfig(style_count=2, utterances_per_style=8, length_range=(5, 7), vocab_size=12),
         seed=seed,
     )
-    bundle = build_models(
+    run = run_config(
         DenoiserConfig(
             residual_layers=2,
             dilation_cycle=(1, 2),
@@ -37,12 +39,12 @@ def tiny_bundle(seed=0, style_condition=True):
             condition_dim=6,
         ),
         StyleConfig(token_count=3, token_dim=8, attention_heads=2, ref_channels=4),
-        schedule=cosine_schedule(12),
-        vocab_size=12,
-        stats=corpus.stats,
-        seed=seed,
+        12,
+        seed,
+        corpus=corpus.config,
         style_condition=style_condition,
     )
+    bundle = build_models(run, corpus.stats)
     return corpus, bundle
 
 

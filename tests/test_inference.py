@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from prosodiff import inference
+from prosodiff.checkpoint import load_entries
 from prosodiff.config import RunConfig, ScheduleSettings
 from prosodiff.corpus import CorpusConfig, generate_corpus
 from prosodiff.denoiser import DenoiserConfig
 from prosodiff.guidance import GuidanceParams
 from prosodiff.schedule import cosine_schedule
 from prosodiff.style import StyleConfig
-from prosodiff.training import TrainConfig, build_models, load_checkpoint, save_checkpoint
+from prosodiff.training import LengthBucketSampler, TrainConfig, build_models, load_checkpoint, save_checkpoint
 
 
 @pytest.fixture(scope="module")
@@ -26,7 +27,7 @@ def setup():
     )
     run.schedule = ScheduleSettings(steps=12)
     corpus = generate_corpus(run.corpus, run.seed)
-    bundle = inference.bundle_from_config(run, corpus)
+    bundle = build_models(run, corpus.stats)
     return run, corpus, bundle
 
 
@@ -68,13 +69,54 @@ class TestGenerate:
             assert np.array_equal(a, bundle.stats.denormalize(b))
 
 
-class TestBundleFromConfig:
+class TestBuildModels:
     def test_schedule_uses_configured_offset(self, setup):
         run, corpus, _ = setup
         shifted = replace(run, schedule=ScheduleSettings(steps=12, offset=0.05))
-        bundle = inference.bundle_from_config(shifted, corpus)
+        bundle = build_models(shifted, corpus.stats)
         assert np.array_equal(bundle.schedule.betas, cosine_schedule(12, 0.05).betas)
         assert not np.array_equal(bundle.schedule.betas, cosine_schedule(12).betas)
+
+
+class TestTextAblation:
+    """A run with train.text_condition false gets an embedder that embeds
+    every text as zeros, for training batches and sampling alike."""
+
+    @pytest.fixture
+    def ablated(self, setup, tmp_path):
+        run, corpus, bundle = setup
+        ablated_run = replace(run, train=replace(run.train, text_condition=False))
+        save_checkpoint(bundle, 4, tmp_path / "conditioned.bin")
+        ablated = build_models(ablated_run, corpus.stats)
+        load_checkpoint(ablated, tmp_path / "conditioned.bin")  # the conditioned bundle's weights
+        return ablated
+
+    def test_training_batches_have_zero_text(self, setup, ablated):
+        _, corpus, _ = setup
+        sampler = LengthBucketSampler(corpus.split("train"), ablated.stats, ablated.embedder, batch_size=4)
+        for step in range(1, 6):
+            batch = sampler.next_batch(np.random.default_rng(step))
+            assert batch.y.shape == batch.phoneme_ids.shape + (6,)
+            assert not np.any(batch.y)
+
+    @pytest.mark.parametrize("eta", [0.0, 1.0, 2.0])
+    def test_generate_equals_zero_text_on_conditioned_weights(self, setup, ablated, eta):
+        _, corpus, bundle = setup
+        utts = corpus.utterances[:6]
+        texts = [u.phoneme_ids for u in utts]
+        conds = inference.style_conditions(bundle, [u.prosody for u in utts])
+        params = GuidanceParams(eta=eta)
+        expected = inference.generate(bundle, texts, conds, params, seed=7, zero_text=True)
+        got = inference.generate(ablated, texts, conds, params, seed=7)
+        for a, b in zip(got, expected):
+            assert np.array_equal(a, b)
+        with_text = inference.generate(bundle, texts, conds, params, seed=7)
+        assert not all(np.array_equal(a, b) for a, b in zip(with_text, expected))
+
+    def test_checkpoint_keeps_the_embedder_table(self, setup, ablated, tmp_path):
+        _, _, bundle = setup
+        save_checkpoint(ablated, 4, tmp_path / "ablated.bin")
+        assert np.array_equal(load_entries(tmp_path / "ablated.bin")["embedder.table"], bundle.embedder.table)
 
 
 class TestLoadTrained:
@@ -83,7 +125,7 @@ class TestLoadTrained:
         run.save(tmp_path / "resolved_config.json")
         save_checkpoint(bundle, 4, tmp_path / "final.bin")
         run2 = inference.archived_config(tmp_path / "final.bin")
-        loaded = inference.bundle_from_config(run2, corpus)
+        loaded = build_models(run2, corpus.stats)
         step = load_checkpoint(loaded, tmp_path / "final.bin")
         assert step == 4
         assert run2.seed == run.seed

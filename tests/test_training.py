@@ -8,7 +8,6 @@ from prosodiff.checkpoint import CheckpointError, load_entries
 from prosodiff.corpus import CorpusConfig, NormStats, generate_corpus
 from prosodiff.denoiser import Denoiser, DenoiserConfig, predict_noise
 from prosodiff.guidance import diffusion_loss
-from prosodiff.schedule import cosine_schedule
 from prosodiff.style import StyleBank, StyleConfig, encode_style
 from prosodiff.training import (
     LengthBucketSampler,
@@ -19,6 +18,8 @@ from prosodiff.training import (
     train,
     train_step,
 )
+
+from helpers import run_config
 
 TINY_DENOISER = DenoiserConfig(
     residual_layers=2,
@@ -33,9 +34,8 @@ TINY_CORPUS = CorpusConfig(style_count=2, utterances_per_style=10, length_range=
 
 def tiny_setup(seed=3, style_condition=True):
     corpus = generate_corpus(TINY_CORPUS, seed=seed)
-    bundle = build_models(
-        TINY_DENOISER, TINY_STYLE, cosine_schedule(12), 12, corpus.stats, seed=seed, style_condition=style_condition
-    )
+    run = run_config(TINY_DENOISER, TINY_STYLE, 12, seed, corpus=TINY_CORPUS, style_condition=style_condition)
+    bundle = build_models(run, corpus.stats)
     return corpus, bundle
 
 
@@ -110,20 +110,14 @@ class TestCheckpointRoundTrip:
     def test_shape_mismatch_detected(self, tmp_path):
         corpus, bundle = tiny_setup()
         save_checkpoint(bundle, 1, tmp_path / "state.bin")
-        other = build_models(
-            DenoiserConfig(
-                residual_layers=3,
-                dilation_cycle=(1,),
-                hidden_channels=6,
-                time_embedding_dim=8,
-                condition_dim=6,
-            ),
-            TINY_STYLE,
-            cosine_schedule(12),
-            12,
-            corpus.stats,
-            seed=0,
+        other_denoiser = DenoiserConfig(
+            residual_layers=3,
+            dilation_cycle=(1,),
+            hidden_channels=6,
+            time_embedding_dim=8,
+            condition_dim=6,
         )
+        other = build_models(run_config(other_denoiser, TINY_STYLE, 12, 0, corpus=TINY_CORPUS), corpus.stats)
         with pytest.raises(CheckpointError):
             load_checkpoint(other, tmp_path / "state.bin")
 
@@ -142,15 +136,20 @@ class TestCheckpointRoundTrip:
         corpus, bundle = tiny_setup()
         save_checkpoint(bundle, 0, tmp_path / "state.bin")
         corpus2, bundle2 = tiny_setup(seed=4)  # different stats
+        own_mean, own_std = corpus2.stats.mean.copy(), corpus2.stats.std.copy()
         load_checkpoint(bundle2, tmp_path / "state.bin")
         assert np.array_equal(bundle2.stats.mean, bundle.stats.mean)
         assert np.array_equal(bundle2.stats.std, bundle.stats.std)
+        # the corpus the bundle was built for keeps its own statistics
+        assert not np.array_equal(own_mean, bundle.stats.mean)
+        assert np.array_equal(corpus2.stats.mean, own_mean)
+        assert np.array_equal(corpus2.stats.std, own_std)
 
 
 class TestTrainableParameters:
     def test_default_config_updates_every_live_tensor_in_checkpoint_order(self):
         stats = NormStats(np.zeros(3), np.ones(3))
-        bundle = build_models(DenoiserConfig(), StyleConfig(), cosine_schedule(4), 40, stats, seed=0)
+        bundle = build_models(run_config(DenoiserConfig(), StyleConfig(), 4, 0), stats)
         names = [name for name, _ in bundle.trainable_parameters()]
         # 105 stacked theta1/theta2 tensors (theta1's null half takes exact zero gradients), 10 bank tensors
         assert len(names) == 115
@@ -161,7 +160,8 @@ class TestTrainableParameters:
 
     def test_unstyled_run_leaves_the_bank_out(self):
         stats = NormStats(np.zeros(3), np.ones(3))
-        bundle = build_models(TINY_DENOISER, TINY_STYLE, cosine_schedule(12), 12, stats, seed=0, style_condition=False)
+        run = run_config(TINY_DENOISER, TINY_STYLE, 12, 0, corpus=TINY_CORPUS, style_condition=False)
+        bundle = build_models(run, stats)
         names = [name for name, _ in bundle.trainable_parameters()]
         assert "denoisers.null_condition" in names
         assert not [n for n in names if n.startswith("bank.")]
