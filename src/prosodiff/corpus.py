@@ -265,6 +265,8 @@ def read_utterance_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
         rows = list(csv.reader(fh))
     if not rows or rows[0] != ["phoneme_id", *CHANNEL_NAMES]:
         raise ValueError(f"{path}: not an utterance file")
+    if len(rows) == 1:
+        raise ValueError(f"{path}: no utterance rows")
     try:
         ids = np.array([int(r[0]) for r in rows[1:]], dtype=np.int64)
         prosody = np.array([[float(r[c + 1]) for r in rows[1:]] for c in range(3)])
@@ -288,8 +290,14 @@ def load_corpus(directory: str | Path) -> Corpus:
         raise ValueError(f"{directory}: malformed manifest: {exc}") from None
     utterances = []
     for meta in manifest["utterances"]:
-        ids, prosody = read_utterance_csv(directory / meta["file"])
-        utterances.append(Utterance(phoneme_ids=ids, prosody=prosody, style_id=meta["style_id"]))
+        path = directory / meta["file"]
+        ids, prosody = read_utterance_csv(path)
+        if len(ids) != meta.get("length"):
+            raise ValueError(f"{path}: {len(ids)} rows, but the manifest gives length {meta.get('length')}")
+        style_id = meta.get("style_id")
+        if not (type(style_id) is int and 0 <= style_id < config.style_count):
+            raise ValueError(f"{path}: style_id {style_id!r} is not an int in 0..{config.style_count - 1}")
+        utterances.append(Utterance(phoneme_ids=ids, prosody=prosody, style_id=style_id))
     for name in ("train_indices", "val_indices"):
         if not all(type(i) is int and 0 <= i < len(utterances) for i in manifest[name]):
             raise ValueError(f"{directory}: {name} must index the {len(utterances)} utterances")

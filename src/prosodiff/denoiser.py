@@ -135,7 +135,7 @@ def _initial_params(config: DenoiserConfig, init_rng: np.random.Generator) -> di
     return params
 
 
-def predict_noise(model: Denoiser, x_t, t, y: np.ndarray, c=None) -> Tensor:
+def predict_noise(model: Denoiser, x_t, t, y: np.ndarray, c=None, mask=None) -> Tensor:
     """Run every member of the denoiser; returns the noise estimates as an
     [M, B, 3, L] tensor, member i's at index i, each bit-identical to a
     one-member forward pass over its slice of the weights.
@@ -143,6 +143,10 @@ def predict_noise(model: Denoiser, x_t, t, y: np.ndarray, c=None) -> Tensor:
     x_t: [B, 3, L] array or Tensor. y: text embedding, [L, D] (shared) or
     [B, L, D]. c: style condition [B, D] array/Tensor for member 0, required
     iff model.accepts_style. t: scalar step or per-example [B] steps.
+    mask: optional [B, 1, L] 0/1 array marking each row's valid positions in
+    a padded batch. Each dilated conv reads its input times the mask, so it
+    sees zeros past a row's end as it would without the padding; every
+    other op is position-local, so padded positions never reach valid ones.
     """
     cfg = model.config
     p = model.params
@@ -150,6 +154,8 @@ def predict_noise(model: Denoiser, x_t, t, y: np.ndarray, c=None) -> Tensor:
     if x.ndim != 3 or x.shape[1] != len(CHANNEL_NAMES):
         raise ValueError(f"expected [B, {len(CHANNEL_NAMES)}, L] input, got {x.shape}")
     batch, channels, length = x.shape
+    if mask is not None and np.shape(mask) != (batch, 1, length):
+        raise ValueError(f"mask must be {(batch, 1, length)}, got {np.shape(mask)}")
 
     y = np.asarray(y, dtype=np.float64)
     if y.ndim == 2:
@@ -185,8 +191,11 @@ def predict_noise(model: Denoiser, x_t, t, y: np.ndarray, c=None) -> Tensor:
     for i, dilation in enumerate(cfg.dilations()):
         t_proj = engine.matmul(t_emb, p[f"layers.{i}.time_proj.weight"], p[f"layers.{i}.time_proj.bias"])
         t_proj = engine.reshape(t_proj, t_proj.shape[:-1] + (channels, 1))
+        conv_in = engine.add(h, t_proj)
+        if mask is not None:
+            conv_in = engine.mul(conv_in, mask)
         gate_in = engine.conv1d(
-            engine.add(h, t_proj),
+            conv_in,
             p[f"layers.{i}.conv.weight"],
             p[f"layers.{i}.conv.bias"],
             dilation=dilation,

@@ -11,7 +11,9 @@ There is one reverse loop, ``reverse_process``: it draws x_T and applies
 ``reverse_step`` for t = T..1 with whatever per-step noise predictor it is
 given. ``sample`` hands it the guided predictor (one forward pass of the
 stacked theta1/theta2 ``Denoiser``, or of its theta1 member at eta = 1;
-combine, rescale); one member's forward pass drives it unguided.
+combine, rescale); one member's forward pass drives it unguided. A
+``sample`` chain may pad rows of several lengths to its longest: given the
+lengths, it masks padded positions out of the denoiser and the rescale.
 """
 
 from __future__ import annotations
@@ -74,12 +76,16 @@ def cfg_combine(eps_c: np.ndarray, eps_nc: np.ndarray, eta: float) -> np.ndarray
     return eps_nc + eta * (eps_c - eps_nc)
 
 
-def rescale(combined: np.ndarray, eps_c: np.ndarray, gamma: float) -> tuple[np.ndarray, RescaleDiagnostics]:
+def rescale(
+    combined: np.ndarray, eps_c: np.ndarray, gamma: float, lengths: np.ndarray | None = None
+) -> tuple[np.ndarray, RescaleDiagnostics]:
     """Pull the combined prediction's per-example std toward the conditional one.
 
     final = gamma * combined * (std(eps_c) / std(combined)) + (1 - gamma) * combined.
-    Stds are per example over all channels and positions. A vanishing
-    std(combined) disables the correction for that example (ratio 1).
+    Stds are per example over all channels and positions, or over the
+    first lengths[b] positions of example b when lengths is given (the
+    rest is padding). A vanishing std(combined) disables the correction
+    for that example (ratio 1).
     """
     if combined.shape != eps_c.shape:
         raise ValueError(f"shapes differ: {combined.shape} vs {eps_c.shape}")
@@ -87,14 +93,28 @@ def rescale(combined: np.ndarray, eps_c: np.ndarray, gamma: float) -> tuple[np.n
         raise ValueError(f"expected [B, C, L], got {combined.shape}")
     if not 0.0 <= gamma <= 1.0:
         raise ValueError("gamma must lie in [0, 1]")
-    reduce_axes = (1, 2)
-    sigma_cond = eps_c.std(axis=reduce_axes)
-    sigma_cfg = combined.std(axis=reduce_axes)
+    sigma_cond = _row_std(eps_c, lengths)
+    sigma_cfg = _row_std(combined, lengths)
     safe = sigma_cfg > SIGMA_FLOOR
     ratio = np.where(safe, sigma_cond / np.where(safe, sigma_cfg, 1.0), 1.0)
     applied = gamma * ratio + (1.0 - gamma)
     final = combined * applied[:, None, None]
     return final, RescaleDiagnostics(sigma_cond=sigma_cond, sigma_cfg=sigma_cfg, applied_ratio=applied)
+
+
+def _row_std(x: np.ndarray, lengths: np.ndarray | None) -> np.ndarray:
+    """Each row's std over channels and its first lengths[b] positions (all
+    of them without lengths); rows of one length share one reduction."""
+    if lengths is None:
+        return x.std(axis=(1, 2))
+    lengths = np.asarray(lengths)
+    if lengths.shape != x.shape[:1] or np.any(lengths < 1) or np.any(lengths > x.shape[2]):
+        raise ValueError(f"need one length in 1..{x.shape[2]} per row, got {lengths}")
+    out = np.empty(x.shape[0])
+    for n in np.unique(lengths):
+        rows = lengths == n
+        out[rows] = x[rows][:, :, :n].std(axis=(1, 2))
+    return out
 
 
 def reverse_step(
@@ -138,8 +158,9 @@ def sample(
     params: GuidanceParams,
     rng: np.random.Generator,
     diagnostics: list | None = None,
+    lengths: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Full guided reverse process; returns the x_0 estimate [B, 3, L].
+    """Full guided reverse process over one chain; returns the x_0 estimate [B, 3, L].
 
     y: [B, L, D] text embeddings; c: [B, D] style conditions or None for
     the style-unconditional path (theta2 only). With eta=0 there is no
@@ -149,23 +170,33 @@ def sample(
     prediction is a bit-exact copy of the conditional one. That is also
     why theta2 does not run at eta=1: its prediction would not be used.
     Otherwise both members run, one forward pass per step.
+
+    lengths: each row's valid length when the rows are padded to L. The
+    denoiser masks padded positions, rescale leaves them out of its stds,
+    and eps_hat is zero there, so padded positions of x stay zero when rng
+    draws zeros there. rng is anything with a numpy Generator's
+    standard_normal(shape).
     """
     y = np.asarray(y, dtype=np.float64)
     if y.ndim != 3:
         raise ValueError(f"sample() wants batched text embeddings [B, L, D], got {y.shape}")
     unconditional = c is None or params.eta == 0.0
     model = denoisers.member(1) if unconditional else denoisers.member(0) if params.eta == 1.0 else denoisers
+    if lengths is not None and np.all(np.asarray(lengths) == y.shape[1]):
+        lengths = None  # nothing is padded
+    mask = None if lengths is None else (np.arange(y.shape[1]) < np.asarray(lengths)[:, None, None]) * 1.0
 
     def guided(x: np.ndarray, t: int) -> np.ndarray:
         if unconditional:
-            return predict_noise(model, x, t, y).data[0]
-        eps = predict_noise(model, x, t, y, c).data
-        eps_c, eps_nc = eps[0], eps[-1]  # one and the same at eta = 1, where only theta1 runs
-        combined = cfg_combine(eps_c, eps_nc, params.eta)
-        eps_hat, diag = rescale(combined, eps_c, params.gamma)
-        if diagnostics is not None:
-            diagnostics.append((t, diag))
-        return eps_hat
+            eps_hat = predict_noise(model, x, t, y, None, mask).data[0]
+        else:
+            eps = predict_noise(model, x, t, y, c, mask).data
+            eps_c, eps_nc = eps[0], eps[-1]  # one and the same at eta = 1, where only theta1 runs
+            combined = cfg_combine(eps_c, eps_nc, params.eta)
+            eps_hat, diag = rescale(combined, eps_c, params.gamma, lengths)
+            if diagnostics is not None:
+                diagnostics.append((t, diag))
+        return eps_hat if mask is None else eps_hat * mask
 
     shape = (y.shape[0], len(CHANNEL_NAMES), y.shape[1])
     return reverse_process(guided, shape, params.tau, schedule, rng)

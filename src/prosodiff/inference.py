@@ -1,8 +1,12 @@
 """Batched generation helpers on top of the sampler.
 
-Utterances are grouped by length so each group runs as one [B, 3, L]
-batch; every group draws from an rng substream keyed by (seed, length),
-making results reproducible regardless of how many groups there are.
+Texts are grouped by length, and whole groups, in ascending length, are
+packed into chains of at most ``CHAIN_ROWS`` rows (a larger group runs
+alone). Each chain is one masked reverse process over its rows padded to
+its longest text. Every group draws x_T and each step's noise from its own
+rng substream keyed by (seed, length), in the shapes and order of a chain
+of that group alone, so a text's draws do not depend on which other
+lengths share its request or its chain.
 """
 
 from __future__ import annotations
@@ -18,6 +22,8 @@ from .engine import no_grad
 from .guidance import GuidanceParams, sample
 from .style import encode_style
 from .training import ModelBundle
+
+CHAIN_ROWS = 16  # rows per chain, unless one length group alone has more
 
 
 def archived_config(checkpoint_path: str | Path) -> RunConfig:
@@ -60,7 +66,7 @@ def generate(
     zeros, to probe a text-conditioned model without its text (a
     text-ablated model's embedder returns zeros by itself). diagnostics, if
     given, receives (t, text indices, RescaleDiagnostics) per guided step of
-    each length group, one diagnostics row per listed text.
+    each chain, one diagnostics row per listed text, in chain row order.
     """
     if conditions is not None and len(conditions) != len(texts):
         raise ValueError("need one style condition per text")
@@ -69,21 +75,61 @@ def generate(
         by_length.setdefault(len(ids), []).append(i)
 
     results: list[np.ndarray | None] = [None] * len(texts)
-    for length in sorted(by_length):
-        indices = by_length[length]
-        ids = np.stack([texts[i] for i in indices])
+    for chain in _pack_chains(by_length):
+        indices = [i for length in chain for i in by_length[length]]
+        lengths = np.array([len(texts[i]) for i in indices])
+        ids = np.zeros((len(indices), chain[-1]), dtype=np.int64)  # padded with id 0
+        for row, i in enumerate(indices):
+            ids[row, : lengths[row]] = texts[i]
         y = bundle.embedder.embed(ids)
         if zero_text:
             y = np.zeros_like(y)
         c = np.stack([conditions[i] for i in indices]) if conditions is not None else None
-        gen = rng_mod.substream(seed, rng_mod.SAMPLE_STREAM, length)
+        noise = ChainNoise(
+            [(rng_mod.substream(seed, rng_mod.SAMPLE_STREAM, n), len(by_length[n]), n) for n in chain]
+        )
         steps: list | None = None if diagnostics is None else []
-        batch = sample(bundle.denoisers, bundle.schedule, y, c, guidance, gen, steps)
+        batch = sample(bundle.denoisers, bundle.schedule, y, c, guidance, noise, steps, lengths)
         if diagnostics is not None:
             diagnostics.extend((t, indices, diag) for t, diag in steps)
         for row, i in enumerate(indices):
-            results[i] = batch[row]
+            results[i] = batch[row, :, : lengths[row]]
     return results  # type: ignore[return-value]
+
+
+def _pack_chains(by_length: dict[int, list[int]]) -> list[list[int]]:
+    """The lengths of each chain: whole groups in ascending length, at most
+    CHAIN_ROWS rows per chain unless one group alone has more."""
+    chains: list[list[int]] = []
+    rows = 0
+    for length in sorted(by_length):
+        if not chains or rows + len(by_length[length]) > CHAIN_ROWS:
+            chains.append([])
+            rows = 0
+        chains[-1].append(length)
+        rows += len(by_length[length])
+    return chains
+
+
+class ChainNoise:
+    """Standard normal draws for a padded chain of whole length groups.
+
+    groups: (generator, rows, length) per group, in row order. Each
+    standard_normal([B, C, L]) call fills each group's rows and first
+    ``length`` positions from that group's own generator, in the shape an
+    unpadded chain of that group would draw; padded positions are zero.
+    """
+
+    def __init__(self, groups: list[tuple[np.random.Generator, int, int]]):
+        self.groups = groups
+
+    def standard_normal(self, shape: tuple[int, int, int]) -> np.ndarray:
+        out = np.zeros(shape)
+        row = 0
+        for gen, rows, length in self.groups:
+            out[row : row + rows, :, :length] = gen.standard_normal((rows, shape[1], length))
+            row += rows
+        return out
 
 
 def reconstruct(

@@ -153,7 +153,7 @@ class TestSample:
         lines = (out / "diagnostics.csv").read_text().splitlines()
         assert lines[0] == "t,example,sigma_cond,sigma_cfg,applied_ratio"
         lengths = {len(read_utterance_csv(f)[0]) for f in (out / "samples").glob("*.csv")}
-        assert len(lengths) > 1  # several length groups, each sampled as its own batch
+        assert len(lengths) > 1  # several length groups, padded into one chain
         # example is the index i of the sample file diversified_{i:04d}.csv, not the row within a group
         keys = [tuple(int(v) for v in line.split(",")[:2]) for line in lines[1:]]
         assert len(keys) == len(set(keys)) == 12 * 5  # 12 steps, one row per example per step

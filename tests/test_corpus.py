@@ -188,6 +188,36 @@ class TestPersistence:
         with pytest.raises(ValueError, match="malformed"):
             read_utterance_csv(path)
 
+    def test_header_only_file_rejected(self, tmp_path):
+        path = tmp_path / "utt.csv"
+        path.write_text("phoneme_id,log_pitch,energy,log_duration\n")
+        with pytest.raises(ValueError, match="utt.csv: no utterance rows"):
+            read_utterance_csv(path)
+
+    @pytest.mark.parametrize("keep_rows", [0, 3])
+    def test_val_file_shorter_than_manifest_length_rejected(self, tmp_path, keep_rows):
+        # a val file does not enter the stored statistics, so only the length check can catch it
+        corpus = generate_corpus(small_config(), seed=6)
+        save_corpus(corpus, tmp_path / "c")
+        name = f"utt_{corpus.val_indices[0]:05d}.csv"
+        path = tmp_path / "c" / name
+        path.write_text("\n".join(path.read_text().splitlines()[: 1 + keep_rows]) + "\n")
+        with pytest.raises(ValueError, match=name):
+            load_corpus(tmp_path / "c")
+
+    @pytest.mark.parametrize("style_id", [4, -1, "1", 1.0, True, None])
+    def test_style_id_outside_style_range_rejected(self, tmp_path, style_id):
+        import json
+
+        corpus = generate_corpus(small_config(), seed=6)
+        save_corpus(corpus, tmp_path / "c")
+        manifest_path = tmp_path / "c" / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["utterances"][corpus.val_indices[0]]["style_id"] = style_id
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match="style_id"):
+            load_corpus(tmp_path / "c")
+
     def test_tampered_stats_detected(self, tmp_path):
         import json
 

@@ -138,6 +138,64 @@ class TestPredictNoise:
             np.testing.assert_allclose(batched[i], single[0], atol=1e-12)
 
 
+# dilations 1..8 over 4 layers; dilation 8 pads 8 positions on each side,
+# more than every test length here
+MASK_CONFIG = DenoiserConfig(
+    residual_layers=4, dilation_cycle=(1, 2, 4, 8), hidden_channels=6, time_embedding_dim=8, condition_dim=5
+)
+
+
+class TestMask:
+    """A [B, 1, L] mask pads rows of several lengths into one batch: each
+    row's outputs at its valid positions are those of its own unpadded
+    forward pass."""
+
+    @staticmethod
+    def padded_case(lengths, width, seed=0):
+        pair = Denoiser(MASK_CONFIG, True, *init_rngs(seed))
+        rng = np.random.default_rng(seed)
+        for p in pair.params.values():
+            p.data[...] = 0.3 * rng.standard_normal(p.shape)
+        batch = len(lengths)
+        x = rng.standard_normal((batch, 3, width))
+        y = rng.standard_normal((batch, width, MASK_CONFIG.condition_dim))
+        c = rng.standard_normal((batch, MASK_CONFIG.condition_dim))
+        t = rng.integers(1, 50, size=batch)
+        mask = (np.arange(width) < np.array(lengths)[:, None, None]) * 1.0
+        return pair, x, y, c, t, mask
+
+    @pytest.mark.parametrize("lengths, width", [((3, 7, 5), 7), ((2, 4, 4, 1), 12), ((6,), 9)])
+    def test_padded_forward_matches_unpadded_rows(self, lengths, width):
+        pair, x, y, c, t, mask = self.padded_case(lengths, width)
+        padded = predict_noise(pair, x, t, y, c, mask).data
+        for b, n in enumerate(lengths):
+            alone = predict_noise(pair, x[b : b + 1, :, :n], t[b], y[b : b + 1, :n], c[b : b + 1]).data
+            np.testing.assert_allclose(padded[:, b : b + 1, :, :n], alone, rtol=1e-12, atol=1e-12)
+
+    def test_padded_values_do_not_reach_valid_positions(self):
+        lengths = (2, 5, 8)
+        pair, x, y, c, t, mask = self.padded_case(lengths, 8, seed=1)
+        base = predict_noise(pair, x, t, y, c, mask).data
+        rng = np.random.default_rng(2)
+        padded = mask == 0.0
+        x = np.where(padded, 1e3 * rng.standard_normal(x.shape), x)
+        y = np.where(padded.transpose(0, 2, 1), rng.standard_normal(y.shape), y)
+        scrambled = predict_noise(pair, x, t, y, c, mask).data
+        for b, n in enumerate(lengths):
+            assert np.array_equal(scrambled[:, b, :, :n], base[:, b, :, :n])
+        assert not np.array_equal(scrambled, base)  # the padded outputs did change
+
+    def test_no_mask_equals_all_ones_bitwise(self):
+        pair, x, y, c, t, _ = self.padded_case((7, 7), 7)
+        ones = np.ones((2, 1, 7))
+        assert np.array_equal(predict_noise(pair, x, t, y, c).data, predict_noise(pair, x, t, y, c, ones).data)
+
+    def test_mask_shape_checked(self):
+        pair, x, y, c, t, _ = self.padded_case((4, 4), 4)
+        with pytest.raises(ValueError, match="mask"):
+            predict_noise(pair, x, t, y, c, np.ones((2, 4)))
+
+
 class TestParameterSeparation:
     def test_equal_configs_share_name_sets(self):
         a = Denoiser(TINY, True, rng_mod.substream(0, rng_mod.INIT_STREAM, 0))

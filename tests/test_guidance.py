@@ -230,6 +230,37 @@ class TestRescaleProperties:
         assert diag.applied_ratio[flat] == 1.0
         assert np.array_equal(final[flat], combined[flat])
 
+    @settings(max_examples=100, deadline=None)
+    @given(PREDICTIONS, st.floats(0.0, 1.0), st.data())
+    def test_values_beyond_each_length_are_ignored(self, pair, gamma, data):
+        combined, eps_c = pair
+        batch, _, width = combined.shape
+        lengths = np.array(data.draw(st.lists(st.integers(1, width), min_size=batch, max_size=batch)))
+        final, diag = rescale(combined, eps_c, gamma, lengths)
+        padded = np.arange(width) >= lengths[:, None, None]
+        garbage = data.draw(arrays(np.float64, (2,) + combined.shape, elements=st.floats(-1e3, 1e3)))
+        final2, diag2 = rescale(
+            np.where(padded, garbage[0], combined), np.where(padded, garbage[1], eps_c), gamma, lengths
+        )
+        for b, n in enumerate(lengths):
+            assert np.array_equal(final2[b, :, :n], final[b, :, :n])
+        assert all(np.array_equal(getattr(diag2, key), getattr(diag, key)) for key in vars(diag))
+
+    @settings(max_examples=100, deadline=None)
+    @given(PREDICTIONS, st.floats(0.0, 1.0))
+    def test_equal_lengths_equal_the_unpadded_call_bitwise(self, pair, gamma):
+        combined, eps_c = pair
+        final, diag = rescale(combined, eps_c, gamma)
+        final2, diag2 = rescale(combined, eps_c, gamma, np.full(combined.shape[0], combined.shape[2]))
+        assert np.array_equal(final2, final)
+        assert all(np.array_equal(getattr(diag2, key), getattr(diag, key)) for key in vars(diag))
+
+    def test_lengths_checked(self):
+        z = np.zeros((2, 3, 4))
+        for bad in ([4], [0, 4], [4, 5]):
+            with pytest.raises(ValueError, match="length"):
+                rescale(z, z, 0.7, np.array(bad))
+
 
 class TestReverseStep:
     def test_final_step_deterministic(self):

@@ -3,12 +3,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from prosodiff import inference
+from prosodiff import inference, rng as rng_mod
 from prosodiff.checkpoint import load_entries
 from prosodiff.config import RunConfig, ScheduleSettings
 from prosodiff.corpus import CorpusConfig, generate_corpus
 from prosodiff.denoiser import DenoiserConfig
-from prosodiff.guidance import GuidanceParams
+from prosodiff.guidance import GuidanceParams, sample
 from prosodiff.schedule import cosine_schedule
 from prosodiff.style import StyleConfig
 from prosodiff.training import LengthBucketSampler, TrainConfig, build_models, load_checkpoint, save_checkpoint
@@ -67,6 +67,102 @@ class TestGenerate:
         )
         for a, b in zip(out, raw):
             assert np.array_equal(a, bundle.stats.denormalize(b))
+
+
+@pytest.fixture(scope="module")
+def random_bundle(setup):
+    """The setup architecture with every denoiser parameter drawn at random,
+    so biases, null vectors and passthrough gates all take part."""
+    run, corpus, _ = setup
+    bundle = build_models(run, corpus.stats)
+    rng = np.random.default_rng(11)
+    for p in bundle.denoisers.params.values():
+        p.data[...] = 0.1 * rng.standard_normal(p.shape)
+    return bundle
+
+
+def random_texts(lengths, seed=0):
+    rng = np.random.default_rng(seed)
+    return [rng.integers(0, 12, size=n) for n in lengths]
+
+
+def per_length_reference(bundle, texts, conditions, params, seed):
+    """generate() written as one unpadded sample() per length group, each
+    drawing from its length's substream."""
+    out = [None] * len(texts)
+    for length in sorted({len(ids) for ids in texts}):
+        rows = [i for i, ids in enumerate(texts) if len(ids) == length]
+        y = bundle.embedder.embed(np.stack([texts[i] for i in rows]))
+        c = None if conditions is None else np.stack([conditions[i] for i in rows])
+        gen = rng_mod.substream(seed, rng_mod.SAMPLE_STREAM, length)
+        batch = sample(bundle.denoisers, bundle.schedule, y, c, params, gen)
+        for row, i in enumerate(rows):
+            out[i] = batch[row]
+    return out
+
+
+MIXED_LENGTHS = (5, 9, 6, 5, 12, 9, 7, 5)
+
+
+class TestChains:
+    """generate packs whole length groups into padded, masked chains; each
+    text's draws stay those of its own length group."""
+
+    @pytest.mark.parametrize("eta, conditional", [(2.0, True), (1.0, True), (0.0, True), (2.0, False)])
+    def test_matches_per_length_reference(self, random_bundle, eta, conditional):
+        texts = random_texts(MIXED_LENGTHS)
+        conds = list(np.random.default_rng(1).standard_normal((len(texts), 6))) if conditional else None
+        params = GuidanceParams(eta=eta, gamma=0.7)
+        got = inference.generate(random_bundle, texts, conds, params, seed=4)
+        want = per_length_reference(random_bundle, texts, conds, params, seed=4)
+        for ids, a, b in zip(texts, got, want):
+            assert a.shape == b.shape == (3, len(ids))
+            np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
+
+    def test_result_does_not_depend_on_other_lengths_in_the_request(self, random_bundle):
+        texts = random_texts(MIXED_LENGTHS)
+        conds = list(np.random.default_rng(1).standard_normal((len(texts), 6)))
+        params = GuidanceParams(eta=2.0)
+        full = inference.generate(random_bundle, texts, conds, params, seed=4)
+        kept = [i for i, ids in enumerate(texts) if len(ids) in (5, 9)]  # whole groups only
+        extra = random_texts((8, 8, 3), seed=2)
+        sub_texts = [texts[i] for i in kept] + extra
+        sub_conds = [conds[i] for i in kept] + list(np.random.default_rng(3).standard_normal((3, 6)))
+        sub = inference.generate(random_bundle, sub_texts, sub_conds, params, seed=4)
+        for j, i in enumerate(kept):
+            np.testing.assert_allclose(sub[j], full[i], rtol=1e-12, atol=1e-12)
+
+    def test_chain_rows(self, random_bundle, monkeypatch):
+        chains = []
+
+        def spy(denoisers, schedule, y, *args):
+            chains.append(y.shape[0])
+            return sample(denoisers, schedule, y, *args)
+
+        monkeypatch.setattr(inference, "sample", spy)
+        inference.generate(random_bundle, random_texts(MIXED_LENGTHS), None, GuidanceParams(), seed=4)
+        assert chains == [8]
+        chains.clear()
+        # the 17 rows of length 5 exceed CHAIN_ROWS, so they run alone
+        texts = random_texts((4, 4) + (5,) * 17 + (6, 6, 6))
+        inference.generate(random_bundle, texts, None, GuidanceParams(), seed=4)
+        assert inference.CHAIN_ROWS == 16
+        assert chains == [2, 17, 3]
+
+    def test_padded_positions_stay_zero(self, random_bundle):
+        ids = np.zeros((2, 7), dtype=np.int64)
+        ids[0, :4], ids[1] = random_texts((4, 7))
+        noise = inference.ChainNoise([(np.random.default_rng(5), 1, 4), (np.random.default_rng(6), 1, 7)])
+        c = np.random.default_rng(1).standard_normal((2, 6))
+        out = sample(
+            random_bundle.denoisers, random_bundle.schedule, random_bundle.embedder.embed(ids), c,
+            GuidanceParams(eta=2.0), noise, lengths=np.array([4, 7]),
+        )
+        assert not np.any(out[0, :, 4:]) and np.all(out[0, :, :4] != 0)
+
+    def test_empty_request(self, random_bundle):
+        assert inference.generate(random_bundle, [], None, GuidanceParams(), seed=4) == []
+        assert inference.generate(random_bundle, [], [], GuidanceParams(), seed=4) == []
 
 
 class TestBuildModels:
