@@ -135,7 +135,7 @@ def cmd_train(args) -> None:
 
 def _resolve_mode_conditions(args, bundle, corpus, run, n_samples):
     """Returns (texts, conditions, mode_tag). Texts are phoneme-id arrays."""
-    pick = rng_mod.substream(run.seed, rng_mod.SAMPLE_STREAM, 999)
+    pick = rng_mod.substream(run.seed, rng_mod.SAMPLE_STREAM)  # no (stream, length) noise key can be this one
     val = corpus.split("val")
     texts = [val[int(i)].phoneme_ids for i in pick.integers(0, len(val), size=n_samples)]
 

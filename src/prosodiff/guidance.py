@@ -11,9 +11,9 @@ There is one reverse loop, ``reverse_process``: it draws x_T and applies
 ``reverse_step`` for t = T..1 with whatever per-step noise predictor it is
 given. ``sample`` hands it the guided predictor (one forward pass of the
 stacked theta1/theta2 ``Denoiser``, or of its theta1 member at eta = 1;
-combine, rescale); one member's forward pass drives it unguided. A
-``sample`` chain may pad rows of several lengths to its longest: given the
-lengths, it masks padded positions out of the denoiser and the rescale.
+combine, rescale); one member's forward pass drives it unguided. Every
+``sample`` chain runs masked: its rows may be padded to its longest, and
+each row's valid positions are masked into the denoiser and the rescale.
 """
 
 from __future__ import annotations
@@ -105,9 +105,7 @@ def rescale(
 def _row_std(x: np.ndarray, lengths: np.ndarray | None) -> np.ndarray:
     """Each row's std over channels and its first lengths[b] positions (all
     of them without lengths); rows of one length share one reduction."""
-    if lengths is None:
-        return x.std(axis=(1, 2))
-    lengths = np.asarray(lengths)
+    lengths = np.full(x.shape[0], x.shape[2]) if lengths is None else np.asarray(lengths)
     if lengths.shape != x.shape[:1] or np.any(lengths < 1) or np.any(lengths > x.shape[2]):
         raise ValueError(f"need one length in 1..{x.shape[2]} per row, got {lengths}")
     out = np.empty(x.shape[0])
@@ -171,10 +169,10 @@ def sample(
     why theta2 does not run at eta=1: its prediction would not be used.
     Otherwise both members run, one forward pass per step.
 
-    lengths: each row's valid length when the rows are padded to L. The
-    denoiser masks padded positions, rescale leaves them out of its stds,
-    and eps_hat is zero there, so padded positions of x stay zero when rng
-    draws zeros there. rng is anything with a numpy Generator's
+    lengths: each row's valid length, L for every row when None. The
+    denoiser masks positions beyond it, rescale leaves them out of its
+    stds, and eps_hat is zero there, so padded positions of x stay zero
+    when rng draws zeros there. rng is anything with a numpy Generator's
     standard_normal(shape).
     """
     y = np.asarray(y, dtype=np.float64)
@@ -182,9 +180,8 @@ def sample(
         raise ValueError(f"sample() wants batched text embeddings [B, L, D], got {y.shape}")
     unconditional = c is None or params.eta == 0.0
     model = denoisers.member(1) if unconditional else denoisers.member(0) if params.eta == 1.0 else denoisers
-    if lengths is not None and np.all(np.asarray(lengths) == y.shape[1]):
-        lengths = None  # nothing is padded
-    mask = None if lengths is None else (np.arange(y.shape[1]) < np.asarray(lengths)[:, None, None]) * 1.0
+    lengths = np.full(y.shape[0], y.shape[1]) if lengths is None else np.asarray(lengths)
+    mask = (np.arange(y.shape[1]) < lengths[:, None, None]) * 1.0
 
     def guided(x: np.ndarray, t: int) -> np.ndarray:
         if unconditional:
@@ -196,7 +193,7 @@ def sample(
             eps_hat, diag = rescale(combined, eps_c, params.gamma, lengths)
             if diagnostics is not None:
                 diagnostics.append((t, diag))
-        return eps_hat if mask is None else eps_hat * mask
+        return eps_hat * mask
 
     shape = (y.shape[0], len(CHANNEL_NAMES), y.shape[1])
     return reverse_process(guided, shape, params.tau, schedule, rng)

@@ -2,11 +2,11 @@
 
 Texts are grouped by length, and whole groups, in ascending length, are
 packed into chains of at most ``CHAIN_ROWS`` rows (a larger group runs
-alone). Each chain is one masked reverse process over its rows padded to
-its longest text. Every group draws x_T and each step's noise from its own
-rng substream keyed by (seed, length), in the shapes and order of a chain
-of that group alone, so a text's draws do not depend on which other
-lengths share its request or its chain.
+alone). Each chain, one length or several, is one masked reverse process
+over its rows padded to its longest text. Every group draws x_T and each
+step's noise from its own rng substream keyed by (seed, length), in the
+shapes and order of a chain of that group alone, so a text's draws do not
+depend on which other lengths share its request or its chain.
 """
 
 from __future__ import annotations
@@ -56,22 +56,23 @@ def generate(
     conditions: list[np.ndarray] | None,
     guidance: GuidanceParams,
     seed: int,
-    zero_text: bool = False,
     diagnostics: list | None = None,
 ) -> list[np.ndarray]:
-    """Sample one normalized [3, L_i] sequence per text.
+    """Sample one normalized [3, L_i] sequence per text; an empty text is rejected.
 
     conditions: one style vector per text, or None for the
-    style-unconditional path. zero_text replaces text embeddings with
-    zeros, to probe a text-conditioned model without its text (a
-    text-ablated model's embedder returns zeros by itself). diagnostics, if
-    given, receives (t, text indices, RescaleDiagnostics) per guided step of
-    each chain, one diagnostics row per listed text, in chain row order.
+    style-unconditional path. Texts are embedded by the bundle's own
+    embedder, so a text-ablated bundle samples without its text.
+    diagnostics, if given, receives (t, text indices, RescaleDiagnostics)
+    per guided step of each chain, one diagnostics row per listed text, in
+    chain row order.
     """
     if conditions is not None and len(conditions) != len(texts):
         raise ValueError("need one style condition per text")
     by_length: dict[int, list[int]] = {}
     for i, ids in enumerate(texts):
+        if len(ids) == 0:
+            raise ValueError(f"text {i} is empty")
         by_length.setdefault(len(ids), []).append(i)
 
     results: list[np.ndarray | None] = [None] * len(texts)
@@ -82,8 +83,6 @@ def generate(
         for row, i in enumerate(indices):
             ids[row, : lengths[row]] = texts[i]
         y = bundle.embedder.embed(ids)
-        if zero_text:
-            y = np.zeros_like(y)
         c = np.stack([conditions[i] for i in indices]) if conditions is not None else None
         noise = ChainNoise(
             [(rng_mod.substream(seed, rng_mod.SAMPLE_STREAM, n), len(by_length[n]), n) for n in chain]
@@ -133,16 +132,11 @@ class ChainNoise:
 
 
 def reconstruct(
-    bundle: ModelBundle,
-    utterances: list[Utterance],
-    guidance: GuidanceParams,
-    seed: int,
-    conditional: bool = True,
-    zero_text: bool = False,
+    bundle: ModelBundle, utterances: list[Utterance], guidance: GuidanceParams, seed: int
 ) -> list[np.ndarray]:
     """Regenerate each utterance from its own text and style reference;
     returns denormalized [3, L] sequences (natural units)."""
     texts = [u.phoneme_ids for u in utterances]
-    conditions = style_conditions(bundle, [u.prosody for u in utterances]) if conditional else None
-    normalized = generate(bundle, texts, conditions, guidance, seed, zero_text=zero_text)
+    conditions = style_conditions(bundle, [u.prosody for u in utterances])
+    normalized = generate(bundle, texts, conditions, guidance, seed)
     return [bundle.stats.denormalize(x) for x in normalized]

@@ -233,7 +233,7 @@ def save_checkpoint(bundle: ModelBundle, trainer_step: int, path: str | Path) ->
 
 def load_checkpoint(bundle: ModelBundle, path: str | Path) -> int:
     """Restore parameters, Adam state, the text embedder and statistics;
-    returns the stored step."""
+    returns the stored step. An entry the bundle does not have is an error."""
     entries = ckpt.load_entries(path)
 
     def entry(key: str, shape: tuple[int, ...]) -> np.ndarray:
@@ -243,11 +243,14 @@ def load_checkpoint(bundle: ModelBundle, path: str | Path) -> int:
             raise ckpt.CheckpointError(
                 f"{path}: shape mismatch for {key}: checkpoint {entries[key].shape}, model {shape}"
             )
-        return entries[key]
+        return entries.pop(key)
 
     for key, view in _state_entries(bundle).items():
         view[...] = entry(key, view.shape)
     bundle.adam.step_counter = int(entry("optim.step_counter", ()))
     # a new object: the bundle may share its statistics with the corpus it was built for
     bundle.stats = NormStats(entry("norm.mean", bundle.stats.mean.shape), entry("norm.std", bundle.stats.std.shape))
-    return int(entry("trainer.step", ()))
+    step = int(entry("trainer.step", ()))
+    if entries:
+        raise ckpt.CheckpointError(f"{path}: checkpoint has entries this model does not: {', '.join(sorted(entries))}")
+    return step

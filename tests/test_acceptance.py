@@ -6,9 +6,11 @@ are marked ``slow``; the rest are self-contained and run with the unit
 tests. Run with `pytest tests/test_acceptance.py -v -s`.
 """
 
+import copy
 import json
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -339,12 +341,14 @@ class TestCriterion10AblationOrdering:
         bundle, corpus = default_run["bundle"], default_run["corpus"]
         val = corpus.split("val")
         cond = evaluate.js_report(val_reconstruction, val)
-        uncond = evaluate.js_report(
-            inference.reconstruct(bundle, val, EVAL_GUIDANCE, seed=123, conditional=False), val
-        )
-        zerotext = evaluate.js_report(
-            inference.reconstruct(bundle, val, EVAL_GUIDANCE, seed=123, zero_text=True), val
-        )
+        texts = [u.phoneme_ids for u in val]
+        unstyled = inference.generate(bundle, texts, None, EVAL_GUIDANCE, seed=123)
+        uncond = evaluate.js_report([bundle.stats.denormalize(x) for x in unstyled], val)
+        # the trained weights with the text-ablated embedder: every text embeds as zeros
+        embedder = copy.copy(bundle.embedder)
+        embedder.ablated = True
+        no_text = replace(bundle, embedder=embedder)
+        zerotext = evaluate.js_report(inference.reconstruct(no_text, val, EVAL_GUIDANCE, seed=123), val)
         for channel in cond:
             assert cond[channel] < uncond[channel], (
                 f"{channel}: cond {cond[channel]:.4f} !< uncond {uncond[channel]:.4f}"

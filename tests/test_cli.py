@@ -10,6 +10,8 @@ import numpy as np
 import pytest
 
 from prosodiff import evaluate, inference
+from prosodiff import rng as rng_mod
+from prosodiff.checkpoint import load_entries, save_entries
 from prosodiff.cli import _resolve_mode_conditions, build_parser, main
 from prosodiff.config import RunConfig
 from prosodiff.corpus import load_corpus, read_utterance_csv, write_utterance_csv
@@ -172,6 +174,26 @@ class TestSample:
 
         assert np.array_equal(embedding(archive), embedding(workspace["root"] / "model" / "resolved_config.json"))
 
+    def test_text_picks_share_no_stream_with_noise(self, workspace, tmp_path, monkeypatch):
+        # a corpus whose texts all have length 999, so their noise is keyed by length 999
+        config = tmp_path / "long.json"
+        long_corpus = {**TINY_CONFIG["corpus"], "utterances_per_style": 4, "length_range": [999, 999]}
+        config.write_text(json.dumps({**TINY_CONFIG, "corpus": long_corpus}))
+        assert main(["gen-data", "--config", str(config), "--out", str(tmp_path / "data")]) == 0
+        keys = []
+        substream = rng_mod.substream
+
+        def spy(seed, *key):
+            keys.append((seed, *key))
+            return substream(seed, *key)
+
+        monkeypatch.setattr(rng_mod, "substream", spy)
+        argv = ["sample", "--checkpoint", str(workspace["checkpoint"]), "--corpus", str(tmp_path / "data" / "corpus")]
+        assert main(argv + ["--out", str(tmp_path / "o"), "--num-samples", "2", "--steps", "2"]) == 0
+        sampling = [key for key in keys if key[1] == rng_mod.SAMPLE_STREAM]
+        assert (5, rng_mod.SAMPLE_STREAM, 999) in sampling
+        assert len(sampling) == len(set(sampling))
+
     def test_guidance_overrides_archived(self, workspace, tmp_path):
         assert self.run_sample(workspace, tmp_path / "ov", "--eta", "3.0", "--gamma", "0.4") == 0
         archived = json.loads((tmp_path / "ov" / "resolved_config.json").read_text())
@@ -297,7 +319,8 @@ class TestTextAblatedCheckpoint:
         corpus, bundle, run = trained_bundle(workspace, text_ablated, tmp_path / "o" / "resolved_config.json")
         assert not run.train.text_condition
         texts, conditions, tag = _resolve_mode_conditions(build_parser().parse_args(argv), bundle, corpus, run, 3)
-        expected = inference.generate(bundle, texts, conditions, run.guidance, run.seed, zero_text=True)
+        assert not any(np.any(bundle.embedder.embed(ids)) for ids in texts)
+        expected = inference.generate(bundle, texts, conditions, run.guidance, run.seed)
         for i, x in enumerate(expected):
             _, prosody = read_utterance_csv(tmp_path / "o" / "samples" / f"{tag}_{i:04d}.csv")
             assert np.array_equal(prosody, bundle.stats.denormalize(x)), i
@@ -308,13 +331,14 @@ class TestTextAblatedCheckpoint:
         assert main(argv) == 0
         corpus, bundle, run = trained_bundle(workspace, text_ablated, tmp_path / "o" / "resolved_config.json")
         val = corpus.split("val")
-        js = evaluate.js_report(inference.reconstruct(bundle, val, run.guidance, run.seed, zero_text=True), val)
+        assert not any(np.any(bundle.embedder.embed(u.phoneme_ids)) for u in val)
+        js = evaluate.js_report(inference.reconstruct(bundle, val, run.guidance, run.seed), val)
         report = (tmp_path / "o" / "report.csv").read_text().splitlines()
         assert [r for r in report if r.startswith("js_divergence")] == [
             f"js_divergence,{name},{float(value)!r}" for name, value in js.items()
         ]
         swept = replace(run.guidance, eta=3.0)
-        cv = evaluate.mean_cv(inference.reconstruct(bundle, val[:4], swept, run.seed, zero_text=True))
+        cv = evaluate.mean_cv(inference.reconstruct(bundle, val[:4], swept, run.seed))
         sweep = (tmp_path / "o" / "cv_sweep.csv").read_text().splitlines()
         assert sweep[1] == ",".join(repr(float(v)) for v in (3.0, *cv))
 
@@ -409,6 +433,18 @@ class TestErrors:
         )
         argv = ["sample", "--checkpoint", str(model / "final.bin"), "--corpus", str(workspace["corpus"])]
         assert_json_error(main(argv + ["--out", str(tmp_path / "o")]), capsys, "truncated")
+
+    def test_checkpoint_with_extra_entry(self, workspace, tmp_path, capsys):
+        model = tmp_path / "model"
+        entries = load_entries(workspace["checkpoint"])
+        entries["denoisers.layers.9.conv.weight"] = np.zeros((2, 6, 6, 3))
+        save_entries(model / "final.bin", entries)
+        (model / "resolved_config.json").write_bytes(
+            (workspace["root"] / "model" / "resolved_config.json").read_bytes()
+        )
+        argv = ["sample", "--checkpoint", str(model / "final.bin"), "--corpus", str(workspace["corpus"])]
+        assert_json_error(main(argv + ["--out", str(tmp_path / "o")]), capsys, "denoisers.layers.9.conv.weight")
+        assert not (tmp_path / "o").exists()
 
     def test_out_is_existing_file(self, workspace, tmp_path, capsys):
         taken = tmp_path / "taken"

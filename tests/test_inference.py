@@ -3,12 +3,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from prosodiff import inference, rng as rng_mod
+from prosodiff import guidance, inference, rng as rng_mod
 from prosodiff.checkpoint import load_entries
 from prosodiff.config import RunConfig, ScheduleSettings
 from prosodiff.corpus import CorpusConfig, generate_corpus
-from prosodiff.denoiser import DenoiserConfig
-from prosodiff.guidance import GuidanceParams, sample
+from prosodiff.denoiser import DenoiserConfig, predict_noise
+from prosodiff.guidance import GuidanceParams, rescale, sample
 from prosodiff.schedule import cosine_schedule
 from prosodiff.style import StyleConfig
 from prosodiff.training import LengthBucketSampler, TrainConfig, build_models, load_checkpoint, save_checkpoint
@@ -56,6 +56,13 @@ class TestGenerate:
         out2 = inference.generate(bundle, texts, conds, GuidanceParams(), seed=3)
         for a, b in zip(out1, out2):
             assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("lengths", [(0,), (5, 0), (0, 5)])
+    def test_empty_text_rejected(self, setup, lengths):
+        _, _, bundle = setup
+        texts = [np.zeros(n, dtype=np.int64) for n in lengths]
+        with pytest.raises(ValueError, match=f"text {lengths.index(0)} is empty"):
+            inference.generate(bundle, texts, None, GuidanceParams(eta=2.0), seed=1)
 
     def test_reconstruct_is_denormalized_generate(self, setup):
         _, corpus, bundle = setup
@@ -149,6 +156,27 @@ class TestChains:
         assert inference.CHAIN_ROWS == 16
         assert chains == [2, 17, 3]
 
+    def test_single_length_chain_runs_masked(self, random_bundle, monkeypatch):
+        masks, lengths = [], []
+
+        def predict_spy(model, x, t, y, c, mask=None):
+            masks.append(mask)
+            return predict_noise(model, x, t, y, c, mask)
+
+        def rescale_spy(combined, eps_c, gamma, row_lengths=None):
+            lengths.append(row_lengths)
+            return rescale(combined, eps_c, gamma, row_lengths)
+
+        monkeypatch.setattr(guidance, "predict_noise", predict_spy)
+        monkeypatch.setattr(guidance, "rescale", rescale_spy)
+        texts = random_texts((6, 6, 6))
+        conds = list(np.random.default_rng(1).standard_normal((3, 6)))
+        inference.generate(random_bundle, texts, conds, GuidanceParams(eta=2.0), seed=4)
+        assert len(masks) == len(lengths) == random_bundle.schedule.step_count
+        for mask, row_lengths in zip(masks, lengths):
+            assert mask is not None and mask.shape == (3, 1, 6) and np.all(mask == 1.0)
+            assert row_lengths is not None and list(row_lengths) == [6, 6, 6]
+
     def test_padded_positions_stay_zero(self, random_bundle):
         ids = np.zeros((2, 7), dtype=np.int64)
         ids[0, :4], ids[1] = random_texts((4, 7))
@@ -196,17 +224,19 @@ class TestTextAblation:
             assert not np.any(batch.y)
 
     @pytest.mark.parametrize("eta", [0.0, 1.0, 2.0])
-    def test_generate_equals_zero_text_on_conditioned_weights(self, setup, ablated, eta):
+    def test_generate_equals_zero_text_on_conditioned_weights(self, setup, ablated, eta, monkeypatch):
         _, corpus, bundle = setup
         utts = corpus.utterances[:6]
         texts = [u.phoneme_ids for u in utts]
         conds = inference.style_conditions(bundle, [u.prosody for u in utts])
         params = GuidanceParams(eta=eta)
-        expected = inference.generate(bundle, texts, conds, params, seed=7, zero_text=True)
+        with_text = inference.generate(bundle, texts, conds, params, seed=7)
+        with monkeypatch.context() as patch:
+            patch.setattr(bundle.embedder, "embed", lambda ids: np.zeros(np.shape(ids) + (bundle.embedder.dim,)))
+            expected = inference.generate(bundle, texts, conds, params, seed=7)
         got = inference.generate(ablated, texts, conds, params, seed=7)
         for a, b in zip(got, expected):
             assert np.array_equal(a, b)
-        with_text = inference.generate(bundle, texts, conds, params, seed=7)
         assert not all(np.array_equal(a, b) for a, b in zip(with_text, expected))
 
     def test_checkpoint_keeps_the_embedder_table(self, setup, ablated, tmp_path):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from prosodiff import rng as rng_mod
-from prosodiff.checkpoint import CheckpointError, load_entries
+from prosodiff.checkpoint import CheckpointError, load_entries, save_entries
 from prosodiff.corpus import CorpusConfig, NormStats, generate_corpus
 from prosodiff.denoiser import Denoiser, DenoiserConfig, predict_noise
 from prosodiff.guidance import diffusion_loss
@@ -120,6 +120,15 @@ class TestCheckpointRoundTrip:
         other = build_models(run_config(other_denoiser, TINY_STYLE, 12, 0, corpus=TINY_CORPUS), corpus.stats)
         with pytest.raises(CheckpointError):
             load_checkpoint(other, tmp_path / "state.bin")
+
+    def test_extra_entry_rejected(self, tmp_path):
+        _, bundle = tiny_setup()
+        save_checkpoint(bundle, 1, tmp_path / "state.bin")
+        entries = load_entries(tmp_path / "state.bin")
+        entries["denoisers.layers.9.conv.weight"] = np.zeros((2, 6, 6, 3))
+        save_entries(tmp_path / "extra.bin", entries)
+        with pytest.raises(CheckpointError, match=r"extra\.bin: .*denoisers\.layers\.9\.conv\.weight"):
+            load_checkpoint(bundle, tmp_path / "extra.bin")
 
     def test_entries_name_each_parameter_once_in_its_shape(self, tmp_path):
         corpus, bundle = tiny_setup()
