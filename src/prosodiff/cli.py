@@ -1,10 +1,12 @@
 """Command-line surface: corpus generation, training, guided sampling,
 evaluation and plotting.
 
-Each command archives its resolved configuration as
+A run's config is ``--config`` (or the defaults, or the archive next to a
+checkpoint) with ``--seed`` and each flag whose dest names a
+``section.field`` applied on top. Each command archives it as
 ``<out>/resolved_config.json``; rerunning from that file with the same
 seed reproduces every output byte for byte. Failures print one
-machine-readable JSON line to stderr and exit nonzero.
+machine-readable JSON line to stderr and exit 1, or 2 for a usage error.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from . import evaluate, inference
 from . import rng as rng_mod
 from .charts import write_bar_chart, write_line_chart
 from .checkpoint import CheckpointError
-from .config import RunConfig, ScheduleSettings
+from .config import RunConfig
 from .corpus import (
     Corpus,
     generate_corpus,
@@ -41,35 +43,23 @@ class CommandError(Exception):
     pass
 
 
-def _load_run_config(args) -> RunConfig:
-    run = RunConfig.load(args.config) if args.config else RunConfig()
-    if getattr(args, "seed", None) is not None:
-        run.seed = args.seed
-    train_overrides = {}
-    for attr, key in (
-        ("steps", "steps"),
-        ("batch_size", "batch_size"),
-        ("learning_rate", "learning_rate"),
-    ):
-        value = getattr(args, attr, None)
-        if value is not None:
-            train_overrides[key] = value
-    if getattr(args, "no_style_condition", False):
-        train_overrides["style_condition"] = False
-    if getattr(args, "no_text_condition", False):
-        train_overrides["text_condition"] = False
-    if train_overrides:
-        run.train = replace(run.train, **train_overrides)
-    return run
+def _with_flags(run: RunConfig, args) -> RunConfig:
+    """run with --seed and each given flag whose dest is the ``section.field`` it sets."""
+    for dest, value in vars(args).items():
+        section, _, name = dest.partition(".")
+        if name and value is not None:
+            run = replace(run, **{section: replace(getattr(run, section), **{name: value})})
+    seed = getattr(args, "seed", None)
+    return run if seed is None else replace(run, seed=seed)
 
 
 def _load_trained(args) -> tuple[Corpus, ModelBundle, RunConfig]:
     """Set-up shared by sample and eval.
 
     Rejects a style-ablated checkpoint unless sampling --unconditional.
-    Applies --eta/--gamma/--tau/--steps/--seed to the config archived next
-    to the checkpoint and builds the trained bundle from it. The caller
-    archives the config once its own inputs have been validated.
+    Applies the command's flags to the config archived next to the
+    checkpoint and builds the trained bundle from it. The caller archives
+    the config once its own inputs have been validated.
     """
     corpus = _corpus_for(args)
     run = inference.archived_config(args.checkpoint)
@@ -77,12 +67,7 @@ def _load_trained(args) -> tuple[Corpus, ModelBundle, RunConfig]:
         raise CommandError(
             f"{args.checkpoint} was trained with train.style_condition false; only sample --unconditional can use it"
         )
-    overrides = {name: getattr(args, name) for name in ("eta", "gamma", "tau") if getattr(args, name) is not None}
-    run.guidance = replace(run.guidance, **overrides)
-    if args.steps is not None:
-        run.schedule = replace(run.schedule, steps=args.steps)
-    if args.seed is not None:
-        run.seed = args.seed
+    run = _with_flags(run, args)
     bundle = build_models(run, corpus.stats)
     load_checkpoint(bundle, args.checkpoint)
     return corpus, bundle, run
@@ -104,7 +89,7 @@ def _corpus_for(args) -> Corpus:
 
 
 def cmd_gen_data(args) -> None:
-    run = _load_run_config(args)
+    run = _with_flags(RunConfig.load(args.config) if args.config else RunConfig(), args)
     out_dir = Path(args.out)
     _archive_config(run, out_dir)
     corpus = generate_corpus(run.corpus, run.seed)
@@ -113,7 +98,7 @@ def cmd_gen_data(args) -> None:
 
 
 def cmd_train(args) -> None:
-    run = _load_run_config(args)
+    run = _with_flags(RunConfig.load(args.config) if args.config else RunConfig(), args)
     corpus = _corpus_for(args)
     if args.resume:  # read before archiving: --out may be the checkpoint's own directory
         archived = inference.archived_config(args.resume).train
@@ -300,23 +285,34 @@ def cmd_plot(args) -> None:
 
 
 def cmd_dump_schedule(args) -> None:
-    schedule = cosine_schedule(args.steps, args.offset)
-    schedule.dump_csv(args.out)
-    print(f"wrote {args.steps}-step schedule to {args.out}")
+    settings = _with_flags(RunConfig(), args).schedule
+    cosine_schedule(settings.steps, settings.offset).dump_csv(args.out)
+    print(f"wrote {settings.steps}-step schedule to {args.out}")
 
 
 # argument wiring -------------------------------------------------------------
 
 
-def _add_guidance_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--eta", type=float, default=None, help="guiding scale")
-    p.add_argument("--gamma", type=float, default=None, help="std-correction scale in [0,1]")
-    p.add_argument("--tau", type=float, default=None, help="terminal temperature")
-    p.add_argument("--steps", type=int, default=None, help="diffusion steps")
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # usage errors end in the JSON error line too, with argparse's exit status
+        print(json.dumps({"error": message}), file=sys.stderr)
+        sys.exit(2)
+
+
+def _add_trained_run_flags(p: argparse.ArgumentParser) -> None:
+    """The inputs, output and config flags that sample and eval share."""
+    p.add_argument("--checkpoint", required=True)
+    p.add_argument("--corpus", required=True)
+    p.add_argument("--out", required=True)
+    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--eta", dest="guidance.eta", type=float, default=None, help="guiding scale")
+    p.add_argument("--gamma", dest="guidance.gamma", type=float, default=None, help="std-correction scale in [0,1]")
+    p.add_argument("--tau", dest="guidance.tau", type=float, default=None, help="terminal temperature")
+    p.add_argument("--steps", dest="schedule.steps", type=int, default=None, help="diffusion steps")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="prosodiff", description=__doc__)
+    parser = _Parser(prog="prosodiff", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-data", help="generate the synthetic corpus")
@@ -330,22 +326,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--steps", type=int, default=None, help="training steps")
-    p.add_argument("--batch-size", type=int, default=None)
-    p.add_argument("--learning-rate", type=float, default=None)
+    p.add_argument("--steps", dest="train.steps", type=int, default=None, help="training steps")
+    p.add_argument("--batch-size", dest="train.batch_size", type=int, default=None)
+    p.add_argument("--learning-rate", dest="train.learning_rate", type=float, default=None)
     p.add_argument("--resume", default=None, help="checkpoint to continue from")
-    p.add_argument("--no-style-condition", action="store_true", help="ablation: drop the style pathway")
-    p.add_argument("--no-text-condition", action="store_true", help="ablation: zero text embeddings")
+    ablation = {"action": "store_false", "default": None}  # given, the flag sets its field false
+    p.add_argument("--no-style-condition", dest="train.style_condition", help="ablation: drop the style pathway", **ablation)
+    p.add_argument("--no-text-condition", dest="train.text_condition", help="ablation: zero text embeddings", **ablation)
     p.add_argument("--quiet", action="store_true")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("sample", help="guided sampling in one of three modes")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--out", required=True)
+    _add_trained_run_flags(p)
     p.add_argument("--mode", choices=["diversified", "transfer", "control"], default="diversified")
     p.add_argument("--num-samples", type=int, default=8)
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--reference", default=None, help="utterance CSV supplying the style")
     p.add_argument("--token-id", type=int, default=None)
     p.add_argument("--token-weights", default=None, help="comma-separated weights over tokens")
@@ -355,18 +349,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scale-duration", type=float, default=1.0)
     p.add_argument("--unconditional", action="store_true", help="sample from the style-unconditional denoiser")
     p.add_argument("--diagnostics", action="store_true", help="write per-step rescale diagnostics CSV")
-    _add_guidance_flags(p)
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("eval", help="JS divergence report and CV-vs-eta sweep")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=None)
+    _add_trained_run_flags(p)
     p.add_argument("--eta-sweep", default=None, help="comma-separated guiding scales")
     p.add_argument("--sweep-utterances", type=int, default=24)
     p.add_argument("--charts", action="store_true", help="emit SVG charts")
-    _add_guidance_flags(p)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("plot", help="render a CSV (step/value columns) as an SVG line chart")
@@ -375,8 +364,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_plot)
 
     p = sub.add_parser("dump-schedule", help="write the beta/alpha tables as CSV")
-    p.add_argument("--steps", type=int, default=ScheduleSettings().steps)
-    p.add_argument("--offset", type=float, default=ScheduleSettings().offset)
+    p.add_argument("--steps", dest="schedule.steps", type=int, default=None)
+    p.add_argument("--offset", dest="schedule.offset", type=float, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_dump_schedule)
 

@@ -107,6 +107,8 @@ class CorpusConfig:
             raise ValueError(f"invalid length range {self.length_range}")
         if self.vocab_size < self.style_count:
             raise ValueError("vocabulary smaller than style count")
+        if not (0.0 <= self.style_token_bias <= 1.0 and 0.0 < self.train_fraction <= 1.0):
+            raise ValueError("need style_token_bias in [0, 1] and train_fraction in (0, 1]")
 
 
 @dataclass

@@ -41,6 +41,8 @@ class DenoiserConfig:
             raise ValueError("need at least one residual layer")
         if self.kernel_size % 2 == 0:
             raise ValueError("kernel size must be odd")
+        if min(self.hidden_channels, self.time_embedding_dim, self.condition_dim) < 1:
+            raise ValueError("hidden_channels, time_embedding_dim and condition_dim must be positive")
         if self.time_embedding_dim % 2 != 0:
             raise ValueError("time embedding dim must be even")
         if not self.dilation_cycle or any(d < 1 for d in self.dilation_cycle):

@@ -31,6 +31,8 @@ class StyleConfig:
     def __post_init__(self):
         if self.token_count < 2:
             raise ValueError("need at least 2 style tokens")
+        if min(self.token_dim, self.attention_heads, self.ref_channels) < 1:
+            raise ValueError("token_dim, attention_heads and ref_channels must be positive")
         if self.token_dim % self.attention_heads != 0:
             raise ValueError("attention heads must divide token dim")
 

@@ -51,8 +51,8 @@ class TrainConfig:
     text_condition: bool = True  # False: the text embedder embeds every text as zeros
 
     def __post_init__(self):
-        if self.steps < 1 or self.batch_size < 1:
-            raise ValueError("steps and batch_size must be positive")
+        if min(self.steps, self.batch_size, self.log_every) < 1 or self.checkpoint_every < 0:
+            raise ValueError("steps, batch_size and log_every must be positive and checkpoint_every >= 0")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ValueError("learning_rate must be finite and positive")
 

@@ -15,6 +15,7 @@ from prosodiff.checkpoint import load_entries, save_entries
 from prosodiff.cli import _resolve_mode_conditions, build_parser, main
 from prosodiff.config import RunConfig
 from prosodiff.corpus import load_corpus, read_utterance_csv, write_utterance_csv
+from prosodiff.schedule import cosine_schedule
 from prosodiff.training import build_models, load_checkpoint
 
 TINY_CONFIG = {
@@ -195,15 +196,37 @@ class TestSample:
         assert len(sampling) == len(set(sampling))
 
     def test_guidance_overrides_archived(self, workspace, tmp_path):
-        assert self.run_sample(workspace, tmp_path / "ov", "--eta", "3.0", "--gamma", "0.4") == 0
-        archived = json.loads((tmp_path / "ov" / "resolved_config.json").read_text())
-        assert archived["guidance"]["eta"] == 3.0
-        assert archived["guidance"]["gamma"] == 0.4
+        def archived(out):
+            return json.loads((tmp_path / out / "resolved_config.json").read_text())
+
+        assert self.run_sample(workspace, tmp_path / "ov", "--eta", "3.0", "--gamma", "0.4", "--tau", "0.8") == 0
+        assert archived("ov")["guidance"] == {"eta": 3.0, "gamma": 0.4, "tau": 0.8}
+        assert archived("ov")["seed"] == 9
         argv = ["eval", "--checkpoint", str(workspace["checkpoint"]), "--corpus", str(workspace["corpus"])]
-        assert main(argv + ["--out", str(tmp_path / "ev"), "--eta", "2.5", "--gamma", "0.3", "--steps", "6"]) == 0
-        archived = json.loads((tmp_path / "ev" / "resolved_config.json").read_text())
-        assert archived["guidance"] == {"eta": 2.5, "gamma": 0.3, "tau": 1.0}
-        assert archived["schedule"]["steps"] == 6
+        argv += ["--out", str(tmp_path / "ev"), "--eta", "2.5", "--gamma", "0.3", "--steps", "6", "--seed", "4"]
+        assert main(argv) == 0
+        assert archived("ev")["guidance"] == {"eta": 2.5, "gamma": 0.3, "tau": 1.0}
+        assert archived("ev")["schedule"]["steps"] == 6
+        assert archived("ev")["seed"] == 4
+
+    def test_config_flags_archived(self, workspace, tmp_path):
+        config = ["--config", str(workspace["config"])]
+        assert main(["gen-data", *config, "--out", str(tmp_path / "gd"), "--seed", "7"]) == 0
+        assert json.loads((tmp_path / "gd" / "resolved_config.json").read_text())["seed"] == 7
+        argv = ["train", *config, "--corpus", str(workspace["corpus"]), "--out", str(tmp_path / "tr"), "--quiet"]
+        argv += ["--seed", "8", "--steps", "2", "--batch-size", "3", "--learning-rate", "0.002"]
+        assert main(argv + ["--no-style-condition", "--no-text-condition"]) == 0
+        archived = json.loads((tmp_path / "tr" / "resolved_config.json").read_text())
+        assert archived["seed"] == 8
+        assert archived["train"] == {
+            **TINY_CONFIG["train"],
+            "steps": 2,
+            "batch_size": 3,
+            "learning_rate": 0.002,
+            "lr_decay": True,
+            "style_condition": False,
+            "text_condition": False,
+        }
 
 
 class TestEval:
@@ -267,6 +290,10 @@ class TestPlotAndSchedule:
         lines = out.read_text().splitlines()
         assert lines[0] == "t,beta,alpha,alpha_bar"
         assert len(lines) == 17
+        assert main(["dump-schedule", "--steps", "16", "--offset", "0.02", "--out", str(tmp_path / "offset.csv")]) == 0
+        cosine_schedule(16, 0.02).dump_csv(tmp_path / "expected.csv")
+        assert (tmp_path / "offset.csv").read_bytes() == (tmp_path / "expected.csv").read_bytes()
+        assert (tmp_path / "offset.csv").read_bytes() != out.read_bytes()
 
     def test_plot_escapes_markup(self, tmp_path):
         src = tmp_path / "r&d.csv"
@@ -535,6 +562,47 @@ class TestErrors:
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"train": {"stepz": 3}}))
         assert_json_error(main(["gen-data", "--config", str(config), "--out", str(tmp_path / "o")]), capsys, "stepz")
+
+    @pytest.mark.parametrize(
+        "data, fragment",
+        [
+            ({"style": {"attention_heads": 0}}, "attention_heads"),
+            ({"seed": 1.5}, "seed"),
+            ({"seed": -1}, "seed"),
+            ({"train": {"lr_decay": "no"}}, "train.lr_decay"),
+            ({"denoiser": {"dilation_cycle": [1.5, 2]}}, "denoiser.dilation_cycle"),
+            ({"corpus": {"style_token_bias": 2}}, "style_token_bias"),
+        ],
+    )
+    def test_malformed_config_value(self, tmp_path, capsys, data, fragment):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(data))
+        code = main(["gen-data", "--config", str(config), "--out", str(tmp_path / "o")])
+        assert_json_error(code, capsys, fragment)
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "argv, fragment",
+        [
+            (["train", "--corpus", "c", "--out", "o", "--bogus"], "--bogus"),
+            (["sample", "--checkpoint", "k", "--corpus", "c", "--out", "o", "--num-samples", "abc"], "--num-samples"),
+            (["eval", "--checkpoint", "k", "--corpus", "c"], "--out"),
+            (["no-such-command"], "no-such-command"),
+        ],
+    )
+    def test_usage_error_is_json(self, capsys, argv, fragment):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1, lines
+        assert fragment in json.loads(lines[0])["error"]
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--help"])
+        assert exc.value.code == 0
+        assert "--no-style-condition" in capsys.readouterr().out
 
     def test_empty_sweep_subset_rejected(self, workspace, tmp_path, capsys):
         argv = ["eval", "--checkpoint", str(workspace["checkpoint"]), "--corpus", str(workspace["corpus"])]

@@ -55,11 +55,38 @@ class TestRunConfig:
             {"train": {"adam_beta1": 0.9}},
             {"train": {"adam_beta2": 0.999}},
             {"train": {"adam_epsilon": 1e-8}},
+            # values that would divide by zero, never act, or fail late
+            {"style": {"attention_heads": 0}},
+            {"style": {"token_dim": 0}},
+            {"style": {"ref_channels": 0}},
+            {"denoiser": {"hidden_channels": 0}},
+            {"denoiser": {"condition_dim": 0}},
+            {"denoiser": {"time_embedding_dim": 0}},
+            {"train": {"log_every": 0}},
+            {"train": {"checkpoint_every": -1}},
+            {"corpus": {"train_fraction": 1.5}},
+            {"corpus": {"style_token_bias": 2}},
+            {"seed": -1},
+            # values of the wrong JSON kind
+            {"seed": 1.5},
+            {"seed": True},
+            {"train": {"lr_decay": "no"}},
+            {"train": {"style_condition": 0}},
+            {"denoiser": {"residual_layers": 2.0}},
+            {"denoiser": {"dilation_cycle": [1.5, 2]}},
+            {"denoiser": {"dilation_cycle": 2}},
+            {"train": {"batch_size": 2.0}},
+            {"corpus": {"utterances_per_style": 10.0}},
+            {"guidance": {"eta": None}},
         ],
     )
     def test_malformed_config_rejected(self, data):
         with pytest.raises(ValueError):
             RunConfig.from_dict(data)
+
+    def test_int_stands_for_float(self):
+        run = RunConfig.from_dict({"train": {"learning_rate": 1}, "guidance": {"eta": 2}})
+        assert run.train.learning_rate == 1 and run.guidance.eta == 2
 
     def test_tuples_restored_from_json(self, tmp_path):
         run = RunConfig()
