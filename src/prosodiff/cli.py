@@ -61,7 +61,7 @@ def _load_trained(args) -> tuple[Corpus, ModelBundle, RunConfig]:
     checkpoint and builds the trained bundle from it. The caller archives
     the config once its own inputs have been validated.
     """
-    corpus = _corpus_for(args)
+    corpus = load_corpus(args.corpus)
     run = inference.archived_config(args.checkpoint)
     if not run.train.style_condition and not getattr(args, "unconditional", False):
         raise CommandError(
@@ -78,13 +78,6 @@ def _archive_config(run: RunConfig, out_dir: Path) -> None:
     run.save(out_dir / "resolved_config.json")
 
 
-def _corpus_for(args) -> Corpus:
-    path = Path(args.corpus)
-    if not (path / "manifest.json").exists():
-        raise CommandError(f"{path} does not contain a corpus manifest")
-    return load_corpus(path)
-
-
 # commands -------------------------------------------------------------------
 
 
@@ -99,7 +92,7 @@ def cmd_gen_data(args) -> None:
 
 def cmd_train(args) -> None:
     run = _with_flags(RunConfig.load(args.config) if args.config else RunConfig(), args)
-    corpus = _corpus_for(args)
+    corpus = load_corpus(args.corpus)
     if args.resume:  # read before archiving: --out may be the checkpoint's own directory
         archived = inference.archived_config(args.resume).train
         for ablation in ("style_condition", "text_condition"):

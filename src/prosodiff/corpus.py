@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import rng as rng_mod
+from .jsonrule import from_json
 
 CHANNEL_NAMES = ("log_pitch", "energy", "log_duration")
 
@@ -34,15 +35,9 @@ class StyleArchetype:
     duration_log_mean: float  # log-seconds
     duration_log_spread: float
 
-    def __post_init__(self):
-        if self.energy_spread <= 0 or self.duration_log_spread <= 0:
-            raise ValueError("spreads must be positive")
-
 
 def default_archetypes(count: int) -> list[StyleArchetype]:
     """Deterministic archetype grid: calm/expressive alternation over a pitch ladder."""
-    if count < 2:
-        raise ValueError("need at least 2 style archetypes")
     amplitudes = [0.08, 0.35, 0.18, 0.50]
     frequencies = [0.4, 0.9, 0.6, 1.3]
     energy_spreads = [1.5, 3.5, 2.0, 4.5]
@@ -115,7 +110,6 @@ class CorpusConfig:
 class Corpus:
     config: CorpusConfig
     seed: int
-    archetypes: list[StyleArchetype]
     utterances: list[Utterance]
     train_indices: list[int]
     val_indices: list[int]
@@ -165,7 +159,13 @@ def generate_corpus(config: CorpusConfig, seed: int) -> Corpus:
         style = archetypes[idx // config.utterances_per_style]
         gen = rng_mod.substream(seed, rng_mod.CORPUS_STREAM, idx)
         utterances.append(_draw_utterance(style, config, gen))
+    corpus = Corpus(config, seed, utterances, *_split(config, seed))
+    _assert_separation(corpus)
+    return corpus
 
+
+def _split(config: CorpusConfig, seed: int) -> tuple[list[int], list[int]]:
+    """The stratified, seed-stable (train, val) indices, each sorted."""
     split_gen = rng_mod.substream(seed, rng_mod.MISC_STREAM, 0)
     train_indices: list[int] = []
     val_indices: list[int] = []
@@ -178,17 +178,7 @@ def generate_corpus(config: CorpusConfig, seed: int) -> Corpus:
         split_gen.shuffle(order)
         train_indices.extend(int(i) for i in order[:n_train])
         val_indices.extend(int(i) for i in order[n_train:])
-
-    corpus = Corpus(
-        config=config,
-        seed=seed,
-        archetypes=archetypes,
-        utterances=utterances,
-        train_indices=sorted(train_indices),
-        val_indices=sorted(val_indices),
-    )
-    _assert_separation(corpus)
-    return corpus
+    return sorted(train_indices), sorted(val_indices)
 
 
 def _assert_separation(corpus: Corpus) -> None:
@@ -226,13 +216,12 @@ def compute_stats(utterances: list[Utterance]) -> NormStats:
 # persistence --------------------------------------------------------------
 
 
-def save_corpus(corpus: Corpus, directory: str | Path) -> None:
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    manifest = {
-        "config": {**asdict(corpus.config), "length_range": list(corpus.config.length_range)},
+def _manifest(corpus: Corpus) -> dict:
+    """The manifest.json document of corpus: save_corpus writes it, load_corpus requires it."""
+    return {
+        "config": asdict(corpus.config),
         "seed": corpus.seed,
-        "archetypes": [asdict(a) for a in corpus.archetypes],
+        "archetypes": [asdict(a) for a in default_archetypes(corpus.config.style_count)],
         "train_indices": corpus.train_indices,
         "val_indices": corpus.val_indices,
         "stats": {"mean": corpus.stats.mean.tolist(), "std": corpus.stats.std.tolist()},
@@ -241,8 +230,13 @@ def save_corpus(corpus: Corpus, directory: str | Path) -> None:
             for i, u in enumerate(corpus.utterances)
         ],
     }
+
+
+def save_corpus(corpus: Corpus, directory: str | Path) -> None:
+    directory = Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
     with open(directory / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2)
+        json.dump(_manifest(corpus), fh, indent=2)
         fh.write("\n")
     for i, utt in enumerate(corpus.utterances):
         write_utterance_csv(directory / _utt_filename(i), utt.phoneme_ids, utt.prosody)
@@ -280,41 +274,45 @@ def read_utterance_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
 
 
 def load_corpus(directory: str | Path) -> Corpus:
+    """The corpus save_corpus wrote to directory, rebuilt from the manifest's config and seed
+    and the files they name; an edit to the manifest or the files is rejected."""
     directory = Path(directory)
-    with open(directory / "manifest.json") as fh:
-        manifest = json.load(fh)
-    cfg_raw = dict(manifest["config"])
-    cfg_raw["length_range"] = tuple(cfg_raw["length_range"])
     try:
-        config = CorpusConfig(**cfg_raw)
-        archetypes = [StyleArchetype(**a) for a in manifest["archetypes"]]
-    except TypeError as exc:  # an unknown or missing field
-        raise ValueError(f"{directory}: malformed manifest: {exc}") from None
+        with open(directory / "manifest.json") as fh:
+            manifest = json.load(fh)
+        if not isinstance(manifest, dict):
+            raise ValueError("manifest.json must be a JSON object")
+        config = from_json(CorpusConfig(), manifest.get("config"), "config")
+        seed = from_json(0, manifest.get("seed"), "seed")
+    except ValueError as exc:
+        raise ValueError(f"{directory}: {exc}") from None
     utterances = []
-    for meta in manifest["utterances"]:
-        path = directory / meta["file"]
+    for i in range(config.style_count * config.utterances_per_style):
+        path = directory / _utt_filename(i)
         ids, prosody = read_utterance_csv(path)
-        if len(ids) != meta.get("length"):
-            raise ValueError(f"{path}: {len(ids)} rows, but the manifest gives length {meta.get('length')}")
-        style_id = meta.get("style_id")
-        if not (type(style_id) is int and 0 <= style_id < config.style_count):
-            raise ValueError(f"{path}: style_id {style_id!r} is not an int in 0..{config.style_count - 1}")
-        utterances.append(Utterance(phoneme_ids=ids, prosody=prosody, style_id=style_id))
-    for name in ("train_indices", "val_indices"):
-        if not all(type(i) is int and 0 <= i < len(utterances) for i in manifest[name]):
-            raise ValueError(f"{directory}: {name} must index the {len(utterances)} utterances")
-    corpus = Corpus(
-        config=config,
-        seed=manifest["seed"],
-        archetypes=archetypes,
-        utterances=utterances,
-        train_indices=list(manifest["train_indices"]),
-        val_indices=list(manifest["val_indices"]),
-    )
-    stored = NormStats(
-        mean=np.array(manifest["stats"]["mean"]), std=np.array(manifest["stats"]["std"])
-    )
-    if not (np.array_equal(stored.mean, corpus.stats.mean) and np.array_equal(stored.std, corpus.stats.std)):
-        # CSV round-trip is repr-exact, so any drift means the files were edited
-        raise ValueError(f"{directory}: stored statistics disagree with utterance files")
+        if ids.min() < 0 or ids.max() >= config.vocab_size:
+            raise ValueError(f"{path}: phoneme id outside 0..{config.vocab_size - 1}")
+        utterances.append(Utterance(phoneme_ids=ids, prosody=prosody, style_id=i // config.utterances_per_style))
+    try:
+        corpus = Corpus(config, seed, utterances, *_split(config, seed))
+        _require_same(manifest, _manifest(corpus))
+    except ValueError as exc:
+        raise ValueError(f"{directory}: {exc}") from None
     return corpus
+
+
+def _require_same(manifest: dict, expected: dict) -> None:
+    """Raises naming the first key, or utterance file, where manifest is not expected."""
+    def canonical(value) -> str:  # JSON with sorted keys, in which 1, 1.0 and true stay distinct
+        return json.dumps(value, sort_keys=True)
+
+    for key in expected | manifest:  # expected's keys in order, then any unknown ones
+        got, want = manifest.get(key), expected.get(key)
+        if canonical(got) == canonical(want):
+            continue
+        if key == "stats":  # the CSV round trip is repr-exact, so the files were edited
+            raise ValueError("stored statistics disagree with utterance files")
+        if key == "utterances" and isinstance(got, list) and len(got) == len(want):
+            got, want = next((g, w) for g, w in zip(got, want) if canonical(g) != canonical(w))
+            raise ValueError(f"{want['file']}: the manifest has {json.dumps(got)}, the file gives {json.dumps(want)}")
+        raise ValueError(f"manifest key {key} is not what its config, seed and utterance files give")

@@ -394,12 +394,13 @@ class TestStyleAblatedCheckpoint:
         assert all(np.all(np.isfinite(read_utterance_csv(f)[1])) for f in samples)
 
 
-def assert_json_error(code, capsys, fragment):
-    """Exit code 1 and exactly one JSON line on stderr whose error mentions fragment."""
+def assert_json_error(code, capsys, *fragments):
+    """Exit code 1 and exactly one JSON line on stderr whose error mentions every fragment."""
     assert code == 1
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1, lines
-    assert fragment in json.loads(lines[0])["error"]
+    for fragment in fragments:
+        assert fragment in json.loads(lines[0])["error"]
 
 
 class TestErrors:
@@ -518,15 +519,44 @@ class TestErrors:
             lambda m: m["archetypes"][0].update(colour=1),
             lambda m: m["train_indices"].append(len(m["utterances"])),
             lambda m: m["val_indices"].append(-1),
+            lambda m: m.__delitem__("seed"),
+            lambda m: m.update(seed="abc"),
+            lambda m: m["config"].update(vocab_size=12.5),
+            lambda m: m["config"].update(utterances_per_style=8.0),
+            lambda m: m["val_indices"].append(m["train_indices"][0]),
+            lambda m: m["val_indices"].append(m["val_indices"][0]),
+            lambda m: m["utterances"][0].update(file="../elsewhere.csv"),
+            lambda m: m["archetypes"][0].update(pitch_base=5.0),
+            lambda m: m.update(config=[1]),
+            lambda m: [],
+            lambda m: m.update(colour=1),
         ],
-        ids=["config-key", "archetype-key", "train-index", "val-index"],
+        ids=[
+            "config-key",
+            "archetype-key",
+            "train-index",
+            "val-index",
+            "seed-missing",
+            "seed-string",
+            "vocab-size-float",
+            "utterances-per-style-float",
+            "val-overlaps-train",
+            "val-duplicate",
+            "file-outside-corpus",
+            "archetype-value",
+            "config-not-object",
+            "manifest-not-object",
+            "unknown-key",
+        ],
     )
     def test_malformed_manifest(self, workspace, tmp_path, capsys, edit):
+        # edit changes the manifest in place, or returns the document to write instead
         corpus = tmp_path / "corpus"
         shutil.copytree(workspace["corpus"], corpus)
+        shutil.copy(corpus / "utt_00000.csv", tmp_path / "elsewhere.csv")  # a readable file outside the corpus
         manifest = json.loads((corpus / "manifest.json").read_text())
-        edit(manifest)
-        (corpus / "manifest.json").write_text(json.dumps(manifest))
+        replaced = edit(manifest)
+        (corpus / "manifest.json").write_text(json.dumps(manifest if replaced is None else replaced))
         argv = ["train", "--config", str(workspace["config"]), "--corpus", str(corpus), "--out", str(tmp_path / "o")]
         assert_json_error(main(argv + ["--quiet"]), capsys, str(corpus))
 
@@ -578,7 +608,17 @@ class TestErrors:
         config = tmp_path / "config.json"
         config.write_text(json.dumps(data))
         code = main(["gen-data", "--config", str(config), "--out", str(tmp_path / "o")])
-        assert_json_error(code, capsys, fragment)
+        assert_json_error(code, capsys, fragment, f"{config}: ")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("content", ['{"train": {"stepz": 3}}', "{train"], ids=["unknown-field", "syntax"])
+    def test_malformed_archived_config(self, workspace, tmp_path, capsys, content):
+        model = tmp_path / "model"
+        model.mkdir()
+        (model / "final.bin").write_bytes(workspace["checkpoint"].read_bytes())
+        (model / "resolved_config.json").write_text(content)
+        argv = ["sample", "--checkpoint", str(model / "final.bin"), "--corpus", str(workspace["corpus"])]
+        assert_json_error(main(argv + ["--out", str(tmp_path / "o")]), capsys, f"{model / 'resolved_config.json'}: ")
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(

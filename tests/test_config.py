@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import prosodiff
 from prosodiff.config import RunConfig, ScheduleSettings
 from prosodiff.corpus import CorpusConfig
 from prosodiff.denoiser import DenoiserConfig
@@ -96,3 +101,14 @@ class TestRunConfig:
         loaded = RunConfig.load(tmp_path / "c.json")
         assert isinstance(loaded.denoiser.dilation_cycle, tuple)
         assert isinstance(loaded.corpus.length_range, tuple)
+
+
+PACKAGE = Path(prosodiff.__file__).parent
+
+
+@pytest.mark.parametrize("module", sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__"))
+def test_module_imports_first(module):
+    # the JSON rule is shared by config and corpus; an import cycle between them shows only in a fresh interpreter
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    proc = subprocess.run([sys.executable, "-c", f"import prosodiff.{module}"], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr

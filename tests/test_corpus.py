@@ -42,7 +42,7 @@ class TestGeneration:
     def test_per_style_mean_pitch_tracks_base_gap(self):
         # two widely separated pitch bases: sample means reflect the gap
         corpus = generate_corpus(small_config(style_count=2, utterances_per_style=500), seed=5)
-        arch = corpus.archetypes
+        arch = default_archetypes(corpus.config.style_count)
         means = []
         for style in (0, 1):
             pooled = np.concatenate(
@@ -229,3 +229,31 @@ class TestPersistence:
         manifest_path.write_text(json.dumps(manifest))
         with pytest.raises(ValueError, match="statistics disagree"):
             load_corpus(tmp_path / "c")
+
+    def test_out_of_vocabulary_phoneme_id_rejected(self, tmp_path):
+        # phoneme ids do not enter the stored statistics, so only the vocabulary check can catch one
+        corpus = generate_corpus(small_config(), seed=6)
+        save_corpus(corpus, tmp_path / "c")
+        name = f"utt_{corpus.train_indices[0]:05d}.csv"
+        path = tmp_path / "c" / name
+        lines = path.read_text().splitlines()
+        lines[1] = "99," + lines[1].split(",", 1)[1]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=f"{name}: phoneme id outside 0..39"):
+            load_corpus(tmp_path / "c")
+
+    def test_manifest_round_trips_byte_for_byte(self, tmp_path):
+        import json
+
+        corpus = generate_corpus(small_config(), seed=6)
+        save_corpus(corpus, tmp_path / "a")
+        save_corpus(load_corpus(tmp_path / "a"), tmp_path / "b")
+        written = (tmp_path / "a" / "manifest.json").read_bytes()
+        assert (tmp_path / "b" / "manifest.json").read_bytes() == written
+        manifest = json.loads(written)
+        assert list(manifest) == ["config", "seed", "archetypes", "train_indices", "val_indices", "stats", "utterances"]
+        assert manifest["config"]["length_range"] == [6, 12]
+        assert manifest["utterances"][37] == {"file": "utt_00037.csv", "style_id": 1, "length": corpus.utterances[37].length}
+        for i in (0, 37, 79):
+            name = f"utt_{i:05d}.csv"
+            assert (tmp_path / "b" / name).read_bytes() == (tmp_path / "a" / name).read_bytes()
