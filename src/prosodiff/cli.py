@@ -1,12 +1,13 @@
 """Command-line surface: corpus generation, training, guided sampling,
 evaluation and plotting.
 
-A run's config is ``--config`` (or the defaults, or the archive next to a
-checkpoint) with ``--seed`` and each flag whose dest names a
-``section.field`` applied on top. Each command archives it as
-``<out>/resolved_config.json``; rerunning from that file with the same
-seed reproduces every output byte for byte. Failures print one
-machine-readable JSON line to stderr and exit 1, or 2 for a usage error.
+A new run's config is ``--config`` or the defaults; a checkpoint's
+(``train --resume``, ``sample``, ``eval``) is the one archived next to it.
+``--seed`` and each flag whose dest names a ``section.field`` apply on top.
+Each command archives the result as ``<out>/resolved_config.json``;
+rerunning from that file with the same seed reproduces every output byte
+for byte. Failures print one machine-readable JSON line to stderr and
+exit 1, or 2 for a usage error.
 """
 
 from __future__ import annotations
@@ -53,23 +54,28 @@ def _with_flags(run: RunConfig, args) -> RunConfig:
     return run if seed is None else replace(run, seed=seed)
 
 
-def _load_trained(args) -> tuple[Corpus, ModelBundle, RunConfig]:
-    """Set-up shared by sample and eval.
+def _reopen(args, checkpoint, corpus: Corpus) -> tuple[RunConfig, ModelBundle, int]:
+    """The run archived next to checkpoint with the command's flags applied, its trained
+    bundle and the checkpoint's step. No flag may change a training ablation."""
+    archived = inference.archived_config(checkpoint)
+    run = _with_flags(archived, args)
+    for ablation in ("style_condition", "text_condition"):
+        trained = getattr(archived.train, ablation)
+        if trained != getattr(run.train, ablation):
+            raise CommandError(f"{checkpoint} was trained with train.{ablation} {json.dumps(trained)}")
+    bundle = build_models(run, corpus.stats)
+    return run, bundle, load_checkpoint(bundle, checkpoint)
 
-    Rejects a style-ablated checkpoint unless sampling --unconditional.
-    Applies the command's flags to the config archived next to the
-    checkpoint and builds the trained bundle from it. The caller archives
-    the config once its own inputs have been validated.
-    """
+
+def _load_trained(args) -> tuple[Corpus, ModelBundle, RunConfig]:
+    """sample and eval's reopened checkpoint, style-conditioned unless sampling --unconditional.
+    The caller archives the config once its own inputs have been validated."""
     corpus = load_corpus(args.corpus)
-    run = inference.archived_config(args.checkpoint)
+    run, bundle, _ = _reopen(args, args.checkpoint, corpus)
     if not run.train.style_condition and not getattr(args, "unconditional", False):
         raise CommandError(
             f"{args.checkpoint} was trained with train.style_condition false; only sample --unconditional can use it"
         )
-    run = _with_flags(run, args)
-    bundle = build_models(run, corpus.stats)
-    load_checkpoint(bundle, args.checkpoint)
     return corpus, bundle, run
 
 
@@ -91,22 +97,16 @@ def cmd_gen_data(args) -> None:
 
 
 def cmd_train(args) -> None:
-    run = _with_flags(RunConfig.load(args.config) if args.config else RunConfig(), args)
     corpus = load_corpus(args.corpus)
-    if args.resume:  # read before archiving: --out may be the checkpoint's own directory
-        archived = inference.archived_config(args.resume).train
-        for ablation in ("style_condition", "text_condition"):
-            trained = getattr(archived, ablation)
-            if trained != getattr(run.train, ablation):
-                raise CommandError(f"{args.resume} was trained with train.{ablation} {json.dumps(trained)}")
-    out_dir = Path(args.out)
-    _archive_config(run, out_dir)
-    bundle = build_models(run, corpus.stats)
-    start = 0
-    if args.resume:
-        start = load_checkpoint(bundle, args.resume)
+    if args.resume:  # before archiving: --out may be the checkpoint's own directory
+        run, bundle, start = _reopen(args, args.resume, corpus)
         if start >= run.train.steps:
             raise CommandError(f"checkpoint already at step {start}, nothing to train")
+    else:
+        run = _with_flags(RunConfig.load(args.config) if args.config else RunConfig(), args)
+        bundle, start = build_models(run, corpus.stats), 0
+    out_dir = Path(args.out)
+    _archive_config(run, out_dir)
     final = train(bundle, corpus, run.train, out_dir, start_step=start, progress=not args.quiet)
     print(f"checkpoint: {final}")
 
@@ -142,18 +142,16 @@ def _resolve_mode_conditions(args, bundle, corpus, run, n_samples):
         c = inference.style_conditions(bundle, [prosody])[0]
         return texts, [c] * len(texts), "transfer"
 
-    # diversified: style from a sampled or provided reference per sample
-    if args.reference:
-        _, prosody = read_utterance_csv(args.reference)
-        refs = [prosody] * len(texts)
-    else:
-        refs = [val[int(i)].prosody for i in pick.integers(0, len(val), size=n_samples)]
+    # diversified: style from one val reference drawn per sample
+    refs = [val[int(i)].prosody for i in pick.integers(0, len(val), size=n_samples)]
     return texts, inference.style_conditions(bundle, refs), "diversified"
 
 
 def cmd_sample(args) -> None:
     if args.num_samples < 1:
         raise CommandError(f"--num-samples must be at least 1, got {args.num_samples}")
+    if args.reference and args.mode != "transfer":
+        raise CommandError(f"--reference is for --mode transfer only, not {args.mode}")
     for flag, value in (
         ("--scale-pitch", args.scale_pitch),
         ("--scale-energy", args.scale_energy),
@@ -301,7 +299,6 @@ def _add_trained_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--eta", dest="guidance.eta", type=float, default=None, help="guiding scale")
     p.add_argument("--gamma", dest="guidance.gamma", type=float, default=None, help="std-correction scale in [0,1]")
     p.add_argument("--tau", dest="guidance.tau", type=float, default=None, help="terminal temperature")
-    p.add_argument("--steps", dest="schedule.steps", type=int, default=None, help="diffusion steps")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -315,14 +312,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gen_data)
 
     p = sub.add_parser("train", help="train both denoisers and the style bank")
-    p.add_argument("--config", default=None)
+    start = p.add_mutually_exclusive_group()  # a resumed run's config is the one archived with its checkpoint
+    start.add_argument("--config", default=None)
+    start.add_argument("--resume", default=None, help="checkpoint to continue from")
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--steps", dest="train.steps", type=int, default=None, help="training steps")
     p.add_argument("--batch-size", dest="train.batch_size", type=int, default=None)
     p.add_argument("--learning-rate", dest="train.learning_rate", type=float, default=None)
-    p.add_argument("--resume", default=None, help="checkpoint to continue from")
     ablation = {"action": "store_false", "default": None}  # given, the flag sets its field false
     p.add_argument("--no-style-condition", dest="train.style_condition", help="ablation: drop the style pathway", **ablation)
     p.add_argument("--no-text-condition", dest="train.text_condition", help="ablation: zero text embeddings", **ablation)

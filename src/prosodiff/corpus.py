@@ -264,9 +264,11 @@ def read_utterance_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
     if len(rows) == 1:
         raise ValueError(f"{path}: no utterance rows")
     try:
+        if any(len(r) != len(rows[0]) for r in rows[1:]):
+            raise ValueError
         ids = np.array([int(r[0]) for r in rows[1:]], dtype=np.int64)
         prosody = np.array([[float(r[c + 1]) for r in rows[1:]] for c in range(3)])
-    except (ValueError, IndexError):
+    except ValueError:
         raise ValueError(f"{path}: malformed utterance row") from None
     if not np.all(np.isfinite(prosody)):
         raise ValueError(f"{path}: non-finite prosody value")
@@ -284,6 +286,8 @@ def load_corpus(directory: str | Path) -> Corpus:
             raise ValueError("manifest.json must be a JSON object")
         config = from_json(CorpusConfig(), manifest.get("config"), "config")
         seed = from_json(0, manifest.get("seed"), "seed")
+        if seed < 0:
+            raise ValueError("seed must be >= 0")
     except ValueError as exc:
         raise ValueError(f"{directory}: {exc}") from None
     utterances = []

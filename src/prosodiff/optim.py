@@ -5,7 +5,6 @@ not move at all."""
 
 from __future__ import annotations
 
-import math
 from typing import Iterable
 
 import numpy as np
@@ -53,11 +52,3 @@ def optimizer_step(
         update = learning_rate * m_hat / (np.sqrt(v_hat) + epsilon)
         p.data -= update
         p.zero_grad()
-
-
-def grad_global_norm(params: Iterable[Tensor]) -> float:
-    total = 0.0
-    for p in params:
-        if p.grad is not None:
-            total += float(np.sum(p.grad * p.grad))
-    return math.sqrt(total)

@@ -115,7 +115,6 @@ def build_models(run: RunConfig, stats: NormStats) -> ModelBundle:
 @dataclass
 class Batch:
     x0: np.ndarray  # [B, 3, L] normalized prosody
-    phoneme_ids: np.ndarray  # [B, L]
     y: np.ndarray  # [B, L, D] text embeddings
 
 
@@ -143,7 +142,7 @@ class LengthBucketSampler:
         chosen = [bucket[i] for i in picks]
         x0 = np.stack([self.stats.normalize(u.prosody) for u in chosen])
         ids = np.stack([u.phoneme_ids for u in chosen])
-        return Batch(x0=x0, phoneme_ids=ids, y=self.embedder.embed(ids))
+        return Batch(x0=x0, y=self.embedder.embed(ids))
 
 
 def train_step(

@@ -89,6 +89,20 @@ class TestTrain:
         assert steps == sorted(steps)
         assert workspace["checkpoint"].exists()
 
+    def test_resume_continues_the_archived_run(self, workspace, tmp_path):
+        # no --config: the schedule (12 steps), the seed (5) and the rest come from the checkpoint's archive
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({**TINY_CONFIG, "train": {**TINY_CONFIG["train"], "checkpoint_every": 6}}))
+        inputs = ["--corpus", str(workspace["corpus"]), "--quiet"]
+        assert main(["train", "--config", str(config), "--out", str(tmp_path / "full"), *inputs]) == 0
+        resume = ["--resume", str(tmp_path / "full" / "ckpt_000006.bin")]
+        assert main(["train", *resume, "--out", str(tmp_path / "resumed"), *inputs]) == 0
+        for name in ("final.bin", "resolved_config.json"):
+            assert (tmp_path / "resumed" / name).read_bytes() == (tmp_path / "full" / name).read_bytes(), name
+        full = (tmp_path / "full" / "loss.csv").read_text().splitlines()
+        resumed = (tmp_path / "resumed" / "loss.csv").read_text().splitlines()
+        assert resumed == [full[0]] + [row for row in full[1:] if int(row.split(",")[0]) > 6]
+
 
 class TestSample:
     def run_sample(self, workspace, out, *extra):
@@ -132,6 +146,15 @@ class TestSample:
 
     def test_transfer_requires_reference(self, workspace, tmp_path):
         assert self.run_sample(workspace, tmp_path / "f", "--mode", "transfer") == 1
+
+    @pytest.mark.parametrize(
+        "mode", [["--mode", "diversified"], ["--mode", "control", "--token-id", "1"]], ids=["diversified", "control"]
+    )
+    def test_reference_outside_transfer_rejected(self, workspace, tmp_path, capsys, mode):
+        ref = workspace["corpus"] / "utt_00000.csv"
+        code = self.run_sample(workspace, tmp_path / "o", *mode, "--reference", str(ref))
+        assert_json_error(code, capsys, "--reference", "transfer")
+        assert not (tmp_path / "o").exists()
 
     def test_transfer_with_reference(self, workspace, tmp_path):
         ref = workspace["corpus"] / "utt_00000.csv"
@@ -190,7 +213,7 @@ class TestSample:
 
         monkeypatch.setattr(rng_mod, "substream", spy)
         argv = ["sample", "--checkpoint", str(workspace["checkpoint"]), "--corpus", str(tmp_path / "data" / "corpus")]
-        assert main(argv + ["--out", str(tmp_path / "o"), "--num-samples", "2", "--steps", "2"]) == 0
+        assert main(argv + ["--out", str(tmp_path / "o"), "--num-samples", "2"]) == 0
         sampling = [key for key in keys if key[1] == rng_mod.SAMPLE_STREAM]
         assert (5, rng_mod.SAMPLE_STREAM, 999) in sampling
         assert len(sampling) == len(set(sampling))
@@ -203,10 +226,10 @@ class TestSample:
         assert archived("ov")["guidance"] == {"eta": 3.0, "gamma": 0.4, "tau": 0.8}
         assert archived("ov")["seed"] == 9
         argv = ["eval", "--checkpoint", str(workspace["checkpoint"]), "--corpus", str(workspace["corpus"])]
-        argv += ["--out", str(tmp_path / "ev"), "--eta", "2.5", "--gamma", "0.3", "--steps", "6", "--seed", "4"]
+        argv += ["--out", str(tmp_path / "ev"), "--eta", "2.5", "--gamma", "0.3", "--seed", "4"]
         assert main(argv) == 0
         assert archived("ev")["guidance"] == {"eta": 2.5, "gamma": 0.3, "tau": 1.0}
-        assert archived("ev")["schedule"]["steps"] == 6
+        assert archived("ev")["schedule"] == archived(workspace["root"] / "model")["schedule"]
         assert archived("ev")["seed"] == 4
 
     def test_config_flags_archived(self, workspace, tmp_path):
@@ -427,7 +450,7 @@ class TestErrors:
             (workspace["root"] / "model" / "resolved_config.json").read_bytes()
         )
         if command == "train":
-            argv = ["train", "--config", str(workspace["config"]), "--resume", str(junk), "--quiet"]
+            argv = ["train", "--resume", str(junk), "--quiet"]
         else:
             argv = [command, "--checkpoint", str(junk)]
         code = main(argv + ["--corpus", str(workspace["corpus"]), "--out", str(tmp_path / "o")])
@@ -445,7 +468,7 @@ class TestErrors:
         (model / "ckpt_000012.bin").write_bytes(workspace["checkpoint"].read_bytes())
         archive = (workspace["root"] / "model" / "resolved_config.json").read_bytes()
         (model / "resolved_config.json").write_bytes(archive)
-        argv = ["train", "--config", str(workspace["config"]), "--corpus", str(workspace["corpus"]), "--steps", "16"]
+        argv = ["train", "--corpus", str(workspace["corpus"]), "--steps", "16"]
         argv += ["--resume", str(model / "ckpt_000012.bin"), "--out", str(model), "--quiet", flag]
         assert_json_error(main(argv), capsys, field)
         assert not (model / "final.bin").exists()
@@ -530,6 +553,7 @@ class TestErrors:
             lambda m: m.update(config=[1]),
             lambda m: [],
             lambda m: m.update(colour=1),
+            lambda m: m.update(seed=-1),
         ],
         ids=[
             "config-key",
@@ -547,6 +571,7 @@ class TestErrors:
             "config-not-object",
             "manifest-not-object",
             "unknown-key",
+            "seed-negative",
         ],
     )
     def test_malformed_manifest(self, workspace, tmp_path, capsys, edit):
@@ -628,6 +653,9 @@ class TestErrors:
             (["sample", "--checkpoint", "k", "--corpus", "c", "--out", "o", "--num-samples", "abc"], "--num-samples"),
             (["eval", "--checkpoint", "k", "--corpus", "c"], "--out"),
             (["no-such-command"], "no-such-command"),
+            (["sample", "--checkpoint", "k", "--corpus", "c", "--out", "o", "--steps", "8"], "--steps"),
+            (["eval", "--checkpoint", "k", "--corpus", "c", "--out", "o", "--steps", "8"], "--steps"),
+            (["train", "--config", "a", "--resume", "b", "--corpus", "c", "--out", "d"], "--config"),
         ],
     )
     def test_usage_error_is_json(self, capsys, argv, fragment):

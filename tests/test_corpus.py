@@ -184,9 +184,10 @@ class TestPersistence:
 
     def test_short_row_rejected(self, tmp_path):
         path = tmp_path / "utt.csv"
-        path.write_text("phoneme_id,log_pitch,energy,log_duration\n3,1.0\n")
-        with pytest.raises(ValueError, match="malformed"):
-            read_utterance_csv(path)
+        for row in ("3,1.0", "3,1.0,2.0,3.0,999,junk"):  # every row exactly as wide as the header
+            path.write_text(f"phoneme_id,log_pitch,energy,log_duration\n{row}\n")
+            with pytest.raises(ValueError, match="utt.csv: malformed utterance row"):
+                read_utterance_csv(path)
 
     def test_header_only_file_rejected(self, tmp_path):
         path = tmp_path / "utt.csv"
@@ -240,6 +241,17 @@ class TestPersistence:
         lines[1] = "99," + lines[1].split(",", 1)[1]
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match=f"{name}: phoneme id outside 0..39"):
+            load_corpus(tmp_path / "c")
+
+    def test_negative_manifest_seed_rejected_by_name(self, tmp_path):
+        import json
+
+        save_corpus(generate_corpus(small_config(), seed=6), tmp_path / "c")
+        manifest_path = tmp_path / "c" / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["seed"] = -1
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match=r"c: seed must be >= 0$"):
             load_corpus(tmp_path / "c")
 
     def test_manifest_round_trips_byte_for_byte(self, tmp_path):

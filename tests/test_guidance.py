@@ -517,6 +517,6 @@ class TestTrainStep:
         cfg = TrainConfig(steps=1, batch_size=1)
         from prosodiff.training import Batch
 
-        empty = Batch(x0=np.zeros((0, 3, 4)), phoneme_ids=np.zeros((0, 4), dtype=int), y=np.zeros((0, 4, 6)))
+        empty = Batch(x0=np.zeros((0, 3, 4)), y=np.zeros((0, 4, 6)))
         with pytest.raises(ValueError, match="empty"):
             train_step(bundle, empty, cfg, np.random.default_rng(0))

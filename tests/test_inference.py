@@ -220,7 +220,7 @@ class TestTextAblation:
         sampler = LengthBucketSampler(corpus.split("train"), ablated.stats, ablated.embedder, batch_size=4)
         for step in range(1, 6):
             batch = sampler.next_batch(np.random.default_rng(step))
-            assert batch.y.shape == batch.phoneme_ids.shape + (6,)
+            assert batch.y.shape == (4, batch.x0.shape[2], 6)
             assert not np.any(batch.y)
 
     @pytest.mark.parametrize("eta", [0.0, 1.0, 2.0])

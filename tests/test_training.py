@@ -271,8 +271,7 @@ class TestBatchSampler:
         for step in range(1, 20):
             batch = sampler.next_batch(rng_mod.substream(0, rng_mod.TRAIN_STREAM, step))
             assert batch.x0.shape[0] == 6
-            assert batch.x0.shape[2] == batch.phoneme_ids.shape[1]
-            assert batch.y.shape == (*batch.phoneme_ids.shape, 6)
+            assert batch.y.shape == (6, batch.x0.shape[2], 6)
 
     def test_normalization_applied(self):
         corpus, bundle = tiny_setup()
