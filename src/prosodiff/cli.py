@@ -150,8 +150,18 @@ def _resolve_mode_conditions(args, bundle, corpus, run, n_samples):
 def cmd_sample(args) -> None:
     if args.num_samples < 1:
         raise CommandError(f"--num-samples must be at least 1, got {args.num_samples}")
-    if args.reference and args.mode != "transfer":
-        raise CommandError(f"--reference is for --mode transfer only, not {args.mode}")
+    mode = args.mode or "diversified"
+    for flag, given, only_mode in (
+        ("--mode", args.mode is not None, None),
+        ("--reference", args.reference is not None, "transfer"),
+        ("--token-id", args.token_id is not None, "control"),
+        ("--token-weights", args.token_weights is not None, "control"),
+        ("--raw-weights", args.raw_weights, "control"),
+    ):
+        if given and args.unconditional:
+            raise CommandError(f"{flag} does not apply to --unconditional")
+        if given and only_mode not in (None, mode):
+            raise CommandError(f"{flag} is for --mode {only_mode} only, not {mode}")
     for flag, value in (
         ("--scale-pitch", args.scale_pitch),
         ("--scale-energy", args.scale_energy),
@@ -329,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sample", help="guided sampling in one of three modes")
     _add_trained_run_flags(p)
-    p.add_argument("--mode", choices=["diversified", "transfer", "control"], default="diversified")
+    p.add_argument("--mode", choices=["diversified", "transfer", "control"], default=None, help="default diversified")
     p.add_argument("--num-samples", type=int, default=8)
     p.add_argument("--reference", default=None, help="utterance CSV supplying the style")
     p.add_argument("--token-id", type=int, default=None)

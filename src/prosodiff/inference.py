@@ -7,11 +7,20 @@ over its rows padded to its longest text. Every group draws x_T and each
 step's noise from its own rng substream keyed by (seed, length), in the
 shapes and order of a chain of that group alone, so a text's draws do not
 depend on which other lengths share its request or its chain.
+
+A request's chains run in shares, one per usable CPU (at most one per
+chain): this process runs share 0 and a forked child runs each other
+share. No chain reads what another writes, and results and diagnostics
+are gathered in chain order, so the outputs do not depend on the share
+count. A single chain runs in-process and forks nothing.
 """
 
 from __future__ import annotations
 
+import multiprocessing
+import os
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -65,7 +74,8 @@ def generate(
     embedder, so a text-ablated bundle samples without its text.
     diagnostics, if given, receives (t, text indices, RescaleDiagnostics)
     per guided step of each chain, one diagnostics row per listed text, in
-    chain row order.
+    chain row order. The chains run on every usable CPU (see the module
+    docstring); samples and diagnostics are the same whatever their number.
     """
     if conditions is not None and len(conditions) != len(texts):
         raise ValueError("need one style condition per text")
@@ -74,10 +84,11 @@ def generate(
         if len(ids) == 0:
             raise ValueError(f"text {i} is empty")
         by_length.setdefault(len(ids), []).append(i)
+    chains = _pack_chains(by_length)
+    rows = [[i for length in chain for i in by_length[length]] for chain in chains]
 
-    results: list[np.ndarray | None] = [None] * len(texts)
-    for chain in _pack_chains(by_length):
-        indices = [i for length in chain for i in by_length[length]]
+    def run_chain(k: int) -> tuple[np.ndarray, list | None]:
+        chain, indices = chains[k], rows[k]
         lengths = np.array([len(texts[i]) for i in indices])
         ids = np.zeros((len(indices), chain[-1]), dtype=np.int64)  # padded with id 0
         for row, i in enumerate(indices):
@@ -88,12 +99,84 @@ def generate(
             [(rng_mod.substream(seed, rng_mod.SAMPLE_STREAM, n), len(by_length[n]), n) for n in chain]
         )
         steps: list | None = None if diagnostics is None else []
-        batch = sample(bundle.denoisers, bundle.schedule, y, c, guidance, noise, steps, lengths)
+        return sample(bundle.denoisers, bundle.schedule, y, c, guidance, noise, steps, lengths), steps
+
+    shares = _balanced_shares([len(indices) * chain[-1] for chain, indices in zip(chains, rows)], usable_cpus())
+    outcomes = _run_shares(run_chain, shares)
+    results: list[np.ndarray | None] = [None] * len(texts)
+    for k, indices in enumerate(rows):
+        batch, steps = outcomes[k]
         if diagnostics is not None:
             diagnostics.extend((t, indices, diag) for t, diag in steps)
         for row, i in enumerate(indices):
-            results[i] = batch[row, :, : lengths[row]]
+            results[i] = batch[row, :, : len(texts[i])]
     return results  # type: ignore[return-value]
+
+
+def usable_cpus() -> int:
+    """The CPUs this process may run on; 1 where the platform cannot tell."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def _balanced_shares(costs: list[int], count: int) -> list[list[int]]:
+    """Chain indices in min(count, chains) shares, at least one: largest cost
+    first, each to the least-loaded share (ties to the earlier chain and the
+    lower share); each share lists its chains in chain order."""
+    shares: list[list[int]] = [[] for _ in range(max(1, min(count, len(costs))))]
+    loads = [0] * len(shares)
+    for k in sorted(range(len(costs)), key=lambda k: -costs[k]):
+        share = loads.index(min(loads))
+        shares[share].append(k)
+        loads[share] += costs[k]
+    return [sorted(share) for share in shares]
+
+
+def _run_shares(run: Callable[[int], object], shares: list[list[int]]) -> dict[int, object]:
+    """{k: run(k)} for every chain k: share 0 in this process, each other share
+    in a forked child that sends its outcomes, or its exception, through a pipe.
+    Every child is joined on every path; one that ends without sending raises
+    ChildProcessError."""
+    if len(shares) == 1:
+        return {k: run(k) for k in shares[0]}
+    # a fork Process flushes sys.stdout and sys.stderr before it forks and ends in os._exit,
+    # so the child writes no buffered text and runs no atexit handler of this process
+    context = multiprocessing.get_context("fork")
+    children = []
+    try:
+        for share in shares[1:]:
+            receiver, sender = context.Pipe(duplex=False)
+            child = context.Process(target=_run_child_share, args=(sender, run, share))
+            child.start()
+            children.append((child, receiver))
+            sender.close()  # the child's copy stays open: EOF here means it ended without sending
+        outcomes = {k: run(k) for k in shares[0]}
+        for child, receiver in children:
+            try:
+                ok, payload = receiver.recv()
+            except EOFError:
+                child.join()
+                message = f"a sampling process ended without a result, exit code {child.exitcode}"
+                raise ChildProcessError(message) from None
+            if not ok:
+                raise payload
+            outcomes.update(payload)
+        return outcomes
+    except BaseException:
+        for child, _ in children:
+            child.terminate()
+        raise
+    finally:
+        for child, receiver in children:
+            receiver.close()
+            child.join()
+
+
+def _run_child_share(conn, run: Callable[[int], object], share: list[int]) -> None:
+    """A forked child's side of ``_run_shares``: sends (True, {k: run(k)}) or (False, exception)."""
+    try:
+        conn.send((True, {k: run(k) for k in share}))
+    except BaseException as exc:  # the parent raises it
+        conn.send((False, exc))
 
 
 def _pack_chains(by_length: dict[int, list[int]]) -> list[list[int]]:

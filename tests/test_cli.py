@@ -156,6 +156,29 @@ class TestSample:
         assert_json_error(code, capsys, "--reference", "transfer")
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize(
+        "flags, fragments",
+        [
+            (["--mode", "diversified", "--token-id", "1"], ["--token-id", "control", "diversified"]),
+            (["--token-weights", "1,0,0"], ["--token-weights", "control", "diversified"]),
+            (["--mode", "transfer", "--reference", "REF", "--token-weights", "1,0,0"], ["--token-weights", "transfer"]),
+            (["--mode", "transfer", "--reference", "REF", "--raw-weights"], ["--raw-weights", "transfer"]),
+            (["--unconditional", "--mode", "transfer", "--reference", "REF"], ["--mode", "--unconditional"]),
+            (["--unconditional", "--mode", "diversified"], ["--mode", "--unconditional"]),
+            (["--unconditional", "--reference", "REF"], ["--reference", "--unconditional"]),
+            (["--unconditional", "--token-id", "1"], ["--token-id", "--unconditional"]),
+        ],
+        ids=[
+            "token-id-diversified", "token-weights-default-mode", "token-weights-transfer", "raw-weights-transfer",
+            "unconditional-transfer", "unconditional-mode", "unconditional-reference", "unconditional-token-id",
+        ],
+    )
+    def test_flags_outside_their_mode_rejected(self, workspace, tmp_path, capsys, flags, fragments):
+        ref = str(workspace["corpus"] / "utt_00000.csv")
+        code = self.run_sample(workspace, tmp_path / "o", *[ref if f == "REF" else f for f in flags])
+        assert_json_error(code, capsys, *fragments)
+        assert not (tmp_path / "o").exists()
+
     def test_transfer_with_reference(self, workspace, tmp_path):
         ref = workspace["corpus"] / "utt_00000.csv"
         assert self.run_sample(workspace, tmp_path / "g", "--mode", "transfer", "--reference", str(ref)) == 0
@@ -283,6 +306,16 @@ class TestEval:
         assert (tmp_path / "r1" / "charts" / "js_divergence.svg").exists()
         for name in ("report.csv", "cv_sweep.csv", "charts/cv_sweep.svg"):
             assert (tmp_path / "r1" / name).read_bytes() == (tmp_path / "r2" / name).read_bytes()
+
+    def test_report_does_not_depend_on_share_count(self, workspace, tmp_path, monkeypatch):
+        monkeypatch.setattr(inference, "CHAIN_ROWS", 1)  # the val texts, of lengths 5, 6 and 7, in three chains
+        argv = ["eval", "--checkpoint", str(workspace["checkpoint"]), "--corpus", str(workspace["corpus"])]
+        argv += ["--eta", "2", "--eta-sweep", "1,3", "--sweep-utterances", "4"]
+        for cpus in (1, 3):
+            monkeypatch.setattr(inference, "usable_cpus", lambda: cpus)
+            assert main(argv + ["--out", str(tmp_path / str(cpus))]) == 0
+        for name in ("report.csv", "cv_sweep.csv"):
+            assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "3" / name).read_bytes()
 
     def test_empty_sweep_rejected(self, workspace, tmp_path, capsys):
         argv = [

@@ -1,3 +1,7 @@
+import io
+import os
+import sys
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -140,6 +144,7 @@ class TestChains:
             np.testing.assert_allclose(sub[j], full[i], rtol=1e-12, atol=1e-12)
 
     def test_chain_rows(self, random_bundle, monkeypatch):
+        monkeypatch.setattr(inference, "usable_cpus", lambda: 1)  # the spy sees only this process's calls
         chains = []
 
         def spy(denoisers, schedule, y, *args):
@@ -191,6 +196,117 @@ class TestChains:
     def test_empty_request(self, random_bundle):
         assert inference.generate(random_bundle, [], None, GuidanceParams(), seed=4) == []
         assert inference.generate(random_bundle, [], [], GuidanceParams(), seed=4) == []
+
+
+# three chains: [4] (10 rows x 4), [5] (10 x 5) and [6, 7] (13 x 7). Over three
+# shares this process runs the [6, 7] chain and the children the other two.
+THREE_CHAIN_LENGTHS = (4,) * 10 + (5,) * 10 + (6,) * 10 + (7,) * 3
+
+
+class ChainFailed(Exception):
+    pass
+
+
+def assert_no_child_process():
+    with pytest.raises(ChildProcessError):  # waitpid finds no child, running or exited
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestShares:
+    """generate runs a request's chains in shares, one per usable CPU: this
+    process runs share 0 and a forked child each other share."""
+
+    def test_balanced_shares(self):
+        # largest first, each to the least-loaded share; equal costs keep chain order
+        assert inference._balanced_shares([5, 9, 9, 2, 7], 2) == [[1, 4], [0, 2, 3]]
+        assert inference._balanced_shares([3, 1], 4) == [[0], [1]]
+        assert inference._balanced_shares([3, 1], 1) == [[0, 1]]
+        assert inference._balanced_shares([], 3) == [[]]
+
+    def test_outputs_do_not_depend_on_share_count(self, random_bundle, monkeypatch, tmp_path):
+        texts = random_texts(THREE_CHAIN_LENGTHS)
+        conds = list(np.random.default_rng(1).standard_normal((len(texts), 6)))
+        pids = tmp_path / "pids"
+
+        def spy(denoisers, schedule, y, *args):
+            with open(pids, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return sample(denoisers, schedule, y, *args)
+
+        monkeypatch.setattr(inference, "sample", spy)
+        runs = []
+        for cpus in (1, 3):
+            monkeypatch.setattr(inference, "usable_cpus", lambda: cpus)
+            pids.write_text("")
+            diagnostics = []
+            samples = inference.generate(random_bundle, texts, conds, GuidanceParams(eta=2.0), 4, diagnostics)
+            runs.append((samples, diagnostics, len(set(pids.read_text().split()))))
+            assert_no_child_process()
+        (samples1, diagnostics1, processes1), (samples3, diagnostics3, processes3) = runs
+        assert (processes1, processes3) == (1, 3)
+        assert all(np.array_equal(a, b) for a, b in zip(samples1, samples3))
+        assert len(diagnostics1) == len(diagnostics3) == 3 * random_bundle.schedule.step_count
+        for (t1, rows1, d1), (t3, rows3, d3) in zip(diagnostics1, diagnostics3):
+            assert (t1, rows1) == (t3, rows3)
+            for name in ("sigma_cond", "sigma_cfg", "applied_ratio"):
+                assert np.array_equal(getattr(d1, name), getattr(d3, name))
+
+    @pytest.mark.parametrize("where", ["child", "parent"])
+    def test_chain_failure_raises_its_own_type(self, random_bundle, monkeypatch, where):
+        failing = 4 if where == "child" else 7  # the padded length of the failing chain
+
+        def spy(denoisers, schedule, y, *args):
+            if y.shape[1] == failing:
+                raise ChainFailed(f"chain of length {failing}")
+            return sample(denoisers, schedule, y, *args)
+
+        monkeypatch.setattr(inference, "sample", spy)
+        monkeypatch.setattr(inference, "usable_cpus", lambda: 3)
+        with pytest.raises(ChainFailed, match=f"chain of length {failing}"):
+            inference.generate(random_bundle, random_texts(THREE_CHAIN_LENGTHS), None, GuidanceParams(eta=2.0), 4)
+        assert_no_child_process()
+
+    def test_interrupt_in_this_process_ends_the_children(self, random_bundle, monkeypatch):
+        parent = os.getpid()
+
+        def spy(denoisers, schedule, y, *args):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            time.sleep(30)  # a child still sampling when this process stops
+
+        monkeypatch.setattr(inference, "sample", spy)
+        monkeypatch.setattr(inference, "usable_cpus", lambda: 3)
+        start = time.perf_counter()
+        with pytest.raises(KeyboardInterrupt):
+            inference.generate(random_bundle, random_texts(THREE_CHAIN_LENGTHS), None, GuidanceParams(), 4)
+        assert time.perf_counter() - start < 15
+        assert_no_child_process()
+
+    def test_child_ending_without_a_result(self, random_bundle, monkeypatch):
+        parent = os.getpid()
+
+        def spy(denoisers, schedule, y, *args):
+            if os.getpid() != parent:
+                os._exit(3)
+            return sample(denoisers, schedule, y, *args)
+
+        monkeypatch.setattr(inference, "sample", spy)
+        monkeypatch.setattr(inference, "usable_cpus", lambda: 3)
+        with pytest.raises(ChildProcessError, match="exit code 3"):
+            inference.generate(random_bundle, random_texts(THREE_CHAIN_LENGTHS), None, GuidanceParams(), 4)
+        assert_no_child_process()
+
+    def test_unflushed_output_written_once(self, random_bundle, monkeypatch, capfd):
+        stdout = io.TextIOWrapper(io.BufferedWriter(io.FileIO(os.dup(1), "w")))  # buffered, unlike capture's own
+        monkeypatch.setattr(sys, "stdout", stdout)
+        monkeypatch.setattr(inference, "usable_cpus", lambda: 3)
+        try:
+            print("printed before generate")
+            inference.generate(random_bundle, random_texts(THREE_CHAIN_LENGTHS), None, GuidanceParams(), 4)
+        finally:
+            stdout.close()
+        assert capfd.readouterr().out == "printed before generate\n"
+        assert_no_child_process()
 
 
 class TestBuildModels:
