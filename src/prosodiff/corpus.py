@@ -224,12 +224,22 @@ def _manifest(corpus: Corpus) -> dict:
         "archetypes": [asdict(a) for a in default_archetypes(corpus.config.style_count)],
         "train_indices": corpus.train_indices,
         "val_indices": corpus.val_indices,
-        "stats": {"mean": corpus.stats.mean.tolist(), "std": corpus.stats.std.tolist()},
+        "stats": _pooled_stats(corpus.split("train")),
         "utterances": [
             {"file": _utt_filename(i), "style_id": u.style_id, "length": u.length}
             for i, u in enumerate(corpus.utterances)
         ],
+        "val_stats": _pooled_stats(corpus.split("val")),  # after utterances: a length edit names its file
     }
+
+
+def _pooled_stats(utterances: list[Utterance]) -> dict | None:
+    """Per-channel mean and std over utterances, as the manifest stores them (None for none):
+    the train split's are its normalisation statistics, the val split's guard its files."""
+    if not utterances:
+        return None
+    pooled = np.concatenate([u.prosody for u in utterances], axis=1)
+    return {"mean": pooled.mean(axis=1).tolist(), "std": pooled.std(axis=1).tolist()}
 
 
 def save_corpus(corpus: Corpus, directory: str | Path) -> None:
@@ -314,7 +324,7 @@ def _require_same(manifest: dict, expected: dict) -> None:
         got, want = manifest.get(key), expected.get(key)
         if canonical(got) == canonical(want):
             continue
-        if key == "stats":  # the CSV round trip is repr-exact, so the files were edited
+        if key in ("stats", "val_stats"):  # the CSV round trip is repr-exact, so the files were edited
             raise ValueError("stored statistics disagree with utterance files")
         if key == "utterances" and isinstance(got, list) and len(got) == len(want):
             got, want = next((g, w) for g, w in zip(got, want) if canonical(g) != canonical(w))

@@ -8,7 +8,7 @@ learned null-condition vector. Conditioning enters each layer's gate as a
 sinusoidal embedding added to the layer input. A ``Denoiser`` holds M such
 members stacked (theta1 and theta2 are members 0 and 1 of one): one forward
 pass yields every member's prediction, and ``Denoiser.member`` views one
-member as a one-member model.
+member as a one-member model, to sample or to train it alone.
 
 Data layout is [B, C, L] with C=3 prosody channels (log-pitch, energy,
 log-duration).
@@ -91,8 +91,9 @@ class Denoiser:
         self.params = {name: Tensor(np.stack([member[name] for member in drawn])) for name in drawn[0]}
 
     def member(self, index: int) -> Denoiser:
-        """Member ``index`` as a one-member denoiser over views of its slices;
-        for no-grad use, since gradients would not reach this model."""
+        """Member ``index`` as a one-member denoiser over views of its slices.
+        Its gradients land on the view's own tensors, not on this model's,
+        and an in-place update of its parameters updates this model's."""
         view = copy.copy(self)
         view.accepts_style = self.accepts_style and index == 0
         view.params = {name: Tensor(p.data[index : index + 1]) for name, p in self.params.items()}

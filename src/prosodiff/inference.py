@@ -17,8 +17,6 @@ count. A single chain runs in-process and forks nothing.
 
 from __future__ import annotations
 
-import multiprocessing
-import os
 from pathlib import Path
 from typing import Callable
 
@@ -29,6 +27,7 @@ from .config import RunConfig
 from .corpus import Utterance
 from .engine import no_grad
 from .guidance import GuidanceParams, sample
+from .parallel import forked, usable_cpus
 from .style import encode_style
 from .training import ModelBundle
 
@@ -113,11 +112,6 @@ def generate(
     return results  # type: ignore[return-value]
 
 
-def usable_cpus() -> int:
-    """The CPUs this process may run on; 1 where the platform cannot tell."""
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-
-
 def _balanced_shares(costs: list[int], count: int) -> list[list[int]]:
     """Chain indices in min(count, chains) shares, at least one: largest cost
     first, each to the least-loaded share (ties to the earlier chain and the
@@ -133,50 +127,15 @@ def _balanced_shares(costs: list[int], count: int) -> list[list[int]]:
 
 def _run_shares(run: Callable[[int], object], shares: list[list[int]]) -> dict[int, object]:
     """{k: run(k)} for every chain k: share 0 in this process, each other share
-    in a forked child that sends its outcomes, or its exception, through a pipe.
-    Every child is joined on every path; one that ends without sending raises
-    ChildProcessError."""
+    in a forked child that sends its outcomes (see ``parallel.forked``)."""
     if len(shares) == 1:
         return {k: run(k) for k in shares[0]}
-    # a fork Process flushes sys.stdout and sys.stderr before it forks and ends in os._exit,
-    # so the child writes no buffered text and runs no atexit handler of this process
-    context = multiprocessing.get_context("fork")
-    children = []
-    try:
-        for share in shares[1:]:
-            receiver, sender = context.Pipe(duplex=False)
-            child = context.Process(target=_run_child_share, args=(sender, run, share))
-            child.start()
-            children.append((child, receiver))
-            sender.close()  # the child's copy stays open: EOF here means it ended without sending
+    targets = [lambda send, share=share: send({k: run(k) for k in share}) for share in shares[1:]]
+    with forked(targets) as children:
         outcomes = {k: run(k) for k in shares[0]}
-        for child, receiver in children:
-            try:
-                ok, payload = receiver.recv()
-            except EOFError:
-                child.join()
-                message = f"a sampling process ended without a result, exit code {child.exitcode}"
-                raise ChildProcessError(message) from None
-            if not ok:
-                raise payload
-            outcomes.update(payload)
-        return outcomes
-    except BaseException:
-        for child, _ in children:
-            child.terminate()
-        raise
-    finally:
-        for child, receiver in children:
-            receiver.close()
-            child.join()
-
-
-def _run_child_share(conn, run: Callable[[int], object], share: list[int]) -> None:
-    """A forked child's side of ``_run_shares``: sends (True, {k: run(k)}) or (False, exception)."""
-    try:
-        conn.send((True, {k: run(k) for k in share}))
-    except BaseException as exc:  # the parent raises it
-        conn.send((False, exc))
+        for child in children:
+            outcomes.update(child.recv())
+    return outcomes
 
 
 def _pack_chains(by_length: dict[int, list[int]]) -> list[list[int]]:

@@ -45,8 +45,11 @@ def optimizer_step(
     t = state.step_counter
     for name, p in params:
         g = p.grad
-        m = state.moment1[name] = beta1 * state.moment1[name] + (1.0 - beta1) * g
-        v = state.moment2[name] = beta2 * state.moment2[name] + (1.0 - beta2) * (g * g)
+        m, v = state.moment1[name], state.moment2[name]  # updated in place: they may be views of a stack
+        m *= beta1
+        m += (1.0 - beta1) * g
+        v *= beta2
+        v += (1.0 - beta2) * (g * g)
         m_hat = m / (1.0 - beta1**t)
         v_hat = v / (1.0 - beta2**t)
         update = learning_rate * m_hat / (np.sqrt(v_hat) + epsilon)

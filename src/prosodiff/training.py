@@ -1,11 +1,15 @@
 """Joint training of the two denoisers and the style bank.
 
 Per step: draw a length-homogeneous mini-batch, one diffusion step t and
-one noise draw per example; one forward pass of the stacked denoiser
-predicts the noise for both members, and one backward pass of the summed
-losses takes the style-conditioned loss into theta1 and the style bank and
-the unconditional loss into theta2; one adaptive-moment update applies to
-all of them.
+one noise draw per example. The style-conditioned loss trains theta1 and
+the style bank, the unconditional loss trains theta2, and an
+adaptive-moment update applies to each. The two members share no state,
+so with two usable CPUs they train apart: this process trains theta1 and
+the bank, and a forked child trains theta2 from the same batch, t and
+noise, sending its loss each step and its weights and moments at each
+checkpoint. On one CPU, one forward pass of the stacked denoiser predicts
+the noise for both members and one backward pass of the summed losses
+serves both. Either way the losses and checkpoints are bit-identical.
 
 Every step draws from its own rng substream keyed by the step index, so a
 resumed run continues exactly where the checkpoint left off. A checkpoint
@@ -16,12 +20,15 @@ shape (``moment1.*``, ``moment2.*``), next to the text embedder's table.
 
 from __future__ import annotations
 
+import contextlib
+import copy
 import csv
+import functools
 import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
@@ -32,6 +39,7 @@ from .denoiser import Denoiser, TextEmbedder
 from .engine import Tensor, add
 from .guidance import diffusion_loss
 from .optim import AdamState, optimizer_step
+from .parallel import forked, usable_cpus
 from .schedule import NoiseSchedule, cosine_schedule
 from .style import StyleBank, encode_style
 
@@ -87,11 +95,30 @@ class ModelBundle:
 
     def trainable_parameters(self) -> list[tuple[str, Tensor]]:
         """(name, parameter) pairs that take part in the forward pass: the bank
-        is dead weight while theta1 takes no style vector. (While it does,
-        theta1's row of the null vector gets exact zero gradients and stays put.)"""
-        if self.denoisers.accepts_style:
+        is dead weight while theta1 takes no style vector, and the null vector
+        while theta1 takes one and trains alone. (In the stacked pair, theta1's
+        row of the null vector gets exact zero gradients and stays put.)"""
+        if not self.denoisers.accepts_style:
+            dead = "bank."
+        elif self.denoisers.params["null_condition"].shape[0] == 1:
+            dead = "denoisers.null_condition"
+        else:
             return list(self.named_parameters().items())
-        return [(name, p) for name, p in self.named_parameters().items() if not name.startswith("bank.")]
+        return [(name, p) for name, p in self.named_parameters().items() if not name.startswith(dead)]
+
+    def member(self, index: int) -> ModelBundle:
+        """Member ``index`` of the guided pair as a bundle of its own, to train
+        it apart from the other: its denoiser (``Denoiser.member``) and Adam
+        moments are views of this bundle's, so every update lands in this
+        bundle's arrays. It shares the bank and counts its own Adam steps."""
+        part = copy.copy(self)
+        part.denoisers = self.denoisers.member(index)
+        part.adam = copy.copy(self.adam)
+        part.adam.moment1, part.adam.moment2 = (
+            {name: m[index : index + 1] if name.startswith("denoisers.") else m for name, m in moments.items()}
+            for moments in (self.adam.moment1, self.adam.moment2)
+        )
+        return part
 
 
 def build_models(run: RunConfig, stats: NormStats) -> ModelBundle:
@@ -145,10 +172,25 @@ class LengthBucketSampler:
         return Batch(x0=x0, y=self.embedder.embed(ids))
 
 
+LOSS_NAMES = ("loss_c", "loss_nc")  # theta1's and theta2's, as loss.csv heads them
+
+
 def train_step(
-    bundle: ModelBundle, batch: Batch, cfg: TrainConfig, gen: np.random.Generator, step: int = 1
-) -> tuple[float, float]:
-    """One optimization step; returns (conditional loss, unconditional loss)."""
+    bundle: ModelBundle,
+    batch: Batch,
+    cfg: TrainConfig,
+    gen: np.random.Generator,
+    step: int = 1,
+    gather: Callable[[tuple[float, ...]], dict[str, float]] | None = None,
+) -> tuple[float, ...]:
+    """One optimization step of the members in ``bundle.denoisers``: the
+    guided pair, or one member of it (``ModelBundle.member``).
+
+    gather takes the members' losses and names every loss the step checks,
+    another process's too when the other member trains there; by default,
+    the pair's (loss_c, loss_nc). Each must be finite before anything is
+    updated. Returns the gathered losses.
+    """
     if batch.x0.shape[0] == 0:
         raise ValueError("empty batch")
     t = gen.integers(1, bundle.schedule.step_count + 1, size=batch.x0.shape[0])
@@ -157,14 +199,16 @@ def train_step(
     c = None
     if bundle.denoisers.accepts_style:
         c, _ = encode_style(bundle.bank, batch.x0)  # reference is the target utterance itself
-    loss_c, loss_nc = diffusion_loss(bundle.denoisers, bundle.schedule, batch.x0, t, eps, batch.y, c)
+    losses = diffusion_loss(bundle.denoisers, bundle.schedule, batch.x0, t, eps, batch.y, c)
 
-    loss_c_value, loss_nc_value = loss_c.item(), loss_nc.item()
-    if not (math.isfinite(loss_c_value) and math.isfinite(loss_nc_value)):
-        raise ValueError(f"non-finite training loss at step {step}: loss_c={loss_c_value}, loss_nc={loss_nc_value}")
-    add(loss_c, loss_nc).backward()
+    own = tuple(loss.item() for loss in losses)
+    named = dict(zip(LOSS_NAMES, own)) if gather is None else gather(own)
+    if not all(math.isfinite(value) for value in named.values()):
+        listed = ", ".join(f"{name}={value}" for name, value in named.items())
+        raise ValueError(f"non-finite training loss at step {step}: {listed}")
+    functools.reduce(add, losses).backward()
     optimizer_step(bundle.trainable_parameters(), bundle.adam, cfg.rate_at(step))
-    return loss_c_value, loss_nc_value
+    return tuple(named.values())
 
 
 def train(
@@ -177,33 +221,85 @@ def train(
 ) -> Path:
     """Run the training loop; writes loss.csv and periodic checkpoints.
 
-    Returns the path of the final checkpoint.
+    A run resumed from ``start_step`` keeps loss.csv's rows up to that step.
+    With two usable CPUs theta2 trains in a forked child (see the module
+    docstring). Returns the path of the final checkpoint.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     sampler = LengthBucketSampler(corpus.split("train"), bundle.stats, bundle.embedder, cfg.batch_size)
-
+    steps = range(start_step + 1, cfg.steps + 1)
     loss_path = out_dir / "loss.csv"
-    mode = "a" if start_step > 0 and loss_path.exists() else "w"
-    t_begin = time.time()
-    with open(loss_path, mode, newline="") as fh:
-        writer = csv.writer(fh)
-        if mode == "w":
-            writer.writerow(["step", "loss_c", "loss_nc"])
-        for step in range(start_step + 1, cfg.steps + 1):
+    kept = _rows_up_to(loss_path, start_step)
+
+    with contextlib.ExitStack() as stack:
+        part, gather, receive_member = bundle, None, lambda: None
+        if usable_cpus() >= 2:
+            target = functools.partial(_train_apart, bundle.member(1), sampler, cfg, steps)
+            (child,) = stack.enter_context(forked([target]))
+            part = bundle.member(0)
+
+            def gather(own: tuple[float, ...]) -> dict[str, float]:
+                return {"loss_c": own[0], "loss_nc": child.recv()}
+
+            def receive_member() -> None:  # the child's trained arrays, into bundle
+                views = _trained_arrays(bundle.member(1))
+                for name, value in child.recv().items():
+                    views[name][...] = value
+                bundle.adam.step_counter = part.adam.step_counter
+
+        writer = csv.writer(stack.enter_context(open(loss_path, "w", newline="")))
+        writer.writerow(["step", *LOSS_NAMES])
+        writer.writerows(kept)
+        t_begin = time.time()
+        for step in steps:
             gen = rng_mod.substream(bundle.seed, rng_mod.TRAIN_STREAM, step)
-            batch = sampler.next_batch(gen)
-            loss_c, loss_nc = train_step(bundle, batch, cfg, gen, step)
+            loss_c, loss_nc = train_step(part, sampler.next_batch(gen), cfg, gen, step, gather)
             if step % cfg.log_every == 0 or step == 1 or step == cfg.steps:
                 writer.writerow([step, repr(loss_c), repr(loss_nc)])
                 if progress:
                     elapsed = time.time() - t_begin
                     print(f"step {step}/{cfg.steps} loss_c={loss_c:.4f} loss_nc={loss_nc:.4f} ({elapsed:.0f}s)")
-            if cfg.checkpoint_every and step % cfg.checkpoint_every == 0 and step < cfg.steps:
+            if _checkpoints_at(cfg, step):
+                receive_member()
                 save_checkpoint(bundle, step, out_dir / f"ckpt_{step:06d}.bin")
+        receive_member()
     final = out_dir / "final.bin"
     save_checkpoint(bundle, cfg.steps, final)
     return final
+
+
+def _train_apart(part: ModelBundle, sampler: LengthBucketSampler, cfg: TrainConfig, steps: range, send) -> None:
+    """A forked child's side of ``train``: trains part, sending its loss every
+    step and its trained arrays at each checkpoint step and at the end."""
+
+    def gather(own: tuple[float, ...]) -> dict[str, float]:
+        send(own[0])
+        return {"loss_nc": own[0]}
+
+    for step in steps:
+        gen = rng_mod.substream(part.seed, rng_mod.TRAIN_STREAM, step)
+        train_step(part, sampler.next_batch(gen), cfg, gen, step, gather)
+        if _checkpoints_at(cfg, step):
+            send(_trained_arrays(part))
+    send(_trained_arrays(part))
+
+
+def _checkpoints_at(cfg: TrainConfig, step: int) -> bool:
+    """Whether step writes an intermediate checkpoint (the final one is always written)."""
+    return bool(cfg.checkpoint_every) and step % cfg.checkpoint_every == 0 and step < cfg.steps
+
+
+def _rows_up_to(loss_path: Path, step: int) -> list[list[str]]:
+    """loss.csv's rows up to step, which a run resumed from step keeps; none if step is 0."""
+    if step == 0 or not loss_path.exists():
+        return []
+    with open(loss_path, newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    try:
+        return [row for row in rows if int(row[0]) <= step]
+    except (ValueError, IndexError):
+        raise ValueError(f"{loss_path}: malformed step column") from None
 
 
 # checkpoint (de)serialisation ----------------------------------------------
@@ -213,8 +309,17 @@ def _state_entries(bundle: ModelBundle) -> dict[str, np.ndarray]:
     """Every parameter under its bundle name, its Adam moments under
     moment1.<name> and moment2.<name>, and the text embedder's table, each
     as the live array. Save reads these arrays and load writes into them."""
-    views = {"embedder.table": bundle.embedder.table}
-    for name, p in bundle.named_parameters().items():
+    return {"embedder.table": bundle.embedder.table} | _live_arrays(bundle, bundle.named_parameters().items())
+
+
+def _trained_arrays(bundle: ModelBundle) -> dict[str, np.ndarray]:
+    """What a step updates: the trainable parameters and their moments, as live arrays."""
+    return _live_arrays(bundle, bundle.trainable_parameters())
+
+
+def _live_arrays(bundle: ModelBundle, params) -> dict[str, np.ndarray]:
+    views = {}
+    for name, p in params:
         views[name] = p.data
         views[f"moment1.{name}"] = bundle.adam.moment1[name]
         views[f"moment2.{name}"] = bundle.adam.moment2[name]

@@ -7,7 +7,10 @@ every comparison is against an independent path.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
+import pytest
 
 from prosodiff import engine
 from prosodiff.config import RunConfig, ScheduleSettings
@@ -61,3 +64,8 @@ def run_config(denoiser, style, schedule_steps: int, seed: int, corpus: CorpusCo
         schedule=ScheduleSettings(steps=schedule_steps),
         train=TrainConfig(**train),
     )
+
+
+def assert_no_child_process():
+    with pytest.raises(ChildProcessError):  # waitpid finds no child, running or exited
+        os.waitpid(-1, os.WNOHANG)

@@ -103,6 +103,17 @@ class TestTrain:
         resumed = (tmp_path / "resumed" / "loss.csv").read_text().splitlines()
         assert resumed == [full[0]] + [row for row in full[1:] if int(row.split(",")[0]) > 6]
 
+    def test_resume_into_its_own_directory_logs_each_step_once(self, workspace, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({**TINY_CONFIG, "train": {**TINY_CONFIG["train"], "checkpoint_every": 6}}))
+        inputs = ["--corpus", str(workspace["corpus"]), "--quiet"]
+        assert main(["train", "--config", str(config), "--out", str(tmp_path / "full"), *inputs]) == 0
+        shutil.copytree(tmp_path / "full", tmp_path / "run")
+        resume = ["--resume", str(tmp_path / "run" / "ckpt_000006.bin")]
+        assert main(["train", *resume, "--out", str(tmp_path / "run"), *inputs]) == 0
+        for name in ("loss.csv", "ckpt_000006.bin", "final.bin"):
+            assert (tmp_path / "run" / name).read_bytes() == (tmp_path / "full" / name).read_bytes(), name
+
 
 class TestSample:
     def run_sample(self, workspace, out, *extra):

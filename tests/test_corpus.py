@@ -197,7 +197,7 @@ class TestPersistence:
 
     @pytest.mark.parametrize("keep_rows", [0, 3])
     def test_val_file_shorter_than_manifest_length_rejected(self, tmp_path, keep_rows):
-        # a val file does not enter the stored statistics, so only the length check can catch it
+        # the manifest compares lengths before the val split's statistics, so the message names the file
         corpus = generate_corpus(small_config(), seed=6)
         save_corpus(corpus, tmp_path / "c")
         name = f"utt_{corpus.val_indices[0]:05d}.csv"
@@ -229,6 +229,18 @@ class TestPersistence:
         manifest["stats"]["mean"][0] += 1.0
         manifest_path.write_text(json.dumps(manifest))
         with pytest.raises(ValueError, match="statistics disagree"):
+            load_corpus(tmp_path / "c")
+
+    @pytest.mark.parametrize("split", ["train", "val"])
+    def test_edited_prosody_value_detected(self, tmp_path, split):
+        corpus = generate_corpus(small_config(), seed=6)
+        save_corpus(corpus, tmp_path / "c")
+        index = (corpus.train_indices if split == "train" else corpus.val_indices)[0]
+        path = tmp_path / "c" / f"utt_{index:05d}.csv"
+        ids, prosody = read_utterance_csv(path)
+        prosody[1, 0] = 999.0  # the first energy value
+        write_utterance_csv(path, ids, prosody)
+        with pytest.raises(ValueError, match="stored statistics disagree with utterance files"):
             load_corpus(tmp_path / "c")
 
     def test_out_of_vocabulary_phoneme_id_rejected(self, tmp_path):
@@ -263,7 +275,7 @@ class TestPersistence:
         written = (tmp_path / "a" / "manifest.json").read_bytes()
         assert (tmp_path / "b" / "manifest.json").read_bytes() == written
         manifest = json.loads(written)
-        assert list(manifest) == ["config", "seed", "archetypes", "train_indices", "val_indices", "stats", "utterances"]
+        assert list(manifest) == ["config", "seed", "archetypes", "train_indices", "val_indices", "stats", "utterances", "val_stats"]
         assert manifest["config"]["length_range"] == [6, 12]
         assert manifest["utterances"][37] == {"file": "utt_00037.csv", "style_id": 1, "length": corpus.utterances[37].length}
         for i in (0, 37, 79):

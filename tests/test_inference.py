@@ -17,6 +17,8 @@ from prosodiff.schedule import cosine_schedule
 from prosodiff.style import StyleConfig
 from prosodiff.training import LengthBucketSampler, TrainConfig, build_models, load_checkpoint, save_checkpoint
 
+from helpers import assert_no_child_process
+
 
 @pytest.fixture(scope="module")
 def setup():
@@ -205,11 +207,6 @@ THREE_CHAIN_LENGTHS = (4,) * 10 + (5,) * 10 + (6,) * 10 + (7,) * 3
 
 class ChainFailed(Exception):
     pass
-
-
-def assert_no_child_process():
-    with pytest.raises(ChildProcessError):  # waitpid finds no child, running or exited
-        os.waitpid(-1, os.WNOHANG)
 
 
 class TestShares:

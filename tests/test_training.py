@@ -1,11 +1,18 @@
 import csv
+import io
+import json
+import os
+import shutil
+import sys
+import time
 
 import numpy as np
 import pytest
 
+from prosodiff import cli, training
 from prosodiff import rng as rng_mod
 from prosodiff.checkpoint import CheckpointError, load_entries, save_entries
-from prosodiff.corpus import CorpusConfig, NormStats, generate_corpus
+from prosodiff.corpus import CorpusConfig, NormStats, generate_corpus, save_corpus
 from prosodiff.denoiser import Denoiser, DenoiserConfig, predict_noise
 from prosodiff.guidance import diffusion_loss
 from prosodiff.style import StyleBank, StyleConfig, encode_style
@@ -19,7 +26,7 @@ from prosodiff.training import (
     train_step,
 )
 
-from helpers import run_config
+from helpers import assert_no_child_process, run_config
 
 TINY_DENOISER = DenoiserConfig(
     residual_layers=2,
@@ -262,6 +269,122 @@ class TestStackedTrainStep:
         else:  # the bank is dead weight
             for name in reference.bank.params:
                 assert np.array_equal(saved[f"bank.{name}"], initial[f"bank.{name}"]), name
+
+
+def run_files(out_dir) -> dict[str, bytes]:
+    return {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
+
+
+@pytest.fixture
+def cli_inputs(tmp_path):
+    """A saved TINY corpus and a 6-step config file for it, as train arguments."""
+    corpus, _ = tiny_setup()
+    save_corpus(corpus, tmp_path / "corpus")
+    run = run_config(TINY_DENOISER, TINY_STYLE, 12, 3, corpus=TINY_CORPUS, steps=6, batch_size=4, log_every=2)
+    run.save(tmp_path / "config.json")
+    return ["--config", str(tmp_path / "config.json"), "--corpus", str(tmp_path / "corpus")]
+
+
+class TestSplitTraining:
+    """With two usable CPUs, theta2 trains in a forked child while this
+    process trains theta1 and the bank; on one, the stacked step trains both."""
+
+    @pytest.mark.parametrize("style_condition", [True, False], ids=["styled", "no-style-condition"])
+    def test_outputs_do_not_depend_on_cpu_count(self, style_condition, tmp_path, monkeypatch):
+        cfg = TrainConfig(steps=9, batch_size=4, log_every=2, checkpoint_every=3)
+        runs = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(training, "usable_cpus", lambda: cpus)
+            corpus, bundle = tiny_setup(style_condition=style_condition)
+            train(bundle, corpus, cfg, tmp_path / f"run{cpus}")
+            save_checkpoint(bundle, cfg.steps, tmp_path / f"returned{cpus}.bin")  # the returned bundle is whole
+            # resumed from an intermediate checkpoint into a copy of the run's own directory
+            shutil.copytree(tmp_path / f"run{cpus}", tmp_path / f"resumed{cpus}")
+            corpus, resumed = tiny_setup(style_condition=style_condition)
+            start = load_checkpoint(resumed, tmp_path / f"resumed{cpus}" / "ckpt_000003.bin")
+            train(resumed, corpus, cfg, tmp_path / f"resumed{cpus}", start_step=start)
+            runs.append((run_files(tmp_path / f"run{cpus}"), run_files(tmp_path / f"resumed{cpus}")))
+            assert_no_child_process()
+        (one, one_resumed), (two, two_resumed) = runs
+        assert list(one) == ["ckpt_000003.bin", "ckpt_000006.bin", "final.bin", "loss.csv"]
+        assert one == two == one_resumed == two_resumed
+        assert (tmp_path / "returned1.bin").read_bytes() == (tmp_path / "returned2.bin").read_bytes() == one["final.bin"]
+
+    def test_non_finite_loss_in_the_child_names_both_losses(self, tmp_path, monkeypatch):
+        messages = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(training, "usable_cpus", lambda: cpus)
+            corpus, bundle = tiny_setup()
+            bundle.denoisers.params["output_proj.bias"].data[1] = [np.nan, 0.0, 0.0]  # theta2's half
+            with pytest.raises(ValueError, match="non-finite training loss at step 1: loss_c=") as raised:
+                train(bundle, corpus, TrainConfig(steps=3, batch_size=4), tmp_path / f"run{cpus}")
+            messages.append(str(raised.value))
+            assert_no_child_process()
+        assert messages[0] == messages[1] and messages[0].endswith(", loss_nc=nan")
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_non_finite_loss_is_the_cli_json_error(self, cli_inputs, tmp_path, monkeypatch, capsys, cpus):
+        def poisoned(run, stats):
+            bundle = training.build_models(run, stats)
+            bundle.denoisers.params["output_proj.bias"].data[1] = [np.nan, 0.0, 0.0]  # theta2's half
+            return bundle
+
+        monkeypatch.setattr(cli, "build_models", poisoned)
+        monkeypatch.setattr(training, "usable_cpus", lambda: cpus)
+        assert cli.main(["train", *cli_inputs, "--out", str(tmp_path / "out"), "--quiet"]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1, lines
+        error = json.loads(lines[0])["error"]
+        assert error.startswith("non-finite training loss at step 1: loss_c=") and error.endswith(", loss_nc=nan")
+        assert_no_child_process()
+
+    def test_child_ending_without_a_result(self, tmp_path, monkeypatch):
+        parent, step = os.getpid(), training.train_step
+
+        def spy(*args):
+            if os.getpid() != parent:
+                os._exit(3)
+            return step(*args)
+
+        monkeypatch.setattr(training, "train_step", spy)
+        monkeypatch.setattr(training, "usable_cpus", lambda: 2)
+        corpus, bundle = tiny_setup()
+        with pytest.raises(ChildProcessError, match="exit code 3"):
+            train(bundle, corpus, TrainConfig(steps=3, batch_size=4), tmp_path)
+        assert_no_child_process()
+
+    def test_interrupt_in_this_process_ends_the_child(self, tmp_path, monkeypatch):
+        parent = os.getpid()
+
+        def spy(*args):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            time.sleep(30)  # the child still training when this process stops
+
+        monkeypatch.setattr(training, "train_step", spy)
+        monkeypatch.setattr(training, "usable_cpus", lambda: 2)
+        corpus, bundle = tiny_setup()
+        start = time.perf_counter()
+        with pytest.raises(KeyboardInterrupt):
+            train(bundle, corpus, TrainConfig(steps=3, batch_size=4), tmp_path)
+        assert time.perf_counter() - start < 15
+        assert_no_child_process()
+
+    def test_child_prints_nothing(self, cli_inputs, tmp_path, monkeypatch, capfd):
+        stdout = io.TextIOWrapper(io.BufferedWriter(io.FileIO(os.dup(1), "w")))  # buffered, unlike capture's own
+        monkeypatch.setattr(sys, "stdout", stdout)
+        monkeypatch.setattr(training, "usable_cpus", lambda: 2)
+        try:
+            print("printed before train")
+            assert cli.main(["train", *cli_inputs, "--out", str(tmp_path / "out")]) == 0
+        finally:
+            stdout.close()
+        out, err = capfd.readouterr()
+        lines = out.splitlines()
+        assert lines[0] == "printed before train" and lines[-1] == f"checkpoint: {tmp_path / 'out' / 'final.bin'}"
+        assert [line.split()[:2] for line in lines[1:-1]] == [["step", f"{k}/6"] for k in (1, 2, 4, 6)]
+        assert err == ""
+        assert_no_child_process()
 
 
 class TestBatchSampler:
