@@ -204,13 +204,17 @@ def _assert_separation(corpus: Corpus) -> None:
 def compute_stats(utterances: list[Utterance]) -> NormStats:
     if not utterances:
         raise ValueError("cannot compute statistics of an empty corpus")
-    pooled = np.concatenate([u.prosody for u in utterances], axis=1)
-    mean = pooled.mean(axis=1)
-    std = pooled.std(axis=1)
-    if np.any(std < 1e-12):
-        bad = CHANNEL_NAMES[int(np.argmin(std))]
+    stats = _pooled_stats(utterances)
+    if np.any(stats.std < 1e-12):
+        bad = CHANNEL_NAMES[int(np.argmin(stats.std))]
         raise ValueError(f"channel {bad} has zero variance; cannot standardise")
-    return NormStats(mean=mean, std=std)
+    return stats
+
+
+def _pooled_stats(utterances: list[Utterance]) -> NormStats:
+    """Per-channel mean and std over every position of utterances."""
+    pooled = np.concatenate([u.prosody for u in utterances], axis=1)
+    return NormStats(mean=pooled.mean(axis=1), std=pooled.std(axis=1))
 
 
 # persistence --------------------------------------------------------------
@@ -218,28 +222,27 @@ def compute_stats(utterances: list[Utterance]) -> NormStats:
 
 def _manifest(corpus: Corpus) -> dict:
     """The manifest.json document of corpus: save_corpus writes it, load_corpus requires it."""
+    val = corpus.split("val")
     return {
         "config": asdict(corpus.config),
         "seed": corpus.seed,
         "archetypes": [asdict(a) for a in default_archetypes(corpus.config.style_count)],
         "train_indices": corpus.train_indices,
         "val_indices": corpus.val_indices,
-        "stats": _pooled_stats(corpus.split("train")),
+        "stats": _stats_document(corpus.stats),
         "utterances": [
             {"file": _utt_filename(i), "style_id": u.style_id, "length": u.length}
             for i, u in enumerate(corpus.utterances)
         ],
-        "val_stats": _pooled_stats(corpus.split("val")),  # after utterances: a length edit names its file
+        # after utterances: a length edit names its file
+        "val_stats": _stats_document(_pooled_stats(val)) if val else None,
     }
 
 
-def _pooled_stats(utterances: list[Utterance]) -> dict | None:
-    """Per-channel mean and std over utterances, as the manifest stores them (None for none):
-    the train split's are its normalisation statistics, the val split's guard its files."""
-    if not utterances:
-        return None
-    pooled = np.concatenate([u.prosody for u in utterances], axis=1)
-    return {"mean": pooled.mean(axis=1).tolist(), "std": pooled.std(axis=1).tolist()}
+def _stats_document(stats: NormStats) -> dict:
+    """stats as the manifest stores them: the train split's are its
+    normalisation statistics, the val split's guard its files."""
+    return {"mean": stats.mean.tolist(), "std": stats.std.tolist()}
 
 
 def save_corpus(corpus: Corpus, directory: str | Path) -> None:

@@ -170,7 +170,8 @@ def tanh(x) -> Tensor:
 
 def sigmoid(x) -> Tensor:
     x = as_tensor(x)
-    out_data = 1.0 / (1.0 + np.exp(-x.data))
+    with np.errstate(over="ignore"):  # exp overflows to inf below about -709, where 1 / inf is the exact limit 0
+        out_data = 1.0 / (1.0 + np.exp(-x.data))
 
     def vjp(g):
         return (g * out_data * (1.0 - out_data),)

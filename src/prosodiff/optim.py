@@ -1,7 +1,7 @@
-"""Adaptive-moment (Adam) parameter updates. They are elementwise: each
-member's slice of a stacked theta1/theta2 parameter moves exactly as a
-tensor of its own would, and a slice whose gradient is exactly zero does
-not move at all."""
+"""Adaptive-moment (Adam) parameter updates. They are elementwise and in
+place, so a member's slice of a stacked theta1/theta2 parameter, trained
+through views of it and of its moments, moves exactly as a tensor of its
+own would."""
 
 from __future__ import annotations
 

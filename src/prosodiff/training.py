@@ -4,12 +4,12 @@ Per step: draw a length-homogeneous mini-batch, one diffusion step t and
 one noise draw per example. The style-conditioned loss trains theta1 and
 the style bank, the unconditional loss trains theta2, and an
 adaptive-moment update applies to each. The two members share no state,
-so with two usable CPUs they train apart: this process trains theta1 and
-the bank, and a forked child trains theta2 from the same batch, t and
-noise, sending its loss each step and its weights and moments at each
-checkpoint. On one CPU, one forward pass of the stacked denoiser predicts
-the noise for both members and one backward pass of the summed losses
-serves both. Either way the losses and checkpoints are bit-identical.
+so each trains in a loop of its own (``ModelBundle.member``), drawing the
+same batch, t and noise from the step's substream: theta1's loop runs in
+this process, and theta2's runs in a forked child with two usable CPUs,
+sending its loss each step and its weights and moments at each
+checkpoint, or in this process after theta1's step on one. Either way the
+losses and checkpoints are bit-identical.
 
 Every step draws from its own rng substream keyed by the step index, so a
 resumed run continues exactly where the checkpoint left off. A checkpoint
@@ -28,7 +28,7 @@ import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 
@@ -36,7 +36,7 @@ from . import checkpoint as ckpt
 from . import rng as rng_mod
 from .corpus import Corpus, NormStats, Utterance
 from .denoiser import Denoiser, TextEmbedder
-from .engine import Tensor, add
+from .engine import Tensor
 from .guidance import diffusion_loss
 from .optim import AdamState, optimizer_step
 from .parallel import forked, usable_cpus
@@ -94,16 +94,10 @@ class ModelBundle:
         return {f"{prefix}.{name}": p for prefix, model in groups for name, p in model.params.items()}
 
     def trainable_parameters(self) -> list[tuple[str, Tensor]]:
-        """(name, parameter) pairs that take part in the forward pass: the bank
-        is dead weight while theta1 takes no style vector, and the null vector
-        while theta1 takes one and trains alone. (In the stacked pair, theta1's
-        row of the null vector gets exact zero gradients and stays put.)"""
-        if not self.denoisers.accepts_style:
-            dead = "bank."
-        elif self.denoisers.params["null_condition"].shape[0] == 1:
-            dead = "denoisers.null_condition"
-        else:
-            return list(self.named_parameters().items())
+        """(name, parameter) pairs of a one-member bundle (``member``) that
+        take part in its forward pass: theta1 with a style vector leaves out
+        its null vector, and a member without one leaves out the bank."""
+        dead = "denoisers.null_condition" if self.denoisers.accepts_style else "bank."
         return [(name, p) for name, p in self.named_parameters().items() if not name.startswith(dead)]
 
     def member(self, index: int) -> ModelBundle:
@@ -172,25 +166,10 @@ class LengthBucketSampler:
         return Batch(x0=x0, y=self.embedder.embed(ids))
 
 
-LOSS_NAMES = ("loss_c", "loss_nc")  # theta1's and theta2's, as loss.csv heads them
-
-
-def train_step(
-    bundle: ModelBundle,
-    batch: Batch,
-    cfg: TrainConfig,
-    gen: np.random.Generator,
-    step: int = 1,
-    gather: Callable[[tuple[float, ...]], dict[str, float]] | None = None,
-) -> tuple[float, ...]:
-    """One optimization step of the members in ``bundle.denoisers``: the
-    guided pair, or one member of it (``ModelBundle.member``).
-
-    gather takes the members' losses and names every loss the step checks,
-    another process's too when the other member trains there; by default,
-    the pair's (loss_c, loss_nc). Each must be finite before anything is
-    updated. Returns the gathered losses.
-    """
+def train_step(bundle: ModelBundle, batch: Batch, cfg: TrainConfig, gen: np.random.Generator, step: int = 1) -> float:
+    """One optimization step of the one-member bundle (``ModelBundle.member``):
+    theta1 with the bank, or theta2. Returns its loss; a non-finite loss
+    updates nothing."""
     if batch.x0.shape[0] == 0:
         raise ValueError("empty batch")
     t = gen.integers(1, bundle.schedule.step_count + 1, size=batch.x0.shape[0])
@@ -199,16 +178,12 @@ def train_step(
     c = None
     if bundle.denoisers.accepts_style:
         c, _ = encode_style(bundle.bank, batch.x0)  # reference is the target utterance itself
-    losses = diffusion_loss(bundle.denoisers, bundle.schedule, batch.x0, t, eps, batch.y, c)
-
-    own = tuple(loss.item() for loss in losses)
-    named = dict(zip(LOSS_NAMES, own)) if gather is None else gather(own)
-    if not all(math.isfinite(value) for value in named.values()):
-        listed = ", ".join(f"{name}={value}" for name, value in named.items())
-        raise ValueError(f"non-finite training loss at step {step}: {listed}")
-    functools.reduce(add, losses).backward()
-    optimizer_step(bundle.trainable_parameters(), bundle.adam, cfg.rate_at(step))
-    return tuple(named.values())
+    (loss,) = diffusion_loss(bundle.denoisers, bundle.schedule, batch.x0, t, eps, batch.y, c)
+    value = loss.item()
+    if math.isfinite(value):
+        loss.backward()
+        optimizer_step(bundle.trainable_parameters(), bundle.adam, cfg.rate_at(step))
+    return value
 
 
 def train(
@@ -221,9 +196,12 @@ def train(
 ) -> Path:
     """Run the training loop; writes loss.csv and periodic checkpoints.
 
-    A run resumed from ``start_step`` keeps loss.csv's rows up to that step.
-    With two usable CPUs theta2 trains in a forked child (see the module
-    docstring). Returns the path of the final checkpoint.
+    Each member trains in its own loop (see the module docstring); with
+    two usable CPUs theta2's runs in a forked child. Both losses must be
+    finite at every step, or this raises naming the step and both losses;
+    theta1 may then already hold that step's update. A run resumed from
+    ``start_step`` keeps loss.csv's rows up to that step. Returns the path
+    of the final checkpoint.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -231,58 +209,60 @@ def train(
     steps = range(start_step + 1, cfg.steps + 1)
     loss_path = out_dir / "loss.csv"
     kept = _rows_up_to(loss_path, start_step)
+    members = (bundle.member(0), bundle.member(1))
+    loops = [_member_loop(member, sampler, cfg, steps) for member in members]
 
     with contextlib.ExitStack() as stack:
-        part, gather, receive_member = bundle, None, lambda: None
         if usable_cpus() >= 2:
-            target = functools.partial(_train_apart, bundle.member(1), sampler, cfg, steps)
-            (child,) = stack.enter_context(forked([target]))
-            part = bundle.member(0)
+            (child,) = stack.enter_context(forked([functools.partial(_send_each, loops[1])]))
+            loops[1] = iter(child.recv, None)  # the child's values, in the order it yields them
 
-            def gather(own: tuple[float, ...]) -> dict[str, float]:
-                return {"loss_c": own[0], "loss_nc": child.recv()}
-
-            def receive_member() -> None:  # the child's trained arrays, into bundle
-                views = _trained_arrays(bundle.member(1))
-                for name, value in child.recv().items():
-                    views[name][...] = value
-                bundle.adam.step_counter = part.adam.step_counter
+        def take_trained() -> None:  # the members' trained arrays, into bundle
+            for member, loop in zip(members, loops):
+                views = _trained_arrays(member)
+                for name, value in next(loop).items():
+                    views[name][...] = value  # the same array where the member trained in this process
+            bundle.adam.step_counter = members[0].adam.step_counter
 
         writer = csv.writer(stack.enter_context(open(loss_path, "w", newline="")))
-        writer.writerow(["step", *LOSS_NAMES])
+        writer.writerow(["step", "loss_c", "loss_nc"])
         writer.writerows(kept)
         t_begin = time.time()
         for step in steps:
-            gen = rng_mod.substream(bundle.seed, rng_mod.TRAIN_STREAM, step)
-            loss_c, loss_nc = train_step(part, sampler.next_batch(gen), cfg, gen, step, gather)
+            loss_c, loss_nc = (next(loop) for loop in loops)
+            if not (math.isfinite(loss_c) and math.isfinite(loss_nc)):
+                raise ValueError(f"non-finite training loss at step {step}: loss_c={loss_c}, loss_nc={loss_nc}")
             if step % cfg.log_every == 0 or step == 1 or step == cfg.steps:
                 writer.writerow([step, repr(loss_c), repr(loss_nc)])
                 if progress:
                     elapsed = time.time() - t_begin
                     print(f"step {step}/{cfg.steps} loss_c={loss_c:.4f} loss_nc={loss_nc:.4f} ({elapsed:.0f}s)")
             if _checkpoints_at(cfg, step):
-                receive_member()
+                take_trained()
                 save_checkpoint(bundle, step, out_dir / f"ckpt_{step:06d}.bin")
-        receive_member()
+        take_trained()
     final = out_dir / "final.bin"
     save_checkpoint(bundle, cfg.steps, final)
     return final
 
 
-def _train_apart(part: ModelBundle, sampler: LengthBucketSampler, cfg: TrainConfig, steps: range, send) -> None:
-    """A forked child's side of ``train``: trains part, sending its loss every
-    step and its trained arrays at each checkpoint step and at the end."""
-
-    def gather(own: tuple[float, ...]) -> dict[str, float]:
-        send(own[0])
-        return {"loss_nc": own[0]}
-
+def _member_loop(
+    member: ModelBundle, sampler: LengthBucketSampler, cfg: TrainConfig, steps: range
+) -> Iterator[float | dict[str, np.ndarray]]:
+    """Trains one member over steps: yields its loss after each step, and its
+    trained arrays after each checkpoint step and once more at the end."""
     for step in steps:
-        gen = rng_mod.substream(part.seed, rng_mod.TRAIN_STREAM, step)
-        train_step(part, sampler.next_batch(gen), cfg, gen, step, gather)
+        gen = rng_mod.substream(member.seed, rng_mod.TRAIN_STREAM, step)
+        yield train_step(member, sampler.next_batch(gen), cfg, gen, step)
         if _checkpoints_at(cfg, step):
-            send(_trained_arrays(part))
-    send(_trained_arrays(part))
+            yield _trained_arrays(member)
+    yield _trained_arrays(member)
+
+
+def _send_each(values: Iterator, send) -> None:
+    """A forked child's side of ``train``: sends each value of a member's loop."""
+    for value in values:
+        send(value)
 
 
 def _checkpoints_at(cfg: TrainConfig, step: int) -> bool:
@@ -337,7 +317,8 @@ def save_checkpoint(bundle: ModelBundle, trainer_step: int, path: str | Path) ->
 
 def load_checkpoint(bundle: ModelBundle, path: str | Path) -> int:
     """Restore parameters, Adam state, the text embedder and statistics;
-    returns the stored step. An entry the bundle does not have is an error."""
+    returns the stored step. An entry the bundle does not have, or a step
+    count that is not a non-negative integer, is an error."""
     entries = ckpt.load_entries(path)
 
     def entry(key: str, shape: tuple[int, ...]) -> np.ndarray:
@@ -349,12 +330,18 @@ def load_checkpoint(bundle: ModelBundle, path: str | Path) -> int:
             )
         return entries.pop(key)
 
+    def count(key: str) -> int:
+        value = float(entry(key, ()))  # finite: load_entries rejects the rest
+        if value < 0 or not value.is_integer():
+            raise ckpt.CheckpointError(f"{path}: {key} must be a non-negative integer, got {value}")
+        return int(value)
+
     for key, view in _state_entries(bundle).items():
         view[...] = entry(key, view.shape)
-    bundle.adam.step_counter = int(entry("optim.step_counter", ()))
+    bundle.adam.step_counter = count("optim.step_counter")
     # a new object: the bundle may share its statistics with the corpus it was built for
     bundle.stats = NormStats(entry("norm.mean", bundle.stats.mean.shape), entry("norm.std", bundle.stats.std.shape))
-    step = int(entry("trainer.step", ()))
+    step = count("trainer.step")
     if entries:
         raise ckpt.CheckpointError(f"{path}: checkpoint has entries this model does not: {', '.join(sorted(entries))}")
     return step

@@ -518,6 +518,19 @@ class TestErrors:
         assert not (model / "final.bin").exists()
         assert (model / "resolved_config.json").read_bytes() == archive
 
+    def test_resume_from_fractional_step_rejected(self, workspace, tmp_path, capsys):
+        model = tmp_path / "model"
+        model.mkdir()
+        entries = load_entries(workspace["checkpoint"])
+        entries["trainer.step"] = np.array(2.5)
+        save_entries(model / "ckpt.bin", entries)
+        archive = workspace["root"] / "model" / "resolved_config.json"
+        (model / "resolved_config.json").write_bytes(archive.read_bytes())
+        argv = ["train", "--resume", str(model / "ckpt.bin"), "--corpus", str(workspace["corpus"]), "--quiet"]
+        code = main(argv + ["--out", str(tmp_path / "o")])
+        assert_json_error(code, capsys, "trainer.step must be a non-negative integer, got 2.5")
+        assert not (tmp_path / "o" / "final.bin").exists()
+
     @pytest.mark.parametrize("length", [22, 3000])
     def test_truncated_checkpoint(self, workspace, tmp_path, capsys, length):
         model = tmp_path / "model"

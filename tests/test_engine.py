@@ -1,6 +1,7 @@
 import math
 import struct
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -217,6 +218,14 @@ class TestGatedActivation:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             engine.gated_activation(Tensor(np.zeros(3)), Tensor(np.zeros(4)))
+
+    def test_saturated_gate_is_exact_and_silent(self):
+        gate = Tensor(np.array([-1000.0, 0.0, 1000.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.array_equal(engine.sigmoid(gate).data, [0.0, 0.5, 1.0])
+            engine.sum_(engine.gated_activation(Tensor(np.full(3, 0.5)), gate)).backward()
+        assert np.all(np.isfinite(gate.grad))
 
 
 class TestBackward:

@@ -20,7 +20,7 @@ from prosodiff.guidance import (
 )
 from prosodiff.schedule import cosine_schedule, forward_diffuse
 from prosodiff.style import StyleConfig
-from prosodiff.training import TrainConfig, build_models, train_step, LengthBucketSampler
+from prosodiff.training import TrainConfig, build_models, train, train_step, LengthBucketSampler
 
 from helpers import run_config
 
@@ -457,16 +457,23 @@ class TestGuidanceParams:
 
 
 class TestTrainStep:
+    """train_step steps one member of the guided pair (ModelBundle.member)."""
+
+    @staticmethod
+    def member_losses(members, sampler, cfg, seed, step) -> tuple[float, ...]:
+        losses = []
+        for member in members:
+            gen = rng_mod.substream(seed, rng_mod.TRAIN_STREAM, step)
+            losses.append(train_step(member, sampler.next_batch(gen), cfg, gen, step))
+        return tuple(losses)
+
     def test_reproducible_under_seed(self):
         def run():
             corpus, bundle = tiny_bundle(seed=4)
             cfg = TrainConfig(steps=2, batch_size=4)
             sampler = LengthBucketSampler(corpus.split("train"), bundle.stats, bundle.embedder, 4)
-            losses = []
-            for step in (1, 2):
-                gen = rng_mod.substream(4, rng_mod.TRAIN_STREAM, step)
-                losses.append(train_step(bundle, sampler.next_batch(gen), cfg, gen))
-            return losses
+            members = (bundle.member(0), bundle.member(1))
+            return [self.member_losses(members, sampler, cfg, 4, step) for step in (1, 2)]
 
         assert run() == run()
 
@@ -474,8 +481,7 @@ class TestTrainStep:
         corpus, bundle = tiny_bundle(seed=5)
         cfg = TrainConfig(steps=1, batch_size=4)
         sampler = LengthBucketSampler(corpus.split("train"), bundle.stats, bundle.embedder, 4)
-        gen = rng_mod.substream(5, rng_mod.TRAIN_STREAM, 1)
-        loss_c, loss_nc = train_step(bundle, sampler.next_batch(gen), cfg, gen)
+        loss_c, loss_nc = self.member_losses((bundle.member(0), bundle.member(1)), sampler, cfg, 5, 1)
         assert 0 < loss_c < 100 and 0 < loss_nc < 100
 
     def test_unconditional_loss_untouched_by_conditional_updates(self):
@@ -491,26 +497,28 @@ class TestTrainStep:
             return diffusion_loss(bundle.denoisers.member(1), bundle.schedule, batch.x0, 3, eps, batch.y)[0].item()
 
         before = probe_nc()
-        from prosodiff.optim import optimizer_step
-        from prosodiff.style import encode_style
-
-        c, _ = encode_style(bundle.bank, batch.x0)
-        loss_c, _ = diffusion_loss(bundle.denoisers, bundle.schedule, batch.x0, 3, eps, batch.y, c)
-        loss_c.backward()  # reaches theta2's slices only as exact zeros
-        optimizer_step(bundle.trainable_parameters(), bundle.adam, 1e-2)
+        theta1 = bundle.member(0)
+        train_step(theta1, batch, cfg, gen)
+        assert theta1.adam.step_counter == 1
         assert probe_nc() == before
 
-    def test_non_finite_loss_names_the_step(self):
+    def test_non_finite_loss_names_the_step(self, tmp_path):
         corpus, bundle = tiny_bundle(seed=7)
         cfg = TrainConfig(steps=5, batch_size=4)
         sampler = LengthBucketSampler(corpus.split("train"), bundle.stats, bundle.embedder, 4)
-        gen = rng_mod.substream(7, rng_mod.TRAIN_STREAM, 3)
         bundle.denoisers.params["output_proj.bias"].data[1] = [np.nan, 0.0, 0.0]  # theta2's half
-        before = bundle.denoisers.params["output_proj.weight"].data.copy()
-        with pytest.raises(ValueError, match="non-finite training loss at step 3"):
-            train_step(bundle, sampler.next_batch(gen), cfg, gen, step=3)
-        assert np.array_equal(bundle.denoisers.params["output_proj.weight"].data, before)
-        assert bundle.adam.step_counter == 0
+        before = {name: p.data.copy() for name, p in bundle.named_parameters().items()}
+        theta2 = bundle.member(1)
+        gen = rng_mod.substream(7, rng_mod.TRAIN_STREAM, 3)
+        assert math.isnan(train_step(theta2, sampler.next_batch(gen), cfg, gen, step=3))
+        for name, p in bundle.named_parameters().items():  # the step updates nothing
+            assert np.array_equal(p.data, before[name], equal_nan=True), name
+            assert not np.any(bundle.adam.moment1[name]), name
+        assert all(p.grad is None for p in theta2.denoisers.params.values())
+        assert theta2.adam.step_counter == bundle.adam.step_counter == 0
+        # train checks both members' losses, and names the step and both of them
+        with pytest.raises(ValueError, match=r"^non-finite training loss at step 3: loss_c=\d\S*, loss_nc=nan$"):
+            train(bundle, corpus, cfg, tmp_path, start_step=2)
 
     def test_empty_batch_rejected(self):
         corpus, bundle = tiny_bundle(seed=7)
@@ -519,4 +527,4 @@ class TestTrainStep:
 
         empty = Batch(x0=np.zeros((0, 3, 4)), y=np.zeros((0, 4, 6)))
         with pytest.raises(ValueError, match="empty"):
-            train_step(bundle, empty, cfg, np.random.default_rng(0))
+            train_step(bundle.member(0), empty, cfg, np.random.default_rng(0))

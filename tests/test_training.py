@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import os
+import re
 import shutil
 import sys
 import time
@@ -95,7 +96,7 @@ class TestCheckpointRoundTrip:
         a = predict_noise(bundle.denoisers.member(0), x, 3, y, c).data
         b = predict_noise(bundle2.denoisers.member(0), x, 3, y, c).data
         assert np.array_equal(a, b)
-        for name, _ in bundle.trainable_parameters():
+        for name in bundle.named_parameters():
             assert np.array_equal(bundle.adam.moment1[name], bundle2.adam.moment1[name])
         assert bundle.adam.step_counter == bundle2.adam.step_counter == 8
 
@@ -137,6 +138,17 @@ class TestCheckpointRoundTrip:
         with pytest.raises(CheckpointError, match=r"extra\.bin: .*denoisers\.layers\.9\.conv\.weight"):
             load_checkpoint(bundle, tmp_path / "extra.bin")
 
+    @pytest.mark.parametrize("key", ["trainer.step", "optim.step_counter"])
+    @pytest.mark.parametrize("value", [2.5, -4.0, -1.0])
+    def test_step_that_is_not_a_count_rejected(self, tmp_path, key, value):
+        _, bundle = tiny_setup()
+        save_checkpoint(bundle, 3, tmp_path / "state.bin")
+        entries = load_entries(tmp_path / "state.bin")
+        entries[key] = np.array(value)
+        save_entries(tmp_path / "bad.bin", entries)
+        with pytest.raises(CheckpointError, match=rf"bad\.bin: {re.escape(key)} must be a non-negative integer"):
+            load_checkpoint(bundle, tmp_path / "bad.bin")
+
     def test_entries_name_each_parameter_once_in_its_shape(self, tmp_path):
         corpus, bundle = tiny_setup()
         save_checkpoint(bundle, 1, tmp_path / "state.bin")
@@ -166,22 +178,26 @@ class TestTrainableParameters:
     def test_default_config_updates_every_live_tensor_in_checkpoint_order(self):
         stats = NormStats(np.zeros(3), np.ones(3))
         bundle = build_models(run_config(DenoiserConfig(), StyleConfig(), 4, 0), stats)
-        names = [name for name, _ in bundle.trainable_parameters()]
-        # 105 stacked theta1/theta2 tensors (theta1's null half takes exact zero gradients), 10 bank tensors
-        assert len(names) == 115
-        assert [n.split(".")[0] for n in names] == ["denoisers"] * 105 + ["bank"] * 10
-        assert all(p.shape[0] == 2 for name, p in bundle.trainable_parameters() if name.startswith("denoisers."))
-        assert names == list(bundle.named_parameters())
+        theta1, theta2 = ([name for name, _ in bundle.member(i).trainable_parameters()] for i in (0, 1))
+        denoiser = [name for name in bundle.named_parameters() if name.startswith("denoisers.")]
+        # 105 denoiser tensors per member and 10 bank tensors; theta1 takes the style vector in place of its null vector
+        assert len(denoiser) == 105 and len(theta1) == 114
+        assert theta1 == [name for name in bundle.named_parameters() if name != "denoisers.null_condition"]
+        assert theta2 == denoiser
+        for index in (0, 1):
+            member = bundle.member(index).trainable_parameters()
+            assert all(p.shape[0] == 1 for name, p in member if name.startswith("denoisers."))
         assert set(bundle.adam.moment1) == set(bundle.adam.moment2) == set(bundle.named_parameters())
 
     def test_unstyled_run_leaves_the_bank_out(self):
         stats = NormStats(np.zeros(3), np.ones(3))
         run = run_config(TINY_DENOISER, TINY_STYLE, 12, 0, corpus=TINY_CORPUS, style_condition=False)
         bundle = build_models(run, stats)
-        names = [name for name, _ in bundle.trainable_parameters()]
-        assert "denoisers.null_condition" in names
-        assert not [n for n in names if n.startswith("bank.")]
-        assert len(names) == len(bundle.named_parameters()) - len(bundle.bank.params)
+        for index in (0, 1):
+            names = [name for name, _ in bundle.member(index).trainable_parameters()]
+            assert "denoisers.null_condition" in names
+            assert not [n for n in names if n.startswith("bank.")]
+            assert len(names) == len(bundle.named_parameters()) - len(bundle.bank.params)
 
 
 class TwoModelReference:
@@ -239,8 +255,18 @@ class TwoModelReference:
             out.setdefault(f"moment2.{key}", []).append(self.moment2[name].reshape(p.shape))
         return out
 
+    def assert_saved(self, saved: dict[str, np.ndarray]) -> None:
+        """saved, a checkpoint's entries, holds this reference's parameters,
+        moments and step count."""
+        want = self.entries()
+        extras = {"trainer.step", "optim.step_counter", "norm.mean", "norm.std", "embedder.table"}
+        assert set(saved) - set(want) == extras
+        for key, members in want.items():
+            assert np.array_equal(saved[key], np.concatenate(members)), key
+        assert saved["optim.step_counter"] == self.steps
 
-class TestStackedTrainStep:
+
+class TestMemberTrainStep:
     @pytest.mark.parametrize("style_condition", [True, False], ids=["styled", "no-style-condition"])
     def test_matches_two_model_reference_bitwise(self, style_condition, tmp_path):
         seed = 3
@@ -249,19 +275,20 @@ class TestStackedTrainStep:
         initial = {name: p.data.copy() for name, p in reference.params.items()}
         cfg = TrainConfig(steps=3, batch_size=4)
         sampler = LengthBucketSampler(corpus.split("train"), bundle.stats, bundle.embedder, cfg.batch_size)
+        members = (bundle.member(0), bundle.member(1))
         for step in range(1, cfg.steps + 1):
+            got = []
+            for member in members:
+                gen = rng_mod.substream(seed, rng_mod.TRAIN_STREAM, step)
+                got.append(train_step(member, sampler.next_batch(gen), cfg, gen, step))
             gen = rng_mod.substream(seed, rng_mod.TRAIN_STREAM, step)
-            got = train_step(bundle, sampler.next_batch(gen), cfg, gen, step)
-            gen = rng_mod.substream(seed, rng_mod.TRAIN_STREAM, step)
-            assert got == reference.step(sampler.next_batch(gen), cfg, gen, step)
+            assert tuple(got) == reference.step(sampler.next_batch(gen), cfg, gen, step)
+        assert members[0].adam.step_counter == members[1].adam.step_counter == cfg.steps
 
+        bundle.adam.step_counter = members[0].adam.step_counter
         save_checkpoint(bundle, cfg.steps, tmp_path / "state.bin")
         saved = load_entries(tmp_path / "state.bin")
-        want = reference.entries()
-        extras = {"trainer.step", "optim.step_counter", "norm.mean", "norm.std", "embedder.table"}
-        assert set(saved) - set(want) == extras
-        for key, members in want.items():
-            assert np.array_equal(saved[key], np.concatenate(members)), key
+        reference.assert_saved(saved)
         if style_condition:  # theta1's null vector is dead weight: it and its moments stay as initialised
             assert np.array_equal(saved["denoisers.null_condition"][0], initial["theta1.null_condition"][0])
             for moment in ("moment1", "moment2"):
@@ -286,8 +313,8 @@ def cli_inputs(tmp_path):
 
 
 class TestSplitTraining:
-    """With two usable CPUs, theta2 trains in a forked child while this
-    process trains theta1 and the bank; on one, the stacked step trains both."""
+    """With two usable CPUs, theta2's loop runs in a forked child while this
+    process trains theta1 and the bank; on one, both loops run here."""
 
     @pytest.mark.parametrize("style_condition", [True, False], ids=["styled", "no-style-condition"])
     def test_outputs_do_not_depend_on_cpu_count(self, style_condition, tmp_path, monkeypatch):
@@ -309,6 +336,19 @@ class TestSplitTraining:
         assert list(one) == ["ckpt_000003.bin", "ckpt_000006.bin", "final.bin", "loss.csv"]
         assert one == two == one_resumed == two_resumed
         assert (tmp_path / "returned1.bin").read_bytes() == (tmp_path / "returned2.bin").read_bytes() == one["final.bin"]
+
+        corpus, bundle = tiny_setup(style_condition=style_condition)
+        reference = TwoModelReference(3, style_condition, bundle.schedule)
+        sampler = LengthBucketSampler(corpus.split("train"), bundle.stats, bundle.embedder, cfg.batch_size)
+        logged = []
+        for step in range(1, cfg.steps + 1):
+            gen = rng_mod.substream(3, rng_mod.TRAIN_STREAM, step)
+            losses = reference.step(sampler.next_batch(gen), cfg, gen, step)
+            if step in (1, 2, 4, 6, 8, 9):
+                logged.append([step, *losses])
+        rows = list(csv.reader(io.StringIO(one["loss.csv"].decode())))[1:]
+        assert [[int(row[0]), float(row[1]), float(row[2])] for row in rows] == logged
+        reference.assert_saved(load_entries(tmp_path / "run1" / "final.bin"))
 
     def test_non_finite_loss_in_the_child_names_both_losses(self, tmp_path, monkeypatch):
         messages = []
