@@ -8,6 +8,7 @@ the archive plus the seed.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -28,6 +29,8 @@ class ScheduleSettings:
     def __post_init__(self):
         if self.steps < 2:
             raise ValueError("need at least 2 diffusion steps")
+        if not (math.isfinite(self.offset) and self.offset >= 0):
+            raise ValueError(f"schedule offset must be finite and >= 0, got {self.offset}")
 
 
 @dataclass

@@ -20,6 +20,7 @@ from . import rng as rng_mod
 from .jsonrule import from_json
 
 CHANNEL_NAMES = ("log_pitch", "energy", "log_duration")
+MIN_STD = 1e-12  # the least channel std that standardises: compute_stats and load_checkpoint reject less
 
 PITCH_NOISE_STD = 0.05
 
@@ -205,7 +206,7 @@ def compute_stats(utterances: list[Utterance]) -> NormStats:
     if not utterances:
         raise ValueError("cannot compute statistics of an empty corpus")
     stats = _pooled_stats(utterances)
-    if np.any(stats.std < 1e-12):
+    if np.any(stats.std < MIN_STD):
         bad = CHANNEL_NAMES[int(np.argmin(stats.std))]
         raise ValueError(f"channel {bad} has zero variance; cannot standardise")
     return stats

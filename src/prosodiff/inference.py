@@ -9,25 +9,26 @@ shapes and order of a chain of that group alone, so a text's draws do not
 depend on which other lengths share its request or its chain.
 
 A request's chains run in shares, one per usable CPU (at most one per
-chain): this process runs share 0 and a forked child runs each other
-share. No chain reads what another writes, and results and diagnostics
-are gathered in chain order, so the outputs do not depend on the share
-count. A single chain runs in-process and forks nothing.
+chain), each share a loop that ``parallel.apart`` runs: share 0 in this
+process and each other share in a forked child, which yields its outcomes
+once, when its chains are done. No chain reads what another writes, and
+results and diagnostics are gathered in chain order, so the outputs do
+not depend on the share count. One share forks nothing.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Callable
+from typing import Iterator
 
 import numpy as np
 
+from . import parallel
 from . import rng as rng_mod
 from .config import RunConfig
 from .corpus import Utterance
 from .engine import no_grad
 from .guidance import GuidanceParams, sample
-from .parallel import forked, usable_cpus
 from .style import encode_style
 from .training import ModelBundle
 
@@ -100,8 +101,14 @@ def generate(
         steps: list | None = None if diagnostics is None else []
         return sample(bundle.denoisers, bundle.schedule, y, c, guidance, noise, steps, lengths), steps
 
-    shares = _balanced_shares([len(indices) * chain[-1] for chain, indices in zip(chains, rows)], usable_cpus())
-    outcomes = _run_shares(run_chain, shares)
+    costs = [len(indices) * chain[-1] for chain, indices in zip(chains, rows)]
+    shares = _balanced_shares(costs, parallel.usable_cpus())
+
+    def run_share(share: list[int]) -> Iterator[dict]:  # one value: a child never waits on a full pipe
+        yield {k: run_chain(k) for k in share}
+
+    with parallel.apart([run_share(share) for share in shares]) as loops:
+        outcomes = {k: outcome for loop in loops for part in loop for k, outcome in part.items()}
     results: list[np.ndarray | None] = [None] * len(texts)
     for k, indices in enumerate(rows):
         batch, steps = outcomes[k]
@@ -123,19 +130,6 @@ def _balanced_shares(costs: list[int], count: int) -> list[list[int]]:
         shares[share].append(k)
         loads[share] += costs[k]
     return [sorted(share) for share in shares]
-
-
-def _run_shares(run: Callable[[int], object], shares: list[list[int]]) -> dict[int, object]:
-    """{k: run(k)} for every chain k: share 0 in this process, each other share
-    in a forked child that sends its outcomes (see ``parallel.forked``)."""
-    if len(shares) == 1:
-        return {k: run(k) for k in shares[0]}
-    targets = [lambda send, share=share: send({k: run(k) for k in share}) for share in shares[1:]]
-    with forked(targets) as children:
-        outcomes = {k: run(k) for k in shares[0]}
-        for child in children:
-            outcomes.update(child.recv())
-    return outcomes
 
 
 def _pack_chains(by_length: dict[int, list[int]]) -> list[list[int]]:

@@ -1,19 +1,25 @@
-"""Work in forked child processes: sampling shares and a training member.
+"""Where a loop runs: in this process, or in a forked child of its own.
 
-``forked`` starts one ``fork`` child per target while its block runs. A
-child runs ``target(send)`` on a copy of this process's memory and sends
-each value back through a pipe; this process reads them in order with
-``Child.recv``. A child's exception comes back as its own type. Every
-child is joined on every path, and terminated first when the block
-raises (``KeyboardInterrupt`` included).
+``apart(loops)`` yields one iterator per loop, over its values in order.
+``loops[0]`` runs in this process as its values are read. With two or more
+usable CPUs each other loop runs in a ``fork`` child, which sends each
+value through a pipe as the loop yields it, then an end marker. A child
+waits while its unread values fill the pipe (64 KiB on Linux), so a loop
+that is read only after this process's own work should yield once, at its
+end. A child's exception is raised here as its own type, and a child that
+ends early raises ChildProcessError. When the block ends, on every path
+(``KeyboardInterrupt`` included), each child is terminated, then joined:
+what the block did not read is dropped, as a loop run here stops where
+its reader stops. With one usable CPU, or one loop, ``apart`` yields the
+loops themselves and forks nothing.
 
-Each process is meant to keep one CPU busy, so while the block runs
-numpy's OpenBLAS, where it can be found, runs one thread in this process
-and in the children: two processes whose BLAS each runs a thread per CPU
-contend for the same CPUs, and a default-config training step took 150
-ms split that way against 95 ms unsplit and 47 ms split with one BLAS
-thread each (2-CPU machine). A GEMM's result does not depend on the
-thread count, so outputs do not change.
+Each process is meant to keep one CPU busy, so while children run numpy's
+OpenBLAS, where it can be found, runs one thread in this process and in
+the children: two processes whose BLAS each runs a thread per CPU contend
+for the same CPUs, and a default-config training step took 150 ms split
+that way against 95 ms unsplit and 47 ms split with one BLAS thread each
+(2-CPU machine). A GEMM's result does not depend on the thread count, so
+outputs do not change.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ import contextlib
 import ctypes
 import multiprocessing
 import os
-from typing import Callable, Iterator
+from typing import Iterator
 
 
 def usable_cpus() -> int:
@@ -30,59 +36,57 @@ def usable_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
-class Child:
-    """This process's end of one forked child's pipe."""
-
-    def __init__(self, process, receiver):
-        self.process = process
-        self.receiver = receiver
-
-    def recv(self):
-        """The child's next value. Raises the child's exception, or
-        ChildProcessError if the child ended without sending one."""
-        try:
-            ok, payload = self.receiver.recv()
-        except EOFError:
-            self.process.join()
-            message = f"a forked process ended without a result, exit code {self.process.exitcode}"
-            raise ChildProcessError(message) from None
-        if not ok:
-            raise payload
-        return payload
-
-
 @contextlib.contextmanager
-def forked(targets: list[Callable[[Callable[[object], None]], None]]) -> Iterator[list[Child]]:
-    """One forked child per target, running ``target(send)``, for the block's duration."""
+def apart(loops: list[Iterator]) -> Iterator[list[Iterator]]:
+    """One iterator per loop for the block's duration (see the module docstring)."""
+    if len(loops) < 2 or usable_cpus() < 2:
+        yield loops
+        return
     # a fork Process flushes sys.stdout and sys.stderr before it forks and ends in os._exit,
     # so the child writes no buffered text and runs no atexit handler of this process
     context = multiprocessing.get_context("fork")
-    children: list[Child] = []
+    children = []
     with _one_blas_thread():
         try:
-            for target in targets:
+            for loop in loops[1:]:
                 receiver, sender = context.Pipe(duplex=False)
-                process = context.Process(target=_child_main, args=(sender, target))
+                process = context.Process(target=_child_main, args=(sender, loop))
                 process.start()
-                children.append(Child(process, receiver))
-                sender.close()  # the child's copy stays open: EOF here means it ended without sending
-            yield children
-        except BaseException:
-            for child in children:
-                child.process.terminate()
-            raise
+                children.append((process, receiver))
+                sender.close()  # the child's copy stays open: EOF here means it ended early
+            yield [loops[0], *(_received(process, receiver) for process, receiver in children)]
         finally:
-            for child in children:
-                child.receiver.close()
-                child.process.join()
+            for process, receiver in children:
+                process.terminate()  # what the block did not read is dropped (see the module docstring)
+                receiver.close()
+                process.join()
 
 
-def _child_main(conn, target: Callable[[Callable[[object], None]], None]) -> None:
-    """A forked child's side of ``forked``: sends (True, value) per value, or (False, exception)."""
+def _child_main(conn, loop: Iterator) -> None:
+    """A forked child's side of ``apart``: sends (True, value) per value of
+    loop, then the end marker (False, None), or (False, exception)."""
     try:
-        target(lambda value: conn.send((True, value)))
-    except BaseException as exc:  # this process's Child.recv raises it
+        for value in loop:
+            conn.send((True, value))
+        conn.send((False, None))
+    except BaseException as exc:  # _received raises it in the caller
         conn.send((False, exc))
+
+
+def _received(process, receiver) -> Iterator:
+    """A forked loop's values, read as they arrive, up to its end marker."""
+    while True:
+        try:
+            ok, payload = receiver.recv()
+        except EOFError:
+            process.join()
+            raise ChildProcessError(f"a forked loop ended early, exit code {process.exitcode}") from None
+        if ok:
+            yield payload
+        elif payload is None:
+            return
+        else:
+            raise payload
 
 
 @contextlib.contextmanager

@@ -5,11 +5,11 @@ one noise draw per example. The style-conditioned loss trains theta1 and
 the style bank, the unconditional loss trains theta2, and an
 adaptive-moment update applies to each. The two members share no state,
 so each trains in a loop of its own (``ModelBundle.member``), drawing the
-same batch, t and noise from the step's substream: theta1's loop runs in
-this process, and theta2's runs in a forked child with two usable CPUs,
-sending its loss each step and its weights and moments at each
-checkpoint, or in this process after theta1's step on one. Either way the
-losses and checkpoints are bit-identical.
+same batch, t and noise from the step's substream. ``parallel.apart``
+runs theta1's loop in this process and theta2's in a forked child with two
+usable CPUs, which sends its loss each step and its weights and moments at
+each checkpoint, or in this process after theta1's step on one. Either way
+the losses and checkpoints are bit-identical.
 
 Every step draws from its own rng substream keyed by the step index, so a
 resumed run continues exactly where the checkpoint left off. A checkpoint
@@ -20,10 +20,8 @@ shape (``moment1.*``, ``moment2.*``), next to the text embedder's table.
 
 from __future__ import annotations
 
-import contextlib
 import copy
 import csv
-import functools
 import math
 import time
 from dataclasses import dataclass, field
@@ -34,12 +32,12 @@ import numpy as np
 
 from . import checkpoint as ckpt
 from . import rng as rng_mod
-from .corpus import Corpus, NormStats, Utterance
+from .corpus import MIN_STD, Corpus, NormStats, Utterance
 from .denoiser import Denoiser, TextEmbedder
 from .engine import Tensor
 from .guidance import diffusion_loss
 from .optim import AdamState, optimizer_step
-from .parallel import forked, usable_cpus
+from .parallel import apart
 from .schedule import NoiseSchedule, cosine_schedule
 from .style import StyleBank, encode_style
 
@@ -196,8 +194,8 @@ def train(
 ) -> Path:
     """Run the training loop; writes loss.csv and periodic checkpoints.
 
-    Each member trains in its own loop (see the module docstring); with
-    two usable CPUs theta2's runs in a forked child. Both losses must be
+    Each member trains in its own loop, and ``parallel.apart`` decides
+    where theta2's runs (see the module docstring). Both losses must be
     finite at every step, or this raises naming the step and both losses;
     theta1 may then already hold that step's update. A run resumed from
     ``start_step`` keeps loss.csv's rows up to that step. Returns the path
@@ -212,11 +210,7 @@ def train(
     members = (bundle.member(0), bundle.member(1))
     loops = [_member_loop(member, sampler, cfg, steps) for member in members]
 
-    with contextlib.ExitStack() as stack:
-        if usable_cpus() >= 2:
-            (child,) = stack.enter_context(forked([functools.partial(_send_each, loops[1])]))
-            loops[1] = iter(child.recv, None)  # the child's values, in the order it yields them
-
+    with apart(loops) as loops, open(loss_path, "w", newline="") as fh:
         def take_trained() -> None:  # the members' trained arrays, into bundle
             for member, loop in zip(members, loops):
                 views = _trained_arrays(member)
@@ -224,7 +218,7 @@ def train(
                     views[name][...] = value  # the same array where the member trained in this process
             bundle.adam.step_counter = members[0].adam.step_counter
 
-        writer = csv.writer(stack.enter_context(open(loss_path, "w", newline="")))
+        writer = csv.writer(fh)
         writer.writerow(["step", "loss_c", "loss_nc"])
         writer.writerows(kept)
         t_begin = time.time()
@@ -257,12 +251,6 @@ def _member_loop(
         if _checkpoints_at(cfg, step):
             yield _trained_arrays(member)
     yield _trained_arrays(member)
-
-
-def _send_each(values: Iterator, send) -> None:
-    """A forked child's side of ``train``: sends each value of a member's loop."""
-    for value in values:
-        send(value)
 
 
 def _checkpoints_at(cfg: TrainConfig, step: int) -> bool:
@@ -317,8 +305,9 @@ def save_checkpoint(bundle: ModelBundle, trainer_step: int, path: str | Path) ->
 
 def load_checkpoint(bundle: ModelBundle, path: str | Path) -> int:
     """Restore parameters, Adam state, the text embedder and statistics;
-    returns the stored step. An entry the bundle does not have, or a step
-    count that is not a non-negative integer, is an error."""
+    returns the stored step. An entry the bundle does not have, a step
+    count that is not a non-negative integer, or a channel std below the
+    least ``compute_stats`` allows, is an error."""
     entries = ckpt.load_entries(path)
 
     def entry(key: str, shape: tuple[int, ...]) -> np.ndarray:
@@ -339,8 +328,11 @@ def load_checkpoint(bundle: ModelBundle, path: str | Path) -> int:
     for key, view in _state_entries(bundle).items():
         view[...] = entry(key, view.shape)
     bundle.adam.step_counter = count("optim.step_counter")
+    std = entry("norm.std", bundle.stats.std.shape)
+    if np.any(std < MIN_STD):
+        raise ckpt.CheckpointError(f"{path}: norm.std must be at least {MIN_STD}, got {std.tolist()}")
     # a new object: the bundle may share its statistics with the corpus it was built for
-    bundle.stats = NormStats(entry("norm.mean", bundle.stats.mean.shape), entry("norm.std", bundle.stats.std.shape))
+    bundle.stats = NormStats(entry("norm.mean", bundle.stats.mean.shape), std)
     step = count("trainer.step")
     if entries:
         raise ckpt.CheckpointError(f"{path}: checkpoint has entries this model does not: {', '.join(sorted(entries))}")

@@ -9,7 +9,7 @@ from xml.etree import ElementTree
 import numpy as np
 import pytest
 
-from prosodiff import evaluate, inference
+from prosodiff import evaluate, inference, parallel
 from prosodiff import rng as rng_mod
 from prosodiff.checkpoint import load_entries, save_entries
 from prosodiff.cli import _resolve_mode_conditions, build_parser, main
@@ -323,7 +323,7 @@ class TestEval:
         argv = ["eval", "--checkpoint", str(workspace["checkpoint"]), "--corpus", str(workspace["corpus"])]
         argv += ["--eta", "2", "--eta-sweep", "1,3", "--sweep-utterances", "4"]
         for cpus in (1, 3):
-            monkeypatch.setattr(inference, "usable_cpus", lambda: cpus)
+            monkeypatch.setattr(parallel, "usable_cpus", lambda: cpus)
             assert main(argv + ["--out", str(tmp_path / str(cpus))]) == 0
         for name in ("report.csv", "cv_sweep.csv"):
             assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "3" / name).read_bytes()
@@ -530,6 +530,35 @@ class TestErrors:
         code = main(argv + ["--out", str(tmp_path / "o")])
         assert_json_error(code, capsys, "trainer.step must be a non-negative integer, got 2.5")
         assert not (tmp_path / "o" / "final.bin").exists()
+
+    def test_sample_with_zero_std_rejected(self, workspace, tmp_path, capsys):
+        model = tmp_path / "model"
+        model.mkdir()
+        entries = load_entries(workspace["checkpoint"])
+        entries["norm.std"][0] = 0.0
+        save_entries(model / "final.bin", entries)
+        archive = workspace["root"] / "model" / "resolved_config.json"
+        (model / "resolved_config.json").write_bytes(archive.read_bytes())
+        argv = ["sample", "--checkpoint", str(model / "final.bin"), "--corpus", str(workspace["corpus"])]
+        argv += ["--mode", "transfer", "--reference", str(workspace["corpus"] / "utt_00001.csv")]
+        code = main(argv + ["--out", str(tmp_path / "o")])
+        assert_json_error(code, capsys, "final.bin: norm.std must be at least 1e-12")
+        assert not (tmp_path / "o" / "samples").exists()
+
+    @pytest.mark.parametrize("offset", ["-1", "-2", "nan"])
+    @pytest.mark.parametrize("command", ["dump-schedule", "train"])
+    def test_schedule_offset_below_zero_or_not_finite_rejected(self, workspace, tmp_path, capsys, command, offset):
+        out = tmp_path / "o"
+        if command == "dump-schedule":
+            argv = ["dump-schedule", "--steps", "10", f"--offset={offset}", "--out", str(out)]
+        else:
+            config = json.loads(workspace["config"].read_text())
+            config.setdefault("schedule", {})["offset"] = float(offset)
+            (tmp_path / "config.json").write_text(json.dumps(config))
+            argv = ["train", "--config", str(tmp_path / "config.json"), "--corpus", str(workspace["corpus"])]
+            argv += ["--out", str(out), "--quiet"]
+        assert_json_error(main(argv), capsys, f"schedule offset must be finite and >= 0, got {float(offset)}")
+        assert not out.exists()
 
     @pytest.mark.parametrize("length", [22, 3000])
     def test_truncated_checkpoint(self, workspace, tmp_path, capsys, length):

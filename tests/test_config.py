@@ -89,6 +89,14 @@ class TestRunConfig:
         with pytest.raises(ValueError):
             RunConfig.from_dict(data)
 
+    @pytest.mark.parametrize("offset", [-1.0, -2.0, float("nan")])
+    def test_schedule_offset_below_zero_or_not_finite_rejected(self, offset):
+        with pytest.raises(ValueError, match="schedule offset must be finite and >= 0"):
+            RunConfig.from_dict({"schedule": {"offset": offset}})
+        with pytest.raises(ValueError, match="schedule offset must be finite and >= 0"):
+            ScheduleSettings(offset=offset)
+        assert ScheduleSettings(offset=0.0).offset == 0.0
+
     def test_int_stands_for_float(self):
         run = RunConfig.from_dict({"train": {"learning_rate": 1}, "guidance": {"eta": 2}})
         assert run.train.learning_rate == 1 and run.guidance.eta == 2

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from prosodiff import guidance, inference, rng as rng_mod
+from prosodiff import guidance, inference, parallel, rng as rng_mod
 from prosodiff.checkpoint import load_entries
 from prosodiff.config import RunConfig, ScheduleSettings
 from prosodiff.corpus import CorpusConfig, generate_corpus
@@ -146,7 +146,7 @@ class TestChains:
             np.testing.assert_allclose(sub[j], full[i], rtol=1e-12, atol=1e-12)
 
     def test_chain_rows(self, random_bundle, monkeypatch):
-        monkeypatch.setattr(inference, "usable_cpus", lambda: 1)  # the spy sees only this process's calls
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: 1)  # the spy sees only this process's calls
         chains = []
 
         def spy(denoisers, schedule, y, *args):
@@ -233,7 +233,7 @@ class TestShares:
         monkeypatch.setattr(inference, "sample", spy)
         runs = []
         for cpus in (1, 3):
-            monkeypatch.setattr(inference, "usable_cpus", lambda: cpus)
+            monkeypatch.setattr(parallel, "usable_cpus", lambda: cpus)
             pids.write_text("")
             diagnostics = []
             samples = inference.generate(random_bundle, texts, conds, GuidanceParams(eta=2.0), 4, diagnostics)
@@ -258,7 +258,7 @@ class TestShares:
             return sample(denoisers, schedule, y, *args)
 
         monkeypatch.setattr(inference, "sample", spy)
-        monkeypatch.setattr(inference, "usable_cpus", lambda: 3)
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: 3)
         with pytest.raises(ChainFailed, match=f"chain of length {failing}"):
             inference.generate(random_bundle, random_texts(THREE_CHAIN_LENGTHS), None, GuidanceParams(eta=2.0), 4)
         assert_no_child_process()
@@ -272,7 +272,7 @@ class TestShares:
             time.sleep(30)  # a child still sampling when this process stops
 
         monkeypatch.setattr(inference, "sample", spy)
-        monkeypatch.setattr(inference, "usable_cpus", lambda: 3)
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: 3)
         start = time.perf_counter()
         with pytest.raises(KeyboardInterrupt):
             inference.generate(random_bundle, random_texts(THREE_CHAIN_LENGTHS), None, GuidanceParams(), 4)
@@ -288,7 +288,7 @@ class TestShares:
             return sample(denoisers, schedule, y, *args)
 
         monkeypatch.setattr(inference, "sample", spy)
-        monkeypatch.setattr(inference, "usable_cpus", lambda: 3)
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: 3)
         with pytest.raises(ChildProcessError, match="exit code 3"):
             inference.generate(random_bundle, random_texts(THREE_CHAIN_LENGTHS), None, GuidanceParams(), 4)
         assert_no_child_process()
@@ -296,7 +296,7 @@ class TestShares:
     def test_unflushed_output_written_once(self, random_bundle, monkeypatch, capfd):
         stdout = io.TextIOWrapper(io.BufferedWriter(io.FileIO(os.dup(1), "w")))  # buffered, unlike capture's own
         monkeypatch.setattr(sys, "stdout", stdout)
-        monkeypatch.setattr(inference, "usable_cpus", lambda: 3)
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: 3)
         try:
             print("printed before generate")
             inference.generate(random_bundle, random_texts(THREE_CHAIN_LENGTHS), None, GuidanceParams(), 4)

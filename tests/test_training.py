@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from prosodiff import cli, training
+from prosodiff import cli, parallel, training
 from prosodiff import rng as rng_mod
 from prosodiff.checkpoint import CheckpointError, load_entries, save_entries
 from prosodiff.corpus import CorpusConfig, NormStats, generate_corpus, save_corpus
@@ -147,6 +147,16 @@ class TestCheckpointRoundTrip:
         entries[key] = np.array(value)
         save_entries(tmp_path / "bad.bin", entries)
         with pytest.raises(CheckpointError, match=rf"bad\.bin: {re.escape(key)} must be a non-negative integer"):
+            load_checkpoint(bundle, tmp_path / "bad.bin")
+
+    @pytest.mark.parametrize("value", [0.0, -1.0])
+    def test_std_below_the_standardising_bound_rejected(self, tmp_path, value):
+        _, bundle = tiny_setup()
+        save_checkpoint(bundle, 3, tmp_path / "state.bin")
+        entries = load_entries(tmp_path / "state.bin")
+        entries["norm.std"][1] = value
+        save_entries(tmp_path / "bad.bin", entries)
+        with pytest.raises(CheckpointError, match=r"bad\.bin: norm\.std must be at least 1e-12"):
             load_checkpoint(bundle, tmp_path / "bad.bin")
 
     def test_entries_name_each_parameter_once_in_its_shape(self, tmp_path):
@@ -321,7 +331,7 @@ class TestSplitTraining:
         cfg = TrainConfig(steps=9, batch_size=4, log_every=2, checkpoint_every=3)
         runs = []
         for cpus in (1, 2):
-            monkeypatch.setattr(training, "usable_cpus", lambda: cpus)
+            monkeypatch.setattr(parallel, "usable_cpus", lambda: cpus)
             corpus, bundle = tiny_setup(style_condition=style_condition)
             train(bundle, corpus, cfg, tmp_path / f"run{cpus}")
             save_checkpoint(bundle, cfg.steps, tmp_path / f"returned{cpus}.bin")  # the returned bundle is whole
@@ -353,7 +363,7 @@ class TestSplitTraining:
     def test_non_finite_loss_in_the_child_names_both_losses(self, tmp_path, monkeypatch):
         messages = []
         for cpus in (1, 2):
-            monkeypatch.setattr(training, "usable_cpus", lambda: cpus)
+            monkeypatch.setattr(parallel, "usable_cpus", lambda: cpus)
             corpus, bundle = tiny_setup()
             bundle.denoisers.params["output_proj.bias"].data[1] = [np.nan, 0.0, 0.0]  # theta2's half
             with pytest.raises(ValueError, match="non-finite training loss at step 1: loss_c=") as raised:
@@ -370,7 +380,7 @@ class TestSplitTraining:
             return bundle
 
         monkeypatch.setattr(cli, "build_models", poisoned)
-        monkeypatch.setattr(training, "usable_cpus", lambda: cpus)
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: cpus)
         assert cli.main(["train", *cli_inputs, "--out", str(tmp_path / "out"), "--quiet"]) == 1
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1, lines
@@ -387,7 +397,7 @@ class TestSplitTraining:
             return step(*args)
 
         monkeypatch.setattr(training, "train_step", spy)
-        monkeypatch.setattr(training, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
         corpus, bundle = tiny_setup()
         with pytest.raises(ChildProcessError, match="exit code 3"):
             train(bundle, corpus, TrainConfig(steps=3, batch_size=4), tmp_path)
@@ -402,7 +412,7 @@ class TestSplitTraining:
             time.sleep(30)  # the child still training when this process stops
 
         monkeypatch.setattr(training, "train_step", spy)
-        monkeypatch.setattr(training, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
         corpus, bundle = tiny_setup()
         start = time.perf_counter()
         with pytest.raises(KeyboardInterrupt):
@@ -413,7 +423,7 @@ class TestSplitTraining:
     def test_child_prints_nothing(self, cli_inputs, tmp_path, monkeypatch, capfd):
         stdout = io.TextIOWrapper(io.BufferedWriter(io.FileIO(os.dup(1), "w")))  # buffered, unlike capture's own
         monkeypatch.setattr(sys, "stdout", stdout)
-        monkeypatch.setattr(training, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
         try:
             print("printed before train")
             assert cli.main(["train", *cli_inputs, "--out", str(tmp_path / "out")]) == 0
