@@ -33,8 +33,9 @@ class CheckpointError(RuntimeError):
     pass
 
 
-def save_entries(path: str | Path, entries: dict[str, np.ndarray]) -> None:
-    """Write every entry in sorted name order, each as soon as it is encoded."""
+def save_entries(path: str | Path, entries: dict) -> None:
+    """Write every entry in sorted name order, each as soon as it is encoded.
+    An entry is any array-like; a tuple of same-shaped arrays is written as their stack."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "wb") as fh:

@@ -71,6 +71,8 @@ def _load_trained(args) -> tuple[Corpus, ModelBundle, RunConfig]:
     """sample and eval's reopened checkpoint, style-conditioned unless sampling --unconditional.
     The caller archives the config once its own inputs have been validated."""
     corpus = load_corpus(args.corpus)
+    if not corpus.split("val"):
+        raise CommandError(f"{args.corpus} has an empty val split; sample and eval draw from it")
     run, bundle, _ = _reopen(args, args.checkpoint, corpus)
     if not run.train.style_condition and not getattr(args, "unconditional", False):
         raise CommandError(

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
@@ -105,6 +106,8 @@ class CorpusConfig:
             raise ValueError("vocabulary smaller than style count")
         if not (0.0 <= self.style_token_bias <= 1.0 and 0.0 < self.train_fraction <= 1.0):
             raise ValueError("need style_token_bias in [0, 1] and train_fraction in (0, 1]")
+        if not (math.isfinite(self.separation_margin) and self.separation_margin >= 0):
+            raise ValueError(f"separation_margin must be finite and >= 0, got {self.separation_margin}")
 
 
 @dataclass

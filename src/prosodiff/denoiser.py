@@ -1,14 +1,11 @@
 """Noise-prediction network: a stack of bidirectional dilated-convolution
 residual layers with gated activations.
 
-Two members with identical architectures form the guided module: theta1 is
-conditioned on text plus a style vector, theta2 on text plus its own
+Two denoisers with identical architectures form the guided module: theta1
+is conditioned on text plus a style vector, theta2 on text plus its own
 learned null-condition vector. Conditioning enters each layer's gate as a
 1x1-projected condition sequence; the diffusion step enters as a projected
-sinusoidal embedding added to the layer input. A ``Denoiser`` holds M such
-members stacked (theta1 and theta2 are members 0 and 1 of one): one forward
-pass yields every member's prediction, and ``Denoiser.member`` views one
-member as a one-member model, to sample or to train it alone.
+sinusoidal embedding added to the layer input.
 
 Data layout is [B, C, L] with C=3 prosody channels (log-pitch, energy,
 log-duration).
@@ -16,7 +13,6 @@ log-duration).
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass
 
@@ -78,30 +74,18 @@ def embed_time(t, dim: int) -> np.ndarray:
 
 
 class Denoiser:
-    """M same-architecture noise predictors eps(x_t, t, condition) over
-    [B, 3, L] sequences, stacked: each parameter is the [M, ...] stack of
-    the members' own, so one forward pass serves every member. Member i is
-    drawn from ``init_rngs[i]``. Member 0 takes the style vector when
-    ``accepts_style``; every other member takes its own null vector."""
+    """A noise predictor eps(x_t, t, condition) over [B, 3, L] sequences,
+    its parameters drawn from ``init_rng``. It takes the style vector when
+    ``accepts_style``, and its own null vector otherwise."""
 
-    def __init__(self, config: DenoiserConfig, accepts_style: bool, *init_rngs: np.random.Generator):
+    def __init__(self, config: DenoiserConfig, accepts_style: bool, init_rng: np.random.Generator):
         self.config = config
         self.accepts_style = accepts_style
-        drawn = [_initial_params(config, init_rng) for init_rng in init_rngs]
-        self.params = {name: Tensor(np.stack([member[name] for member in drawn])) for name in drawn[0]}
-
-    def member(self, index: int) -> Denoiser:
-        """Member ``index`` as a one-member denoiser over views of its slices.
-        Its gradients land on the view's own tensors, not on this model's,
-        and an in-place update of its parameters updates this model's."""
-        view = copy.copy(self)
-        view.accepts_style = self.accepts_style and index == 0
-        view.params = {name: Tensor(p.data[index : index + 1]) for name, p in self.params.items()}
-        return view
+        self.params = {name: Tensor(value) for name, value in _initial_params(config, init_rng).items()}
 
 
 def _initial_params(config: DenoiserConfig, init_rng: np.random.Generator) -> dict[str, np.ndarray]:
-    """One member's freshly drawn parameters, by name."""
+    """A denoiser's freshly drawn parameters, by name."""
     params: dict[str, np.ndarray] = {}
     c = len(CHANNEL_NAMES)  # the residual stream is the prosody channels themselves
     h = config.hidden_channels
@@ -132,20 +116,18 @@ def _initial_params(config: DenoiserConfig, init_rng: np.random.Generator) -> di
     # steps demand; a learned scalar gate of t absorbs that part
     params["passthrough.weight"] = np.zeros((d_time, 1))
     params["passthrough.bias"] = np.zeros(1)
-    # stands in for an absent style vector; every member has one, so all
-    # members share one name set, but member 0 ignores it when accepts_style
+    # stands in for an absent style vector; every denoiser has one, so theta1
+    # and theta2 share one name set, but theta1 ignores it when accepts_style
     params["null_condition"] = np.zeros(d_cond)
     return params
 
 
 def predict_noise(model: Denoiser, x_t, t, y: np.ndarray, c=None, mask=None) -> Tensor:
-    """Run every member of the denoiser; returns the noise estimates as an
-    [M, B, 3, L] tensor, member i's at index i, each bit-identical to a
-    one-member forward pass over its slice of the weights.
+    """The denoiser's noise estimate for x_t, a [B, 3, L] tensor.
 
     x_t: [B, 3, L] array or Tensor. y: text embedding, [L, D] (shared) or
-    [B, L, D]. c: style condition [B, D] array/Tensor for member 0, required
-    iff model.accepts_style. t: scalar step or per-example [B] steps.
+    [B, L, D]. c: style condition [B, D] array/Tensor, required iff
+    model.accepts_style. t: scalar step or per-example [B] steps.
     mask: optional [B, 1, L] 0/1 array marking each row's valid positions in
     a padded batch. Each dilated conv reads its input times the mask, so it
     sees zeros past a row's end as it would without the padding; every
@@ -169,19 +151,18 @@ def predict_noise(model: Denoiser, x_t, t, y: np.ndarray, c=None, mask=None) -> 
         raise ValueError(f"text embedding dim {y.shape[2]} != condition dim {cfg.condition_dim}")
     cond_base = Tensor(np.ascontiguousarray(np.broadcast_to(y, (batch, length, cfg.condition_dim)).transpose(0, 2, 1)))
 
-    # every member on its own null vector, except member 0 on the style vector
-    null = p["null_condition"]  # [M, D]
-    offsets = [engine.narrow(null, 0, i, i + 1) for i in range(null.shape[0])]  # [1, D] each
     if model.accepts_style:
         if c is None:
             raise ValueError("this denoiser is style-conditioned; pass c")
         c_t = engine.as_tensor(c)
         if c_t.shape[-1] != cfg.condition_dim:
             raise ValueError(f"style condition dim {c_t.shape[-1]} != {cfg.condition_dim}")
-        offsets[0] = engine.reshape(c_t, (-1, cfg.condition_dim))  # [B or 1, D]
+        offset = c_t
     elif c is not None:
         raise ValueError("this denoiser is unconditional in style; c must be absent")
-    cond = engine.stack([engine.add(cond_base, engine.reshape(o, o.shape + (1,))) for o in offsets])  # [M, B, D, L]
+    else:
+        offset = p["null_condition"]
+    cond = engine.add(cond_base, engine.reshape(offset, (-1, cfg.condition_dim, 1)))  # [B, D, L]
 
     t_emb = Tensor(embed_time(t, cfg.time_embedding_dim))  # [B or 1, d_time]
 

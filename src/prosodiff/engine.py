@@ -262,17 +262,6 @@ def narrow(x, axis: int, start: int, stop: int) -> Tensor:
     return Tensor(out_data, (x,), vjp)
 
 
-def stack(tensors: Sequence) -> Tensor:
-    """Join same-shaped tensors along a new leading axis."""
-    tensors = tuple(as_tensor(t) for t in tensors)
-    out_data = np.stack([t.data for t in tensors])
-
-    def vjp(g):
-        return tuple(g)
-
-    return Tensor(out_data, tensors, vjp)
-
-
 def downsample(x, step: int) -> Tensor:
     """Keep every ``step``-th position along the last axis."""
     x = as_tensor(x)
@@ -302,43 +291,28 @@ def softmax(x, axis: int = -1) -> Tensor:
 
 
 # linear maps -------------------------------------------------------------
-#
-# matmul and conv1d also run M same-shaped models at once: the weight (and
-# bias) carry a leading model axis, and the input is either shared by every
-# model or has the model axis too. Each model's slice is the same GEMM as a
-# single-model call, so its output is bit-identical to that call's.
-
-
-def _per_model(array: np.ndarray, models: tuple[int, ...], tail: tuple[int, ...]) -> np.ndarray:
-    """View ``array`` as [*models, 1, *tail]: stacked weights and biases gain the batch axis."""
-    return array.reshape(models + (1,) * len(models) + tail)
 
 
 def matmul(a, b, bias=None) -> Tensor:
-    """a @ b (+ bias) for a: [n, d], b: [d, k], bias: [k] or None.
-
-    Stacked models: b [M, d, k] and bias [M, k], with a shared a [n, d] or a
-    per-model a [M, n, d]; the output is [M, n, k].
-    """
+    """a @ b (+ bias) for a: [n, d], b: [d, k], bias: [k] or None."""
     a, b = as_tensor(a), as_tensor(b)
-    if a.ndim not in (2, b.ndim) or b.ndim not in (2, 3) or (a.ndim == 3 and a.shape[0] != b.shape[0]):
-        raise ValueError(f"matmul expects [n,d] or [M,n,d] @ [d,k] or [M,d,k], got {a.shape} @ {b.shape}")
-    models, k = b.shape[:-2], b.shape[-1]
+    if a.ndim != 2 or b.ndim != 2:
+        raise ValueError(f"matmul expects [n,d] @ [d,k], got {a.shape} @ {b.shape}")
     parents = (a, b)
     out_data = np.matmul(a.data, b.data)
     if bias is not None:
         bias = as_tensor(bias)
-        if bias.shape != models + (k,):
-            raise ValueError(f"bias must be {models + (k,)}, got {bias.shape}")
+        if bias.shape != (b.shape[1],):
+            raise ValueError(f"bias must be {(b.shape[1],)}, got {bias.shape}")
         parents += (bias,)
-        out_data += _per_model(bias.data, models, (k,))
+        out_data += bias.data
 
     def vjp(g):
-        grad_a = _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape)
-        grad_b = np.matmul(np.swapaxes(a.data, -1, -2), g)
+        grad_a = np.matmul(g, b.data.T)
+        grad_b = np.matmul(a.data.T, g)
         if bias is None:
             return grad_a, grad_b
-        return grad_a, grad_b, g.sum(axis=-2)
+        return grad_a, grad_b, g.sum(axis=0)
 
     return Tensor(out_data, parents, vjp)
 
@@ -349,64 +323,53 @@ def conv1d(x, weight, bias=None, dilation: int = 1) -> Tensor:
     x: [B, Cin, L]; weight: [Cout, Cin, K] with K odd; bias: [Cout] or None.
     Symmetric zero padding of dilation*(K-1)//2 on both sides, so every
     output position sees context to its left and right.
-
-    Stacked models: weight [M, Cout, Cin, K] and bias [M, Cout], with a
-    shared x [B, Cin, L] or a per-model x [M, B, Cin, L]; the output is
-    [M, B, Cout, L].
     """
     x, weight = as_tensor(x), as_tensor(weight)
-    if weight.ndim not in (3, 4) or x.ndim not in (3, weight.ndim) or (x.ndim == 4 and x.shape[0] != weight.shape[0]):
-        raise ValueError(
-            f"conv1d expects [B,Cin,L] or [M,B,Cin,L] and [Cout,Cin,K] or [M,Cout,Cin,K], got {x.shape}, {weight.shape}"
-        )
-    models = weight.shape[:-3]
-    cout, cin, kernel_size = weight.shape[-3:]
+    if x.ndim != 3 or weight.ndim != 3:
+        raise ValueError(f"conv1d expects [B,Cin,L] and [Cout,Cin,K], got {x.shape}, {weight.shape}")
+    cout, cin, kernel_size = weight.shape
     if kernel_size % 2 == 0:
         raise ValueError(f"kernel size must be odd, got {kernel_size}")
     if dilation < 1:
         raise ValueError(f"dilation must be >= 1, got {dilation}")
-    if x.shape[-2] != cin:
-        raise ValueError(f"input has {x.shape[-2]} channels, weight expects {cin}")
+    if x.shape[1] != cin:
+        raise ValueError(f"input has {x.shape[1]} channels, weight expects {cin}")
     parents = (x, weight)
     if bias is not None:
         bias = as_tensor(bias)
-        if bias.shape != models + (cout,):
-            raise ValueError(f"bias must be {models + (cout,)}, got {bias.shape}")
+        if bias.shape != (cout,):
+            raise ValueError(f"bias must be {(cout,)}, got {bias.shape}")
         parents += (bias,)
-    length = x.shape[-1]
+    batch, _, length = x.shape
     pad = dilation * (kernel_size - 1) // 2
     span = length + 2 * pad
 
     # im2col: column row i*K + k is input channel i read at tap k, matching
     # the [Cout, Cin*K] view of the weight; for K == 1 it is the input itself
-    w2 = _per_model(weight.data, models, (cout, cin * kernel_size))
+    w2 = weight.data.reshape(cout, cin * kernel_size)
     if kernel_size == 1:
         cols = x.data
     else:
-        padded = np.zeros(x.shape[:-1] + (span,))
+        padded = np.zeros((batch, cin, span))
         padded[..., pad : pad + length] = x.data
         taps = dilation * np.arange(kernel_size)[:, None] + np.arange(length)  # [K, L] padded positions
-        cols = padded.take(taps, axis=-1).reshape(x.shape[:-2] + (cin * kernel_size, length))
+        cols = padded.take(taps, axis=-1).reshape(batch, cin * kernel_size, length)
     out_data = np.matmul(w2, cols)
     if bias is not None:
-        out_data += _per_model(bias.data, models, (cout, 1))
+        out_data += bias.data[:, None]
 
     def vjp(g):
-        # grad_w: per model, one contraction over batch and positions
-        g_models = g if models else g[None]
-        cols_models = np.broadcast_to(cols, g_models.shape[:1] + cols.shape[-3:])
-        grad_w = np.stack([np.tensordot(gm, cm, axes=([0, 2], [0, 2])) for gm, cm in zip(g_models, cols_models)])
-        grad_x = _unbroadcast(np.matmul(np.swapaxes(w2, -1, -2), g), cols.shape)
+        grad_w = np.tensordot(g, cols, axes=([0, 2], [0, 2])).reshape(weight.shape)  # over batch and positions
+        grad_x = np.matmul(w2.T, g)
         if kernel_size > 1:
-            grad_taps = grad_x.reshape(x.shape[:-2] + (cin, kernel_size, length))
-            grad_padded = np.zeros(x.shape[:-1] + (span,))
+            grad_taps = grad_x.reshape(batch, cin, kernel_size, length)
+            grad_padded = np.zeros((batch, cin, span))
             for k in range(kernel_size):
                 grad_padded[..., k * dilation : k * dilation + length] += grad_taps[..., k, :]
             grad_x = grad_padded[..., pad : pad + length]
-        grad_w = grad_w.reshape(weight.shape)
         if bias is None:
             return grad_x, grad_w
-        return grad_x, grad_w, g.sum(axis=(-3, -1))
+        return grad_x, grad_w, g.sum(axis=(0, 2))
 
     return Tensor(out_data, parents, vjp)
 

@@ -9,11 +9,11 @@ blended by gamma. The terminal draw x_T uses covariance (1/tau) * I.
 
 There is one reverse loop, ``reverse_process``: it draws x_T and applies
 ``reverse_step`` for t = T..1 with whatever per-step noise predictor it is
-given. ``sample`` hands it the guided predictor (one forward pass of the
-stacked theta1/theta2 ``Denoiser``, or of its theta1 member at eta = 1;
-combine, rescale); one member's forward pass drives it unguided. Every
-``sample`` chain runs masked: its rows may be padded to its longest, and
-each row's valid positions are masked into the denoiser and the rescale.
+given. ``sample`` hands it the guided predictor (a forward pass of theta1,
+then one of theta2; combine, rescale); one denoiser's forward pass drives
+it unguided. Every ``sample`` chain runs masked: its rows may be padded to
+its longest, and each row's valid positions are masked into the denoiser
+and the rescale.
 """
 
 from __future__ import annotations
@@ -55,14 +55,10 @@ class RescaleDiagnostics:
     applied_ratio: np.ndarray  # [B] net multiplier that produced the final estimate
 
 
-def diffusion_loss(model: Denoiser, schedule: NoiseSchedule, x0, t, eps, y, c=None) -> tuple[Tensor, ...]:
-    """Mean squared error between drawn and predicted noise at step(s) t, one
-    loss per member ((theta1's, theta2's) for the guided pair) from one
-    forward pass."""
+def diffusion_loss(model: Denoiser, schedule: NoiseSchedule, x0, t, eps, y, c=None) -> Tensor:
+    """Mean squared error between drawn and predicted noise at step(s) t."""
     x_t = forward_diffuse(x0, t, eps, schedule)
-    predicted = predict_noise(model, x_t, t, y, c)
-    members = (engine.reshape(engine.narrow(predicted, 0, i, i + 1), eps.shape) for i in range(predicted.shape[0]))
-    return tuple(engine.mse(Tensor(eps), member) for member in members)
+    return engine.mse(Tensor(eps), predict_noise(model, x_t, t, y, c))
 
 
 def cfg_combine(eps_c: np.ndarray, eps_nc: np.ndarray, eta: float) -> np.ndarray:
@@ -149,7 +145,7 @@ def reverse_process(
 
 
 def sample(
-    denoisers: Denoiser,
+    denoisers: tuple[Denoiser, Denoiser],
     schedule: NoiseSchedule,
     y: np.ndarray,
     c: np.ndarray | None,
@@ -160,14 +156,15 @@ def sample(
 ) -> np.ndarray:
     """Full guided reverse process over one chain; returns the x_0 estimate [B, 3, L].
 
-    y: [B, L, D] text embeddings; c: [B, D] style conditions or None for
-    the style-unconditional path (theta2 only). With eta=0 there is no
-    guidance direction to correct, so the combine/rescale stages are
-    skipped and the trajectory matches theta2-only sampling exactly; the
-    same holds at eta=1 for theta1-only sampling because the combined
-    prediction is a bit-exact copy of the conditional one. That is also
-    why theta2 does not run at eta=1: its prediction would not be used.
-    Otherwise both members run, one forward pass per step.
+    denoisers: (theta1, theta2). y: [B, L, D] text embeddings; c: [B, D]
+    style conditions or None for the style-unconditional path (theta2
+    only). With eta=0 there is no guidance direction to correct, so the
+    combine/rescale stages are skipped and the trajectory matches
+    theta2-only sampling exactly; the same holds at eta=1 for theta1-only
+    sampling because the combined prediction is a bit-exact copy of the
+    conditional one. That is also why theta2 does not run at eta=1: its
+    prediction would not be used. Otherwise each step runs theta1, then
+    theta2.
 
     lengths: each row's valid length, L for every row when None. The
     denoiser masks positions beyond it, rescale leaves them out of its
@@ -178,17 +175,17 @@ def sample(
     y = np.asarray(y, dtype=np.float64)
     if y.ndim != 3:
         raise ValueError(f"sample() wants batched text embeddings [B, L, D], got {y.shape}")
+    theta1, theta2 = denoisers
     unconditional = c is None or params.eta == 0.0
-    model = denoisers.member(1) if unconditional else denoisers.member(0) if params.eta == 1.0 else denoisers
     lengths = np.full(y.shape[0], y.shape[1]) if lengths is None else np.asarray(lengths)
     mask = (np.arange(y.shape[1]) < lengths[:, None, None]) * 1.0
 
     def guided(x: np.ndarray, t: int) -> np.ndarray:
         if unconditional:
-            eps_hat = predict_noise(model, x, t, y, None, mask).data[0]
+            eps_hat = predict_noise(theta2, x, t, y, None, mask).data
         else:
-            eps = predict_noise(model, x, t, y, c, mask).data
-            eps_c, eps_nc = eps[0], eps[-1]  # one and the same at eta = 1, where only theta1 runs
+            eps_c = predict_noise(theta1, x, t, y, c, mask).data
+            eps_nc = eps_c if params.eta == 1.0 else predict_noise(theta2, x, t, y, None, mask).data
             combined = cfg_combine(eps_c, eps_nc, params.eta)
             eps_hat, diag = rescale(combined, eps_c, params.gamma, lengths)
             if diagnostics is not None:

@@ -1,7 +1,4 @@
-"""Adaptive-moment (Adam) parameter updates. They are elementwise and in
-place, so a member's slice of a stacked theta1/theta2 parameter, trained
-through views of it and of its moments, moves exactly as a tensor of its
-own would."""
+"""Adaptive-moment (Adam) parameter updates, elementwise and in place."""
 
 from __future__ import annotations
 
@@ -45,7 +42,7 @@ def optimizer_step(
     t = state.step_counter
     for name, p in params:
         g = p.grad
-        m, v = state.moment1[name], state.moment2[name]  # updated in place: they may be views of a stack
+        m, v = state.moment1[name], state.moment2[name]  # updated in place
         m *= beta1
         m += (1.0 - beta1) * g
         v *= beta2

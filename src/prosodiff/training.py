@@ -4,23 +4,24 @@ Per step: draw a length-homogeneous mini-batch, one diffusion step t and
 one noise draw per example. The style-conditioned loss trains theta1 and
 the style bank, the unconditional loss trains theta2, and an
 adaptive-moment update applies to each. The two members share no state,
-so each trains in a loop of its own (``ModelBundle.member``), drawing the
-same batch, t and noise from the step's substream. ``parallel.apart``
-runs theta1's loop in this process and theta2's in a forked child with two
-usable CPUs, which sends its loss each step and its weights and moments at
-each checkpoint, or in this process after theta1's step on one. Either way
-the losses and checkpoints are bit-identical.
+so each trains in a loop of its own, drawing the same batch, t and noise
+from the step's substream. ``parallel.apart`` runs theta1's loop in this
+process and theta2's in a forked child with two usable CPUs, which sends
+its loss each step and its weights and moments at each checkpoint, or in
+this process after theta1's step on one. Either way the losses and
+checkpoints are bit-identical.
 
 Every step draws from its own rng substream keyed by the step index, so a
 resumed run continues exactly where the checkpoint left off. A checkpoint
-names each parameter once, under its bundle name (``denoisers.*`` as the
-stacked [2, ...] arrays, ``bank.*``), with its Adam moments in the same
-shape (``moment1.*``, ``moment2.*``), next to the text embedder's table.
+names each parameter once, under its bundle name (``denoisers.*``,
+``bank.*``), with its Adam moments in the same shape (``moment1.*``,
+``moment2.*``), next to the text embedder's table. An entry both members
+hold is saved as the [2, ...] stack of theta1's and theta2's arrays, and
+split into them again at load.
 """
 
 from __future__ import annotations
 
-import copy
 import csv
 import math
 import time
@@ -71,46 +72,36 @@ class TrainConfig:
 
 @dataclass
 class ModelBundle:
-    """Everything a trained run needs to predict: the stacked theta1/theta2
-    denoiser, the style bank, the frozen text embedder, the schedule and the
-    channel statistics; plus the Adam state that training updates them with."""
+    """Everything a trained run needs to predict: the guided pair of
+    denoisers (theta1, theta2), the style bank, the frozen text embedder,
+    the schedule and the channel statistics; plus the Adam state that
+    training updates each member with."""
 
-    denoisers: Denoiser
+    denoisers: tuple[Denoiser, Denoiser]
     bank: StyleBank
     embedder: TextEmbedder
     schedule: NoiseSchedule
     stats: NormStats
     seed: int
-    adam: AdamState = field(init=False)
+    adam: tuple[AdamState, AdamState] = field(init=False)
 
     def __post_init__(self):
-        self.adam = AdamState(self.named_parameters())
+        self.adam = tuple(AdamState(self.named_parameters(index)) for index in range(len(self.denoisers)))
 
-    def named_parameters(self) -> dict[str, Tensor]:
-        """Every parameter under its bundle name: denoisers.* (stacked theta1/theta2), bank.*."""
-        groups = (("denoisers", self.denoisers), ("bank", self.bank))
-        return {f"{prefix}.{name}": p for prefix, model in groups for name, p in model.params.items()}
+    def named_parameters(self, index: int) -> dict[str, Tensor]:
+        """Member ``index``'s parameters under their bundle names: its
+        denoiser's (denoisers.*) and, for theta1, the style bank's (bank.*)."""
+        named = {f"denoisers.{name}": p for name, p in self.denoisers[index].params.items()}
+        if index == 0:
+            named |= {f"bank.{name}": p for name, p in self.bank.params.items()}
+        return named
 
-    def trainable_parameters(self) -> list[tuple[str, Tensor]]:
-        """(name, parameter) pairs of a one-member bundle (``member``) that
-        take part in its forward pass: theta1 with a style vector leaves out
-        its null vector, and a member without one leaves out the bank."""
-        dead = "denoisers.null_condition" if self.denoisers.accepts_style else "bank."
-        return [(name, p) for name, p in self.named_parameters().items() if not name.startswith(dead)]
-
-    def member(self, index: int) -> ModelBundle:
-        """Member ``index`` of the guided pair as a bundle of its own, to train
-        it apart from the other: its denoiser (``Denoiser.member``) and Adam
-        moments are views of this bundle's, so every update lands in this
-        bundle's arrays. It shares the bank and counts its own Adam steps."""
-        part = copy.copy(self)
-        part.denoisers = self.denoisers.member(index)
-        part.adam = copy.copy(self.adam)
-        part.adam.moment1, part.adam.moment2 = (
-            {name: m[index : index + 1] if name.startswith("denoisers.") else m for name, m in moments.items()}
-            for moments in (self.adam.moment1, self.adam.moment2)
-        )
-        return part
+    def trainable_parameters(self, index: int) -> list[tuple[str, Tensor]]:
+        """(name, parameter) pairs of member ``index`` that take part in its
+        forward pass: theta1 with a style vector leaves out its null vector,
+        and a member without one leaves out the bank."""
+        dead = "denoisers.null_condition" if self.denoisers[index].accepts_style else "bank."
+        return [(name, p) for name, p in self.named_parameters(index).items() if not name.startswith(dead)]
 
 
 def build_models(run: RunConfig, stats: NormStats) -> ModelBundle:
@@ -120,9 +111,11 @@ def build_models(run: RunConfig, stats: NormStats) -> ModelBundle:
     vector; without ``train.text_condition`` the embedder embeds every text
     as zeros, for training batches and sampling alike."""
     seed, cfg = run.seed, run.denoiser
-    init_rngs = (rng_mod.substream(seed, rng_mod.INIT_STREAM, 0), rng_mod.substream(seed, rng_mod.INIT_STREAM, 1))
     return ModelBundle(
-        denoisers=Denoiser(cfg, run.train.style_condition, *init_rngs),
+        denoisers=(
+            Denoiser(cfg, run.train.style_condition, rng_mod.substream(seed, rng_mod.INIT_STREAM, 0)),
+            Denoiser(cfg, False, rng_mod.substream(seed, rng_mod.INIT_STREAM, 1)),
+        ),
         bank=StyleBank(run.style, cfg.condition_dim, rng_mod.substream(seed, rng_mod.INIT_STREAM, 2)),
         embedder=TextEmbedder(run.corpus.vocab_size, cfg.condition_dim, seed, ablated=not run.train.text_condition),
         schedule=cosine_schedule(run.schedule.steps, run.schedule.offset),
@@ -164,23 +157,26 @@ class LengthBucketSampler:
         return Batch(x0=x0, y=self.embedder.embed(ids))
 
 
-def train_step(bundle: ModelBundle, batch: Batch, cfg: TrainConfig, gen: np.random.Generator, step: int = 1) -> float:
-    """One optimization step of the one-member bundle (``ModelBundle.member``):
-    theta1 with the bank, or theta2. Returns its loss; a non-finite loss
-    updates nothing."""
+def train_step(
+    bundle: ModelBundle, index: int, batch: Batch, cfg: TrainConfig, gen: np.random.Generator, step: int = 1
+) -> float:
+    """One optimization step of member ``index`` of the guided pair: theta1
+    with the bank, or theta2. Returns its loss; a non-finite loss updates
+    nothing."""
     if batch.x0.shape[0] == 0:
         raise ValueError("empty batch")
     t = gen.integers(1, bundle.schedule.step_count + 1, size=batch.x0.shape[0])
     eps = gen.standard_normal(batch.x0.shape)
 
+    model = bundle.denoisers[index]
     c = None
-    if bundle.denoisers.accepts_style:
+    if model.accepts_style:
         c, _ = encode_style(bundle.bank, batch.x0)  # reference is the target utterance itself
-    (loss,) = diffusion_loss(bundle.denoisers, bundle.schedule, batch.x0, t, eps, batch.y, c)
+    loss = diffusion_loss(model, bundle.schedule, batch.x0, t, eps, batch.y, c)
     value = loss.item()
     if math.isfinite(value):
         loss.backward()
-        optimizer_step(bundle.trainable_parameters(), bundle.adam, cfg.rate_at(step))
+        optimizer_step(bundle.trainable_parameters(index), bundle.adam[index], cfg.rate_at(step))
     return value
 
 
@@ -207,16 +203,15 @@ def train(
     steps = range(start_step + 1, cfg.steps + 1)
     loss_path = out_dir / "loss.csv"
     kept = _rows_up_to(loss_path, start_step)
-    members = (bundle.member(0), bundle.member(1))
-    loops = [_member_loop(member, sampler, cfg, steps) for member in members]
+    loops = [_member_loop(bundle, index, sampler, cfg, steps) for index in range(len(bundle.denoisers))]
 
     with apart(loops) as loops, open(loss_path, "w", newline="") as fh:
         def take_trained() -> None:  # the members' trained arrays, into bundle
-            for member, loop in zip(members, loops):
-                views = _trained_arrays(member)
+            for index, loop in enumerate(loops):
+                live = _trained_arrays(bundle, index)
                 for name, value in next(loop).items():
-                    views[name][...] = value  # the same array where the member trained in this process
-            bundle.adam.step_counter = members[0].adam.step_counter
+                    live[name][...] = value  # the same array where the member trained in this process
+            bundle.adam[1].step_counter = bundle.adam[0].step_counter  # theta2 may have counted in a child
 
         writer = csv.writer(fh)
         writer.writerow(["step", "loss_c", "loss_nc"])
@@ -241,16 +236,16 @@ def train(
 
 
 def _member_loop(
-    member: ModelBundle, sampler: LengthBucketSampler, cfg: TrainConfig, steps: range
+    bundle: ModelBundle, index: int, sampler: LengthBucketSampler, cfg: TrainConfig, steps: range
 ) -> Iterator[float | dict[str, np.ndarray]]:
-    """Trains one member over steps: yields its loss after each step, and its
-    trained arrays after each checkpoint step and once more at the end."""
+    """Trains member ``index`` over steps: yields its loss after each step, and
+    its trained arrays after each checkpoint step and once more at the end."""
     for step in steps:
-        gen = rng_mod.substream(member.seed, rng_mod.TRAIN_STREAM, step)
-        yield train_step(member, sampler.next_batch(gen), cfg, gen, step)
+        gen = rng_mod.substream(bundle.seed, rng_mod.TRAIN_STREAM, step)
+        yield train_step(bundle, index, sampler.next_batch(gen), cfg, gen, step)
         if _checkpoints_at(cfg, step):
-            yield _trained_arrays(member)
-    yield _trained_arrays(member)
+            yield _trained_arrays(bundle, index)
+    yield _trained_arrays(bundle, index)
 
 
 def _checkpoints_at(cfg: TrainConfig, step: int) -> bool:
@@ -273,31 +268,39 @@ def _rows_up_to(loss_path: Path, step: int) -> list[list[str]]:
 # checkpoint (de)serialisation ----------------------------------------------
 
 
-def _state_entries(bundle: ModelBundle) -> dict[str, np.ndarray]:
-    """Every parameter under its bundle name, its Adam moments under
-    moment1.<name> and moment2.<name>, and the text embedder's table, each
-    as the live array. Save reads these arrays and load writes into them."""
-    return {"embedder.table": bundle.embedder.table} | _live_arrays(bundle, bundle.named_parameters().items())
+def _state_entries(bundle: ModelBundle) -> dict[str, tuple[np.ndarray, ...]]:
+    """Each checkpoint entry's live arrays: every parameter under its bundle
+    name, its Adam moments under moment1.<name> and moment2.<name>, and the
+    text embedder's table. An entry both members hold has theta1's array,
+    then theta2's. Save reads these arrays and load writes into them."""
+    entries = {"embedder.table": (bundle.embedder.table,)}
+    for index in range(len(bundle.denoisers)):
+        for name, array in _live_arrays(bundle, index, bundle.named_parameters(index).items()).items():
+            entries[name] = entries.get(name, ()) + (array,)
+    return entries
 
 
-def _trained_arrays(bundle: ModelBundle) -> dict[str, np.ndarray]:
-    """What a step updates: the trainable parameters and their moments, as live arrays."""
-    return _live_arrays(bundle, bundle.trainable_parameters())
+def _trained_arrays(bundle: ModelBundle, index: int) -> dict[str, np.ndarray]:
+    """What a step of member ``index`` updates: its trainable parameters and their moments, as live arrays."""
+    return _live_arrays(bundle, index, bundle.trainable_parameters(index))
 
 
-def _live_arrays(bundle: ModelBundle, params) -> dict[str, np.ndarray]:
+def _live_arrays(bundle: ModelBundle, index: int, params) -> dict[str, np.ndarray]:
+    adam = bundle.adam[index]
     views = {}
     for name, p in params:
         views[name] = p.data
-        views[f"moment1.{name}"] = bundle.adam.moment1[name]
-        views[f"moment2.{name}"] = bundle.adam.moment2[name]
+        views[f"moment1.{name}"] = adam.moment1[name]
+        views[f"moment2.{name}"] = adam.moment2[name]
     return views
 
 
 def save_checkpoint(bundle: ModelBundle, trainer_step: int, path: str | Path) -> None:
-    entries = _state_entries(bundle)
+    """Write the bundle's state; an entry both members hold is their [2, ...] stack."""
+    # save_entries turns a pair of arrays into their stack as it writes it, one entry at a time
+    entries = {name: live[0] if len(live) == 1 else live for name, live in _state_entries(bundle).items()}
     entries["trainer.step"] = np.array(float(trainer_step))
-    entries["optim.step_counter"] = np.array(float(bundle.adam.step_counter))
+    entries["optim.step_counter"] = np.array(float(bundle.adam[0].step_counter))
     entries["norm.mean"] = bundle.stats.mean
     entries["norm.std"] = bundle.stats.std
     ckpt.save_entries(path, entries)
@@ -325,9 +328,13 @@ def load_checkpoint(bundle: ModelBundle, path: str | Path) -> int:
             raise ckpt.CheckpointError(f"{path}: {key} must be a non-negative integer, got {value}")
         return int(value)
 
-    for key, view in _state_entries(bundle).items():
-        view[...] = entry(key, view.shape)
-    bundle.adam.step_counter = count("optim.step_counter")
+    for key, live in _state_entries(bundle).items():
+        shape = live[0].shape if len(live) == 1 else (len(live),) + live[0].shape
+        for array, part in zip(live, entry(key, shape).reshape((len(live),) + live[0].shape)):
+            array[...] = part
+    step_counter = count("optim.step_counter")
+    for adam in bundle.adam:
+        adam.step_counter = step_counter
     std = entry("norm.std", bundle.stats.std.shape)
     if np.any(std < MIN_STD):
         raise ckpt.CheckpointError(f"{path}: norm.std must be at least {MIN_STD}, got {std.tolist()}")

@@ -560,6 +560,31 @@ class TestErrors:
         assert_json_error(main(argv), capsys, f"schedule offset must be finite and >= 0, got {float(offset)}")
         assert not out.exists()
 
+    @pytest.mark.parametrize("margin", ["NaN", "Infinity", "-1.0"])
+    def test_separation_margin_below_zero_or_not_finite_rejected(self, tmp_path, capsys, margin):
+        config = tmp_path / "config.json"  # Python's json reads NaN and Infinity
+        text = json.dumps(TINY_CONFIG).replace('"vocab_size": 12', f'"vocab_size": 12, "separation_margin": {margin}')
+        config.write_text(text)
+        code = main(["gen-data", "--config", str(config), "--out", str(tmp_path / "o")])
+        fragment = f"separation_margin must be finite and >= 0, got {float(margin)}"
+        assert_json_error(code, capsys, f"{config}: ", fragment)
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["sample", "eval"])
+    def test_corpus_without_val_utterances_rejected(self, tmp_path, capsys, command):
+        config = json.loads(json.dumps(TINY_CONFIG))
+        config["corpus"]["utterances_per_style"] = 1  # too few to leave any for the val split
+        config["train"]["steps"] = 2
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        assert main(["gen-data", "--config", str(tmp_path / "config.json"), "--out", str(tmp_path / "data")]) == 0
+        corpus = tmp_path / "data" / "corpus"
+        argv = ["train", "--config", str(tmp_path / "config.json"), "--corpus", str(corpus), "--quiet"]
+        assert main(argv + ["--out", str(tmp_path / "model")]) == 0
+        capsys.readouterr()
+        argv = [command, "--checkpoint", str(tmp_path / "model" / "final.bin"), "--corpus", str(corpus)]
+        assert_json_error(main(argv + ["--out", str(tmp_path / "o")]), capsys, f"{corpus} has an empty val split")
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("length", [22, 3000])
     def test_truncated_checkpoint(self, workspace, tmp_path, capsys, length):
         model = tmp_path / "model"

@@ -97,6 +97,14 @@ class TestRunConfig:
             ScheduleSettings(offset=offset)
         assert ScheduleSettings(offset=0.0).offset == 0.0
 
+    @pytest.mark.parametrize("margin", [float("nan"), float("inf"), -1.0])
+    def test_separation_margin_below_zero_or_not_finite_rejected(self, margin):
+        with pytest.raises(ValueError, match="separation_margin must be finite and >= 0"):
+            RunConfig.from_dict({"corpus": {"separation_margin": margin}})
+        with pytest.raises(ValueError, match="separation_margin must be finite and >= 0"):
+            CorpusConfig(separation_margin=margin)
+        assert CorpusConfig(separation_margin=0.0).separation_margin == 0.0
+
     def test_int_stands_for_float(self):
         run = RunConfig.from_dict({"train": {"learning_rate": 1}, "guidance": {"eta": 2}})
         assert run.train.learning_rate == 1 and run.guidance.eta == 2

@@ -69,7 +69,7 @@ class TestPredictNoise:
         model = make_model()
         x, y, _ = random_inputs()
         out = predict_noise(model, x, 3, y)
-        assert out.shape == (1,) + x.shape
+        assert out.shape == x.shape
         assert np.all(np.isfinite(out.data))
 
     def test_bit_identical_on_repeat(self):
@@ -107,10 +107,10 @@ class TestPredictNoise:
         rng = np.random.default_rng(3)
         x = rng.standard_normal((1, 3, length))
         y = rng.standard_normal((length, 5))
-        base = predict_noise(model, x, 2, y).data[0]
+        base = predict_noise(model, x, 2, y).data
         bumped = x.copy()
         bumped[0, :, center] += 1.0
-        diff = np.abs(predict_noise(model, bumped, 2, y).data[0] - base).sum(axis=(0, 1))
+        diff = np.abs(predict_noise(model, bumped, 2, y).data - base).sum(axis=(0, 1))
         changed = np.nonzero(diff > 1e-14)[0]
         assert changed.min() >= center - radius
         assert changed.max() <= center + radius
@@ -123,18 +123,18 @@ class TestPredictNoise:
         rng = np.random.default_rng(4)
         x = rng.standard_normal((1, 3, length))
         y = rng.standard_normal((length, 5))
-        base = predict_noise(model, x, 1, y).data[0]
+        base = predict_noise(model, x, 1, y).data
         bumped = x.copy()
         bumped[0, 1, 7] += 1.0
-        diff = np.abs(predict_noise(model, bumped, 1, y).data[0] - base).sum(axis=(0, 1))
+        diff = np.abs(predict_noise(model, bumped, 1, y).data - base).sum(axis=(0, 1))
         assert diff[6] > 1e-12 and diff[8] > 1e-12
 
     def test_per_example_steps(self):
         model = make_model()
         x, y, _ = random_inputs(batch=3)
-        batched = predict_noise(model, x, np.array([1, 2, 3]), y).data[0]
+        batched = predict_noise(model, x, np.array([1, 2, 3]), y).data
         for i, t in enumerate((1, 2, 3)):
-            single = predict_noise(model, x[i : i + 1], t, y).data[0]
+            single = predict_noise(model, x[i : i + 1], t, y).data
             np.testing.assert_allclose(batched[i], single[0], atol=1e-12)
 
 
@@ -148,14 +148,13 @@ MASK_CONFIG = DenoiserConfig(
 class TestMask:
     """A [B, 1, L] mask pads rows of several lengths into one batch: each
     row's outputs at its valid positions are those of its own unpadded
-    forward pass."""
+    forward pass, for theta1 on the style vector and theta2 on its null
+    vector alike."""
 
     @staticmethod
     def padded_case(lengths, width, seed=0):
-        pair = Denoiser(MASK_CONFIG, True, *init_rngs(seed))
+        pair = random_pair(seed, MASK_CONFIG, scale=0.3)
         rng = np.random.default_rng(seed)
-        for p in pair.params.values():
-            p.data[...] = 0.3 * rng.standard_normal(p.shape)
         batch = len(lengths)
         x = rng.standard_normal((batch, 3, width))
         y = rng.standard_normal((batch, width, MASK_CONFIG.condition_dim))
@@ -167,20 +166,20 @@ class TestMask:
     @pytest.mark.parametrize("lengths, width", [((3, 7, 5), 7), ((2, 4, 4, 1), 12), ((6,), 9)])
     def test_padded_forward_matches_unpadded_rows(self, lengths, width):
         pair, x, y, c, t, mask = self.padded_case(lengths, width)
-        padded = predict_noise(pair, x, t, y, c, mask).data
+        padded = both(pair, x, t, y, c, mask)
         for b, n in enumerate(lengths):
-            alone = predict_noise(pair, x[b : b + 1, :, :n], t[b], y[b : b + 1, :n], c[b : b + 1]).data
+            alone = both(pair, x[b : b + 1, :, :n], t[b], y[b : b + 1, :n], c[b : b + 1])
             np.testing.assert_allclose(padded[:, b : b + 1, :, :n], alone, rtol=1e-12, atol=1e-12)
 
     def test_padded_values_do_not_reach_valid_positions(self):
         lengths = (2, 5, 8)
         pair, x, y, c, t, mask = self.padded_case(lengths, 8, seed=1)
-        base = predict_noise(pair, x, t, y, c, mask).data
+        base = both(pair, x, t, y, c, mask)
         rng = np.random.default_rng(2)
         padded = mask == 0.0
         x = np.where(padded, 1e3 * rng.standard_normal(x.shape), x)
         y = np.where(padded.transpose(0, 2, 1), rng.standard_normal(y.shape), y)
-        scrambled = predict_noise(pair, x, t, y, c, mask).data
+        scrambled = both(pair, x, t, y, c, mask)
         for b, n in enumerate(lengths):
             assert np.array_equal(scrambled[:, b, :, :n], base[:, b, :, :n])
         assert not np.array_equal(scrambled, base)  # the padded outputs did change
@@ -188,12 +187,12 @@ class TestMask:
     def test_no_mask_equals_all_ones_bitwise(self):
         pair, x, y, c, t, _ = self.padded_case((7, 7), 7)
         ones = np.ones((2, 1, 7))
-        assert np.array_equal(predict_noise(pair, x, t, y, c).data, predict_noise(pair, x, t, y, c, ones).data)
+        assert np.array_equal(both(pair, x, t, y, c), both(pair, x, t, y, c, ones))
 
     def test_mask_shape_checked(self):
         pair, x, y, c, t, _ = self.padded_case((4, 4), 4)
         with pytest.raises(ValueError, match="mask"):
-            predict_noise(pair, x, t, y, c, np.ones((2, 4)))
+            both(pair, x, t, y, c, np.ones((2, 4)))
 
 
 class TestParameterSeparation:
@@ -213,91 +212,63 @@ class TestParameterSeparation:
         assert np.array_equal(before, after)
 
     def test_in_place_mutation_of_theta1_leaves_theta2_fixed(self):
-        # build_models keeps each theta1/theta2 pair in one array; the members' slices must not overlap
+        # build_models gives theta1 and theta2 arrays of their own; updating one in place must not move the other
         bundle = build_models(run_config(TINY, TINY_STYLE, 4, 0, corpus=CorpusConfig(vocab_size=4)), UNIT_STATS)
+        theta1, theta2 = bundle.denoisers
         x, y, _ = random_inputs()
-        before = predict_noise(bundle.denoisers.member(1), x, 1, y).data
-        for p in bundle.denoisers.params.values():
-            p.data[0] += 1.0
-        after = predict_noise(bundle.denoisers.member(1), x, 1, y).data
+        before = predict_noise(theta2, x, 1, y).data
+        for p in theta1.params.values():
+            p.data += 1.0
+        after = predict_noise(theta2, x, 1, y).data
         assert np.array_equal(before, after)
 
     def test_null_condition_not_trainable_when_style_supplied(self):
-        def null_grad(style_condition: bool) -> np.ndarray:
-            pair = Denoiser(TINY, style_condition, *init_rngs(0))
+        def null_grads(style_condition: bool) -> list:
+            theta1, theta2 = random_pair(accepts_style=style_condition)
             x, y, c = random_inputs()
-            out = predict_noise(pair, x, 2, y, c if style_condition else None)
-            engine.sum_(engine.mul(out, out)).backward()
-            return pair.params["null_condition"].grad
+            for model, cond in ((theta1, c if style_condition else None), (theta2, None)):
+                out = predict_noise(model, x, 2, y, cond)
+                engine.sum_(engine.mul(out, out)).backward()
+            return [model.params["null_condition"].grad for model in (theta1, theta2)]
 
-        styled, unstyled = null_grad(True), null_grad(False)
-        assert not np.any(styled[0]) and np.any(styled[1])
+        styled, unstyled = null_grads(True), null_grads(False)
+        assert styled[0] is None and np.any(styled[1])
         assert np.any(unstyled[0]) and np.any(unstyled[1])
+
+    def test_needs_a_styled_and_an_unstyled_model(self):
+        # theta2 never takes a style vector; theta1 does unless the style pathway is ablated
+        corpus = CorpusConfig(vocab_size=4)
+        runs = [run_config(TINY, TINY_STYLE, 4, 0, corpus=corpus, style_condition=s) for s in (True, False)]
+        bundles = [build_models(run, UNIT_STATS) for run in runs]
+        styles = [[model.accepts_style for model in bundle.denoisers] for bundle in bundles]
+        assert styles == [[True, False], [False, False]]
+        (styled, _), (ablated, _) = (bundle.denoisers for bundle in bundles)
+        x, y, c = random_inputs()
+        with pytest.raises(ValueError, match="pass c"):
+            predict_noise(styled, x, 1, y)
+        with pytest.raises(ValueError, match="c must be absent"):
+            predict_noise(ablated, x, 1, y, c)
 
 
 def init_rngs(seed: int) -> tuple:
     return tuple(rng_mod.substream(seed, rng_mod.INIT_STREAM, i) for i in (0, 1))
 
 
-def random_pair(seed=0, accepts_style=True) -> Denoiser:
-    """A two-member denoiser with every parameter drawn at random, so biases,
+def random_pair(seed=0, config=TINY, accepts_style=True, scale=0.5) -> tuple[Denoiser, Denoiser]:
+    """theta1 and theta2 with every parameter drawn at random, so biases,
     null vectors and passthrough gates all take part."""
-    pair = Denoiser(TINY, accepts_style, *init_rngs(seed))
+    pair = Denoiser(config, accepts_style, init_rngs(seed)[0]), Denoiser(config, False, init_rngs(seed)[1])
     rng = np.random.default_rng(seed)
-    for member in (0, 1):
-        for p in pair.params.values():
-            p.data[member] = 0.5 * rng.standard_normal(p.shape[1:])
+    for model in pair:
+        for p in model.params.values():
+            p.data[...] = scale * rng.standard_normal(p.shape)
     return pair
 
 
-def copy_of_member(pair: Denoiser, index: int) -> Denoiser:
-    """A stand-alone one-member Denoiser holding copies of member ``index``'s slices."""
-    model = make_model(pair.accepts_style and index == 0)
-    for name, p in model.params.items():
-        p.data = pair.params[name].data[index : index + 1].copy()
-    return model
-
-
-class TestStackedMembers:
-    @pytest.mark.parametrize("t", [3, np.array([1, 7])], ids=["shared-step", "per-example-steps"])
-    def test_matches_each_model_bitwise(self, t):
-        pair = random_pair()
-        theta1, theta2 = copy_of_member(pair, 0), copy_of_member(pair, 1)
-        x, y, c = random_inputs()
-        both = predict_noise(pair, x, t, y, c).data
-        assert both.shape == (2,) + x.shape
-        assert np.array_equal(both[0], predict_noise(theta1, x, t, y, c).data[0])
-        assert np.array_equal(both[1], predict_noise(theta2, x, t, y).data[0])
-        assert np.array_equal(both[0], predict_noise(pair.member(0), x, t, y, c).data[0])
-        assert np.array_equal(both[1], predict_noise(pair.member(1), x, t, y).data[0])
-
-    def test_gradients_match_each_model(self):
-        pair = random_pair(seed=3)
-        theta1, theta2 = copy_of_member(pair, 0), copy_of_member(pair, 1)
-        x, y, c = random_inputs(seed=4)
-        weights = np.random.default_rng(5).standard_normal((2,) + x.shape)
-        engine.sum_(engine.mul(predict_noise(pair, x, 2, y, c), weights)).backward()
-        engine.sum_(engine.mul(predict_noise(theta1, x, 2, y, c), weights[0])).backward()
-        engine.sum_(engine.mul(predict_noise(theta2, x, 2, y), weights[1])).backward()
-        for name, p in pair.params.items():
-            for half, model in zip(p.grad, (theta1, theta2)):
-                single = model.params[name].grad  # None for theta1's unused null vector
-                expected = np.zeros_like(half) if single is None else single[0]
-                np.testing.assert_allclose(half, expected, rtol=1e-12, atol=1e-12, err_msg=name)
-
-    def test_needs_a_styled_and_an_unstyled_model(self):
-        # theta2 never takes a style vector; theta1 does unless the style pathway is ablated
-        styled, ablated = random_pair(), random_pair(accepts_style=False)
-        assert [styled.member(i).accepts_style for i in (0, 1)] == [True, False]
-        assert [ablated.member(i).accepts_style for i in (0, 1)] == [False, False]
-        x, y, c = random_inputs()
-        with pytest.raises(ValueError, match="pass c"):
-            predict_noise(styled, x, 1, y)
-        with pytest.raises(ValueError, match="c must be absent"):
-            predict_noise(ablated, x, 1, y, c)
-        both = predict_noise(ablated, x, 1, y).data
-        assert np.array_equal(both[0], predict_noise(copy_of_member(ablated, 0), x, 1, y).data[0])
-        assert np.array_equal(both[1], predict_noise(copy_of_member(ablated, 1), x, 1, y).data[0])
+def both(pair, x, t, y, c, mask=None) -> np.ndarray:
+    """theta1's prediction on the style vector c and theta2's, stacked."""
+    theta1, theta2 = pair
+    return np.stack([predict_noise(theta1, x, t, y, c, mask).data, predict_noise(theta2, x, t, y, None, mask).data])
 
 
 class TestGradientsThroughDenoiser:
@@ -312,9 +283,9 @@ class TestGradientsThroughDenoiser:
         c = rng.standard_normal(5)
 
         def loss_value() -> float:
-            return diffusion_loss(model, schedule, x0, 3, eps, y, c)[0].item()
+            return diffusion_loss(model, schedule, x0, 3, eps, y, c).item()
 
-        (loss,) = diffusion_loss(model, schedule, x0, 3, eps, y, c)
+        loss = diffusion_loss(model, schedule, x0, 3, eps, y, c)
         loss.backward()
         for name, p in model.params.items():
             if name == "null_condition":

@@ -65,11 +65,11 @@ class TestDiffusionLoss:
         x0 = rng.standard_normal((1, 3, 5))
         eps = rng.standard_normal((1, 3, 5))
         y = rng.standard_normal((5, 6))
-        theta2 = bundle.denoisers.member(1)
-        loss = diffusion_loss(theta2, bundle.schedule, x0, 4, eps, y)[0].item()
+        theta2 = bundle.denoisers[1]
+        loss = diffusion_loss(theta2, bundle.schedule, x0, 4, eps, y).item()
         x_t = forward_diffuse(x0, 4, eps, bundle.schedule)
         with engine.no_grad():
-            pred = predict_noise(theta2, x_t, 4, y).data[0]
+            pred = predict_noise(theta2, x_t, 4, y).data
         acc = 0.0
         for b in range(1):
             for ch in range(3):
@@ -80,18 +80,14 @@ class TestDiffusionLoss:
     def test_differentiable(self):
         _, bundle = tiny_bundle()
         rng = np.random.default_rng(2)
-        loss_c, loss_nc = diffusion_loss(
-            bundle.denoisers,
-            bundle.schedule,
-            rng.standard_normal((1, 3, 5)),
-            2,
-            rng.standard_normal((1, 3, 5)),
-            rng.standard_normal((5, 6)),
-            rng.standard_normal((1, 6)),
-        )
+        x0, eps, y, c = (rng.standard_normal(shape) for shape in ((1, 3, 5), (1, 3, 5), (5, 6), (1, 6)))
+        theta1, theta2 = bundle.denoisers
+        loss_c = diffusion_loss(theta1, bundle.schedule, x0, 2, eps, y, c)
+        loss_nc = diffusion_loss(theta2, bundle.schedule, x0, 2, eps, y)
         engine.add(loss_c, loss_nc).backward()
-        grad = bundle.denoisers.params["output_proj.weight"].grad
-        assert grad is not None and np.any(grad[0]) and np.any(grad[1])
+        for model in bundle.denoisers:
+            grad = model.params["output_proj.weight"].grad
+            assert grad is not None and np.any(grad)
 
     @pytest.mark.parametrize(
         "t", [0, 13, np.array([1, 13]), np.array([0, 5])], ids=["zero", "past-T", "per-example-past-T", "per-example-zero"]
@@ -100,7 +96,7 @@ class TestDiffusionLoss:
         _, bundle = tiny_bundle()
         x0 = np.zeros((2, 3, 5))
         with pytest.raises(ValueError, match="outside 1..12"):
-            diffusion_loss(bundle.denoisers.member(1), bundle.schedule, x0, t, np.zeros_like(x0), np.zeros((5, 6)))
+            diffusion_loss(bundle.denoisers[1], bundle.schedule, x0, t, np.zeros_like(x0), np.zeros((5, 6)))
 
 
 class TestCfgCombine:
@@ -301,28 +297,28 @@ class TestReverseStep:
 def single_model(model, y, c, params, schedule, rng):
     """The reverse loop driven by one denoiser alone (no guidance stages)."""
     shape = (y.shape[0], 3, y.shape[1])
-    return reverse_process(lambda x, t: predict_noise(model, x, t, y, c).data[0], shape, params.tau, schedule, rng)
+    return reverse_process(lambda x, t: predict_noise(model, x, t, y, c).data, shape, params.tau, schedule, rng)
 
 
 def randomize(bundle, seed):
     """Draw every denoiser parameter at random; null vectors, biases and
     passthrough gates then all take part."""
     rng = np.random.default_rng(seed)
-    for member in (0, 1):
-        for p in bundle.denoisers.params.values():
-            p.data[member] = 0.1 * rng.standard_normal(p.shape[1:])
+    for model in bundle.denoisers:
+        for p in model.params.values():
+            p.data[...] = 0.1 * rng.standard_normal(p.shape)
     return bundle
 
 
 def two_forward_reference(bundle, y, c, params, rng, diagnostics):
     """The guided sampler written out with a separate forward pass of each denoiser per step."""
     schedule = bundle.schedule
-    theta1, theta2 = bundle.denoisers.member(0), bundle.denoisers.member(1)
+    theta1, theta2 = bundle.denoisers
     x = draw_terminal((y.shape[0], 3, y.shape[1]), params.tau, rng)
     with engine.no_grad():
         for t in range(schedule.step_count, 0, -1):
-            eps_c = predict_noise(theta1, x, t, y, c).data[0]
-            eps_nc = predict_noise(theta2, x, t, y).data[0]
+            eps_c = predict_noise(theta1, x, t, y, c).data
+            eps_nc = predict_noise(theta2, x, t, y).data
             eps_hat, diag = rescale(cfg_combine(eps_c, eps_nc, params.eta), eps_c, params.gamma)
             diagnostics.append((t, diag))
             x = reverse_step(x, t, eps_hat, schedule, rng)
@@ -351,6 +347,7 @@ class TestSampler:
         assert_matches_reference(randomize(bundle, 30), batch, GuidanceParams(eta=eta, gamma=gamma), seed=40 + batch)
 
     def test_one_forward_pass_per_guided_step(self, monkeypatch):
+        # theta1 then theta2, once each per guided step; theta1 alone at eta = 1, theta2 alone at eta = 0 or without c
         _, bundle = tiny_bundle()
         rng = np.random.default_rng(19)
         y = rng.standard_normal((2, 6, 6))
@@ -362,33 +359,20 @@ class TestSampler:
             return predict_noise(model, *args)
 
         monkeypatch.setattr(guidance, "predict_noise", spy)
-        sample(bundle.denoisers, bundle.schedule, y, c, GuidanceParams(eta=2.0), np.random.default_rng(5))
-        assert ran == [bundle.denoisers] * bundle.schedule.step_count
+        for eta, cond, runs in ((2.0, c, (0, 1)), (0.5, c, (0, 1)), (1.0, c, (0,)), (0.0, c, (1,)), (2.0, None, (1,))):
+            ran.clear()
+            sample(bundle.denoisers, bundle.schedule, y, cond, GuidanceParams(eta=eta), np.random.default_rng(5))
+            assert ran == [bundle.denoisers[i] for i in runs] * bundle.schedule.step_count, (eta, cond is None)
 
-
-    def test_eta_one_matches_conditional_only_bitwise(self, monkeypatch):
+    def test_eta_one_matches_conditional_only_bitwise(self):
         _, bundle = tiny_bundle()
         rng = np.random.default_rng(16)
         y = rng.standard_normal((1, 6, 6))
         c = rng.standard_normal((1, 6))
         params = GuidanceParams(eta=1.0, gamma=0.7, tau=1.0)
-        ran = []
-
-        def spy(model, *args):
-            ran.append(model)
-            return predict_noise(model, *args)
-
-        monkeypatch.setattr(guidance, "predict_noise", spy)
         guided = sample(bundle.denoisers, bundle.schedule, y, c, params, np.random.default_rng(5))
-        solo = single_model(bundle.denoisers.member(0), y, c, params, bundle.schedule, np.random.default_rng(5))
+        solo = single_model(bundle.denoisers[0], y, c, params, bundle.schedule, np.random.default_rng(5))
         assert np.array_equal(guided, solo)
-        # theta2's prediction would go unused at eta=1, so it is not computed:
-        # every step runs a one-member view: theta1 over its slice of the weights
-        assert len(ran) == bundle.schedule.step_count
-        for model in ran:
-            assert model is not bundle.denoisers and model.accepts_style
-            assert all(p.shape[0] == 1 for p in model.params.values())
-            assert all(p.data.base is bundle.denoisers.params[name].data for name, p in model.params.items())
 
     def test_eta_zero_matches_unconditional_only_bitwise(self):
         _, bundle = tiny_bundle()
@@ -397,7 +381,7 @@ class TestSampler:
         c = rng.standard_normal((1, 6))
         params = GuidanceParams(eta=0.0, gamma=0.7, tau=1.0)
         guided = sample(bundle.denoisers, bundle.schedule, y, c, params, np.random.default_rng(5))
-        solo = single_model(bundle.denoisers.member(1), y, None, params, bundle.schedule, np.random.default_rng(5))
+        solo = single_model(bundle.denoisers[1], y, None, params, bundle.schedule, np.random.default_rng(5))
         assert np.array_equal(guided, solo)
 
     def test_absent_style_uses_unconditional_path(self):
@@ -405,7 +389,7 @@ class TestSampler:
         y = np.random.default_rng(18).standard_normal((2, 5, 6))
         params = GuidanceParams(eta=2.0, gamma=0.5, tau=1.0)
         a = sample(bundle.denoisers, bundle.schedule, y, None, params, np.random.default_rng(9))
-        b = single_model(bundle.denoisers.member(1), y, None, params, bundle.schedule, np.random.default_rng(9))
+        b = single_model(bundle.denoisers[1], y, None, params, bundle.schedule, np.random.default_rng(9))
         assert np.array_equal(a, b)
 
     def test_terminal_temperature_scales_std(self):
@@ -457,14 +441,14 @@ class TestGuidanceParams:
 
 
 class TestTrainStep:
-    """train_step steps one member of the guided pair (ModelBundle.member)."""
+    """train_step steps one member of the guided pair, by index."""
 
     @staticmethod
-    def member_losses(members, sampler, cfg, seed, step) -> tuple[float, ...]:
+    def member_losses(bundle, sampler, cfg, seed, step) -> tuple[float, ...]:
         losses = []
-        for member in members:
+        for index in (0, 1):
             gen = rng_mod.substream(seed, rng_mod.TRAIN_STREAM, step)
-            losses.append(train_step(member, sampler.next_batch(gen), cfg, gen, step))
+            losses.append(train_step(bundle, index, sampler.next_batch(gen), cfg, gen, step))
         return tuple(losses)
 
     def test_reproducible_under_seed(self):
@@ -472,8 +456,7 @@ class TestTrainStep:
             corpus, bundle = tiny_bundle(seed=4)
             cfg = TrainConfig(steps=2, batch_size=4)
             sampler = LengthBucketSampler(corpus.split("train"), bundle.stats, bundle.embedder, 4)
-            members = (bundle.member(0), bundle.member(1))
-            return [self.member_losses(members, sampler, cfg, 4, step) for step in (1, 2)]
+            return [self.member_losses(bundle, sampler, cfg, 4, step) for step in (1, 2)]
 
         assert run() == run()
 
@@ -481,7 +464,7 @@ class TestTrainStep:
         corpus, bundle = tiny_bundle(seed=5)
         cfg = TrainConfig(steps=1, batch_size=4)
         sampler = LengthBucketSampler(corpus.split("train"), bundle.stats, bundle.embedder, 4)
-        loss_c, loss_nc = self.member_losses((bundle.member(0), bundle.member(1)), sampler, cfg, 5, 1)
+        loss_c, loss_nc = self.member_losses(bundle, sampler, cfg, 5, 1)
         assert 0 < loss_c < 100 and 0 < loss_nc < 100
 
     def test_unconditional_loss_untouched_by_conditional_updates(self):
@@ -494,28 +477,28 @@ class TestTrainStep:
         eps = np.random.default_rng(0).standard_normal(batch.x0.shape)
 
         def probe_nc() -> float:
-            return diffusion_loss(bundle.denoisers.member(1), bundle.schedule, batch.x0, 3, eps, batch.y)[0].item()
+            return diffusion_loss(bundle.denoisers[1], bundle.schedule, batch.x0, 3, eps, batch.y).item()
 
         before = probe_nc()
-        theta1 = bundle.member(0)
-        train_step(theta1, batch, cfg, gen)
-        assert theta1.adam.step_counter == 1
+        train_step(bundle, 0, batch, cfg, gen)
+        assert [adam.step_counter for adam in bundle.adam] == [1, 0]
         assert probe_nc() == before
 
     def test_non_finite_loss_names_the_step(self, tmp_path):
         corpus, bundle = tiny_bundle(seed=7)
         cfg = TrainConfig(steps=5, batch_size=4)
         sampler = LengthBucketSampler(corpus.split("train"), bundle.stats, bundle.embedder, 4)
-        bundle.denoisers.params["output_proj.bias"].data[1] = [np.nan, 0.0, 0.0]  # theta2's half
-        before = {name: p.data.copy() for name, p in bundle.named_parameters().items()}
-        theta2 = bundle.member(1)
+        theta2 = bundle.denoisers[1]
+        theta2.params["output_proj.bias"].data[...] = [np.nan, 0.0, 0.0]
+        before = [{name: p.data.copy() for name, p in bundle.named_parameters(i).items()} for i in (0, 1)]
         gen = rng_mod.substream(7, rng_mod.TRAIN_STREAM, 3)
-        assert math.isnan(train_step(theta2, sampler.next_batch(gen), cfg, gen, step=3))
-        for name, p in bundle.named_parameters().items():  # the step updates nothing
-            assert np.array_equal(p.data, before[name], equal_nan=True), name
-            assert not np.any(bundle.adam.moment1[name]), name
-        assert all(p.grad is None for p in theta2.denoisers.params.values())
-        assert theta2.adam.step_counter == bundle.adam.step_counter == 0
+        assert math.isnan(train_step(bundle, 1, sampler.next_batch(gen), cfg, gen, step=3))
+        for index, adam in enumerate(bundle.adam):  # the step updates nothing
+            for name, p in bundle.named_parameters(index).items():
+                assert np.array_equal(p.data, before[index][name], equal_nan=True), name
+                assert not np.any(adam.moment1[name]), name
+        assert all(p.grad is None for p in theta2.params.values())
+        assert [adam.step_counter for adam in bundle.adam] == [0, 0]
         # train checks both members' losses, and names the step and both of them
         with pytest.raises(ValueError, match=r"^non-finite training loss at step 3: loss_c=\d\S*, loss_nc=nan$"):
             train(bundle, corpus, cfg, tmp_path, start_step=2)
@@ -527,4 +510,4 @@ class TestTrainStep:
 
         empty = Batch(x0=np.zeros((0, 3, 4)), y=np.zeros((0, 4, 6)))
         with pytest.raises(ValueError, match="empty"):
-            train_step(bundle.member(0), empty, cfg, np.random.default_rng(0))
+            train_step(bundle, 0, empty, cfg, np.random.default_rng(0))

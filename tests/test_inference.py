@@ -89,8 +89,9 @@ def random_bundle(setup):
     run, corpus, _ = setup
     bundle = build_models(run, corpus.stats)
     rng = np.random.default_rng(11)
-    for p in bundle.denoisers.params.values():
-        p.data[...] = 0.1 * rng.standard_normal(p.shape)
+    for model in bundle.denoisers:
+        for p in model.params.values():
+            p.data[...] = 0.1 * rng.standard_normal(p.shape)
     return bundle
 
 
@@ -179,9 +180,10 @@ class TestChains:
         texts = random_texts((6, 6, 6))
         conds = list(np.random.default_rng(1).standard_normal((3, 6)))
         inference.generate(random_bundle, texts, conds, GuidanceParams(eta=2.0), seed=4)
-        assert len(masks) == len(lengths) == random_bundle.schedule.step_count
-        for mask, row_lengths in zip(masks, lengths):
+        assert len(masks) == 2 * len(lengths) == 2 * random_bundle.schedule.step_count  # theta1's and theta2's forwards
+        for mask in masks:
             assert mask is not None and mask.shape == (3, 1, 6) and np.all(mask == 1.0)
+        for row_lengths in lengths:
             assert row_lengths is not None and list(row_lengths) == [6, 6, 6]
 
     def test_padded_positions_stay_zero(self, random_bundle):
@@ -368,9 +370,8 @@ class TestLoadTrained:
         step = load_checkpoint(loaded, tmp_path / "final.bin")
         assert step == 4
         assert run2.seed == run.seed
-        a = loaded.denoisers.params["output_proj.weight"].data
-        b = bundle.denoisers.params["output_proj.weight"].data
-        assert np.array_equal(a, b)
+        for a, b in zip(loaded.denoisers, bundle.denoisers):
+            assert np.array_equal(a.params["output_proj.weight"].data, b.params["output_proj.weight"].data)
 
     def test_missing_config_rejected(self, setup, tmp_path):
         run, corpus, bundle = setup

@@ -93,12 +93,13 @@ class TestCheckpointRoundTrip:
         x = rng.standard_normal((1, 3, 5))
         y = rng.standard_normal((5, 6))
         c = rng.standard_normal(6)
-        a = predict_noise(bundle.denoisers.member(0), x, 3, y, c).data
-        b = predict_noise(bundle2.denoisers.member(0), x, 3, y, c).data
+        a = predict_noise(bundle.denoisers[0], x, 3, y, c).data
+        b = predict_noise(bundle2.denoisers[0], x, 3, y, c).data
         assert np.array_equal(a, b)
-        for name in bundle.named_parameters():
-            assert np.array_equal(bundle.adam.moment1[name], bundle2.adam.moment1[name])
-        assert bundle.adam.step_counter == bundle2.adam.step_counter == 8
+        for index in (0, 1):
+            for name in bundle.named_parameters(index):
+                assert np.array_equal(bundle.adam[index].moment1[name], bundle2.adam[index].moment1[name])
+        assert [adam.step_counter for adam in bundle.adam + bundle2.adam] == [8] * 4
 
     def test_resume_continues_step_counter(self, tmp_path):
         corpus, bundle = tiny_setup()
@@ -163,12 +164,48 @@ class TestCheckpointRoundTrip:
         corpus, bundle = tiny_setup()
         save_checkpoint(bundle, 1, tmp_path / "state.bin")
         saved = load_entries(tmp_path / "state.bin")
-        params = bundle.named_parameters()
+        params = bundle.named_parameters(0) | bundle.named_parameters(1)
         moments = {f"{moment}.{name}" for name in params for moment in ("moment1", "moment2")}
         extras = {"trainer.step", "optim.step_counter", "norm.mean", "norm.std", "embedder.table"}
         assert set(saved) == set(params) | moments | extras
         for name, p in params.items():
-            assert saved[name].shape == saved[f"moment1.{name}"].shape == saved[f"moment2.{name}"].shape == p.shape
+            shape = (2,) + p.shape if name.startswith("denoisers.") else p.shape  # theta1's and theta2's, stacked
+            assert saved[name].shape == saved[f"moment1.{name}"].shape == saved[f"moment2.{name}"].shape == shape
+
+    def test_entries_stack_theta1_and_theta2(self, tmp_path):
+        corpus, bundle = tiny_setup()
+        train(bundle, corpus, TrainConfig(steps=3, batch_size=4, checkpoint_every=0), tmp_path)
+        saved = load_entries(tmp_path / "final.bin")
+        theta1, theta2 = bundle.denoisers
+        for name in theta1.params:
+            key = f"denoisers.{name}"
+            assert np.array_equal(saved[key], np.stack([theta1.params[name].data, theta2.params[name].data])), key
+            for moment in ("moment1", "moment2"):
+                members = [getattr(adam, moment)[key] for adam in bundle.adam]
+                assert np.array_equal(saved[f"{moment}.{key}"], np.stack(members)), moment + key
+
+        _, loaded = tiny_setup(seed=4)  # other initial weights
+        load_checkpoint(loaded, tmp_path / "final.bin")
+        for index in (0, 1):
+            assert loaded.named_parameters(index).keys() == bundle.named_parameters(index).keys()
+            for name, p in loaded.named_parameters(index).items():
+                assert np.array_equal(p.data, bundle.named_parameters(index)[name].data), name
+                for moment in ("moment1", "moment2"):
+                    got, want = (getattr(b.adam[index], moment)[name] for b in (loaded, bundle))
+                    assert np.array_equal(got, want), moment + name
+            assert loaded.adam[index].step_counter == 3
+
+    @pytest.mark.parametrize("members", [1, 3])
+    @pytest.mark.parametrize("key", ["denoisers.output_proj.weight", "moment2.denoisers.null_condition"])
+    def test_entry_not_of_two_members_rejected(self, tmp_path, key, members):
+        _, bundle = tiny_setup()
+        save_checkpoint(bundle, 1, tmp_path / "state.bin")
+        entries = load_entries(tmp_path / "state.bin")
+        entries[key] = np.concatenate([entries[key], entries[key]])[:members]
+        save_entries(tmp_path / "bad.bin", entries)
+        message = rf"bad\.bin: shape mismatch for {re.escape(key)}: checkpoint \({members},"
+        with pytest.raises(CheckpointError, match=message):
+            load_checkpoint(bundle, tmp_path / "bad.bin")
 
     def test_stats_travel_with_checkpoint(self, tmp_path):
         corpus, bundle = tiny_setup()
@@ -188,33 +225,34 @@ class TestTrainableParameters:
     def test_default_config_updates_every_live_tensor_in_checkpoint_order(self):
         stats = NormStats(np.zeros(3), np.ones(3))
         bundle = build_models(run_config(DenoiserConfig(), StyleConfig(), 4, 0), stats)
-        theta1, theta2 = ([name for name, _ in bundle.member(i).trainable_parameters()] for i in (0, 1))
-        denoiser = [name for name in bundle.named_parameters() if name.startswith("denoisers.")]
+        theta1, theta2 = ([name for name, _ in bundle.trainable_parameters(i)] for i in (0, 1))
+        denoiser = [name for name in bundle.named_parameters(1) if name.startswith("denoisers.")]
         # 105 denoiser tensors per member and 10 bank tensors; theta1 takes the style vector in place of its null vector
         assert len(denoiser) == 105 and len(theta1) == 114
-        assert theta1 == [name for name in bundle.named_parameters() if name != "denoisers.null_condition"]
-        assert theta2 == denoiser
-        for index in (0, 1):
-            member = bundle.member(index).trainable_parameters()
-            assert all(p.shape[0] == 1 for name, p in member if name.startswith("denoisers."))
-        assert set(bundle.adam.moment1) == set(bundle.adam.moment2) == set(bundle.named_parameters())
+        assert theta1 == [name for name in bundle.named_parameters(0) if name != "denoisers.null_condition"]
+        assert theta2 == denoiser == list(bundle.named_parameters(1))
+        for index, model in enumerate(bundle.denoisers):
+            params = bundle.trainable_parameters(index)
+            assert all(p is model.params[name.split(".", 1)[1]] for name, p in params if name.startswith("denoisers."))
+            named = set(bundle.named_parameters(index))
+            assert set(bundle.adam[index].moment1) == set(bundle.adam[index].moment2) == named
 
     def test_unstyled_run_leaves_the_bank_out(self):
         stats = NormStats(np.zeros(3), np.ones(3))
         run = run_config(TINY_DENOISER, TINY_STYLE, 12, 0, corpus=TINY_CORPUS, style_condition=False)
         bundle = build_models(run, stats)
         for index in (0, 1):
-            names = [name for name, _ in bundle.member(index).trainable_parameters()]
+            names = [name for name, _ in bundle.trainable_parameters(index)]
             assert "denoisers.null_condition" in names
             assert not [n for n in names if n.startswith("bank.")]
-            assert len(names) == len(bundle.named_parameters()) - len(bundle.bank.params)
+            assert len(names) == len(bundle.named_parameters(0)) - len(bundle.bank.params)
 
 
 class TwoModelReference:
     """Training as two separate models: theta1 and theta2 are stand-alone
-    one-member Denoisers drawn from the same init substreams as the stacked
-    members, each loss gets its own forward and backward pass, and Adam runs
-    per parameter with its own flat moments."""
+    Denoisers drawn from the same init substreams as the bundle's members,
+    each loss gets its own forward and backward pass, and Adam runs per
+    parameter with its own flat moments."""
 
     def __init__(self, seed: int, style_condition: bool, schedule):
         init = [rng_mod.substream(seed, rng_mod.INIT_STREAM, i) for i in range(3)]
@@ -234,8 +272,8 @@ class TwoModelReference:
         t = gen.integers(1, self.schedule.step_count + 1, size=batch.x0.shape[0])
         eps = gen.standard_normal(batch.x0.shape)
         c = encode_style(self.bank, batch.x0)[0] if self.theta1.accepts_style else None
-        (loss_c,) = diffusion_loss(self.theta1, self.schedule, batch.x0, t, eps, batch.y, c)
-        (loss_nc,) = diffusion_loss(self.theta2, self.schedule, batch.x0, t, eps, batch.y)
+        loss_c = diffusion_loss(self.theta1, self.schedule, batch.x0, t, eps, batch.y, c)
+        loss_nc = diffusion_loss(self.theta2, self.schedule, batch.x0, t, eps, batch.y)
         loss_c.backward()
         loss_nc.backward()
         self.steps += 1
@@ -253,9 +291,9 @@ class TwoModelReference:
         return loss_c.item(), loss_nc.item()
 
     def entries(self) -> dict[str, list[np.ndarray]]:
-        """Per checkpoint entry, the reference arrays it stacks along its
-        leading axis: theta1's then theta2's for denoisers.*, the bank's own
-        for bank.*; moments in their parameter's shape."""
+        """Per checkpoint entry, the reference arrays it holds: theta1's and
+        theta2's, stacked along a new leading axis, for denoisers.*, the
+        bank's own for bank.*; moments in their parameter's shape."""
         out: dict[str, list[np.ndarray]] = {}
         for name, p in self.params.items():
             group, leaf = name.split(".", 1)
@@ -272,7 +310,7 @@ class TwoModelReference:
         extras = {"trainer.step", "optim.step_counter", "norm.mean", "norm.std", "embedder.table"}
         assert set(saved) - set(want) == extras
         for key, members in want.items():
-            assert np.array_equal(saved[key], np.concatenate(members)), key
+            assert np.array_equal(saved[key], np.stack(members) if len(members) > 1 else members[0]), key
         assert saved["optim.step_counter"] == self.steps
 
 
@@ -285,22 +323,20 @@ class TestMemberTrainStep:
         initial = {name: p.data.copy() for name, p in reference.params.items()}
         cfg = TrainConfig(steps=3, batch_size=4)
         sampler = LengthBucketSampler(corpus.split("train"), bundle.stats, bundle.embedder, cfg.batch_size)
-        members = (bundle.member(0), bundle.member(1))
         for step in range(1, cfg.steps + 1):
             got = []
-            for member in members:
+            for index in (0, 1):
                 gen = rng_mod.substream(seed, rng_mod.TRAIN_STREAM, step)
-                got.append(train_step(member, sampler.next_batch(gen), cfg, gen, step))
+                got.append(train_step(bundle, index, sampler.next_batch(gen), cfg, gen, step))
             gen = rng_mod.substream(seed, rng_mod.TRAIN_STREAM, step)
             assert tuple(got) == reference.step(sampler.next_batch(gen), cfg, gen, step)
-        assert members[0].adam.step_counter == members[1].adam.step_counter == cfg.steps
+        assert [adam.step_counter for adam in bundle.adam] == [cfg.steps] * 2
 
-        bundle.adam.step_counter = members[0].adam.step_counter
         save_checkpoint(bundle, cfg.steps, tmp_path / "state.bin")
         saved = load_entries(tmp_path / "state.bin")
         reference.assert_saved(saved)
         if style_condition:  # theta1's null vector is dead weight: it and its moments stay as initialised
-            assert np.array_equal(saved["denoisers.null_condition"][0], initial["theta1.null_condition"][0])
+            assert np.array_equal(saved["denoisers.null_condition"][0], initial["theta1.null_condition"])
             for moment in ("moment1", "moment2"):
                 assert not np.any(saved[f"{moment}.denoisers.null_condition"][0])
         else:  # the bank is dead weight
@@ -365,7 +401,7 @@ class TestSplitTraining:
         for cpus in (1, 2):
             monkeypatch.setattr(parallel, "usable_cpus", lambda: cpus)
             corpus, bundle = tiny_setup()
-            bundle.denoisers.params["output_proj.bias"].data[1] = [np.nan, 0.0, 0.0]  # theta2's half
+            bundle.denoisers[1].params["output_proj.bias"].data[...] = [np.nan, 0.0, 0.0]
             with pytest.raises(ValueError, match="non-finite training loss at step 1: loss_c=") as raised:
                 train(bundle, corpus, TrainConfig(steps=3, batch_size=4), tmp_path / f"run{cpus}")
             messages.append(str(raised.value))
@@ -376,7 +412,7 @@ class TestSplitTraining:
     def test_non_finite_loss_is_the_cli_json_error(self, cli_inputs, tmp_path, monkeypatch, capsys, cpus):
         def poisoned(run, stats):
             bundle = training.build_models(run, stats)
-            bundle.denoisers.params["output_proj.bias"].data[1] = [np.nan, 0.0, 0.0]  # theta2's half
+            bundle.denoisers[1].params["output_proj.bias"].data[...] = [np.nan, 0.0, 0.0]
             return bundle
 
         monkeypatch.setattr(cli, "build_models", poisoned)
