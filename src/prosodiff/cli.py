@@ -164,6 +164,9 @@ def cmd_sample(args) -> None:
             raise CommandError(f"{flag} does not apply to --unconditional")
         if given and only_mode not in (None, mode):
             raise CommandError(f"{flag} is for --mode {only_mode} only, not {mode}")
+    for flag, given in (("--token-weights", args.token_weights is not None), ("--raw-weights", args.raw_weights)):
+        if given and args.token_id is not None:
+            raise CommandError(f"{flag} does not apply to --token-id")
     for flag, value in (
         ("--scale-pitch", args.scale_pitch),
         ("--scale-energy", args.scale_energy),

@@ -35,8 +35,8 @@ class DenoiserConfig:
     def __post_init__(self):
         if self.residual_layers < 1:
             raise ValueError("need at least one residual layer")
-        if self.kernel_size % 2 == 0:
-            raise ValueError("kernel size must be odd")
+        if self.kernel_size < 1 or self.kernel_size % 2 == 0:
+            raise ValueError(f"kernel size must be positive and odd, got {self.kernel_size}")
         if min(self.hidden_channels, self.time_embedding_dim, self.condition_dim) < 1:
             raise ValueError("hidden_channels, time_embedding_dim and condition_dim must be positive")
         if self.time_embedding_dim % 2 != 0:

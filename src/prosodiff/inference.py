@@ -53,12 +53,6 @@ def style_conditions(bundle: ModelBundle, references: list[np.ndarray]) -> list[
     return out
 
 
-def token_weights_of(bundle: ModelBundle, reference: np.ndarray) -> np.ndarray:
-    with no_grad():
-        _, w = encode_style(bundle.bank, bundle.stats.normalize(reference)[None])
-    return w.data[0]
-
-
 def generate(
     bundle: ModelBundle,
     texts: list[np.ndarray],

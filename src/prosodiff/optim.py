@@ -1,4 +1,8 @@
-"""Adaptive-moment (Adam) parameter updates, elementwise and in place."""
+"""Adaptive-moment (Adam) parameter updates, elementwise and in place.
+
+The state is two moments per parameter, and no step count: the caller
+passes the step that bias correction uses (training, its training step).
+"""
 
 from __future__ import annotations
 
@@ -11,24 +15,24 @@ from .engine import Tensor
 
 class AdamState:
     """Adam's optimiser state: first and second moments per parameter, in
-    the parameter's shape and keyed by its name, and one step counter
-    shared by every update."""
+    the parameter's shape and keyed by its name."""
 
     def __init__(self, params: dict[str, Tensor]):
         self.moment1 = {name: np.zeros(p.shape) for name, p in params.items()}
         self.moment2 = {name: np.zeros(p.shape) for name, p in params.items()}
-        self.step_counter = 0
 
 
 def optimizer_step(
     params: Iterable[tuple[str, Tensor]],
     state: AdamState,
     learning_rate: float,
+    step: int,
     beta1: float = 0.9,
     beta2: float = 0.999,
     epsilon: float = 1e-8,
 ) -> None:
-    """Apply one Adam update to every (name, parameter) pair, then clear gradients.
+    """Apply Adam update number ``step`` (counted from 1) to every (name,
+    parameter) pair, then clear gradients.
 
     Raises if any parameter is missing its gradient; a partial update
     would silently desynchronise the moment estimates.
@@ -38,8 +42,6 @@ def optimizer_step(
     if missing:
         raise ValueError(f"missing gradients for: {', '.join(missing)}")
 
-    state.step_counter += 1
-    t = state.step_counter
     for name, p in params:
         g = p.grad
         m, v = state.moment1[name], state.moment2[name]  # updated in place
@@ -47,8 +49,8 @@ def optimizer_step(
         m += (1.0 - beta1) * g
         v *= beta2
         v += (1.0 - beta2) * (g * g)
-        m_hat = m / (1.0 - beta1**t)
-        v_hat = v / (1.0 - beta2**t)
+        m_hat = m / (1.0 - beta1**step)
+        v_hat = v / (1.0 - beta2**step)
         update = learning_rate * m_hat / (np.sqrt(v_hat) + epsilon)
         p.data -= update
         p.zero_grad()

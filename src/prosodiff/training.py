@@ -5,11 +5,12 @@ one noise draw per example. The style-conditioned loss trains theta1 and
 the style bank, the unconditional loss trains theta2, and an
 adaptive-moment update applies to each. The two members share no state,
 so each trains in a loop of its own, drawing the same batch, t and noise
-from the step's substream. ``parallel.apart`` runs theta1's loop in this
-process and theta2's in a forked child with two usable CPUs, which sends
-its loss each step and its weights and moments at each checkpoint, or in
-this process after theta1's step on one. Either way the losses and
-checkpoints are bit-identical.
+from the step's substream, and hands over one value per step: its loss,
+with its weights and moments on a checkpoint step and on the run's last
+step. ``parallel.apart`` runs theta1's loop in this process and theta2's
+in a forked child with two usable CPUs, or in this process after
+theta1's step on one. Either way the losses and checkpoints are
+bit-identical.
 
 Every step draws from its own rng substream keyed by the step index, so a
 resumed run continues exactly where the checkpoint left off. A checkpoint
@@ -17,7 +18,9 @@ names each parameter once, under its bundle name (``denoisers.*``,
 ``bank.*``), with its Adam moments in the same shape (``moment1.*``,
 ``moment2.*``), next to the text embedder's table. An entry both members
 hold is saved as the [2, ...] stack of theta1's and theta2's arrays, and
-split into them again at load.
+split into them again at load. The training step is the only step count:
+Adam's bias correction reads it, and a checkpoint stores it as both
+``trainer.step`` and ``optim.step_counter``, which must agree at load.
 """
 
 from __future__ import annotations
@@ -158,11 +161,11 @@ class LengthBucketSampler:
 
 
 def train_step(
-    bundle: ModelBundle, index: int, batch: Batch, cfg: TrainConfig, gen: np.random.Generator, step: int = 1
+    bundle: ModelBundle, index: int, batch: Batch, cfg: TrainConfig, gen: np.random.Generator, step: int
 ) -> float:
-    """One optimization step of member ``index`` of the guided pair: theta1
-    with the bank, or theta2. Returns its loss; a non-finite loss updates
-    nothing."""
+    """Training step ``step`` (counted from 1) of member ``index`` of the
+    guided pair: theta1 with the bank, or theta2. Returns its loss; a
+    non-finite loss updates nothing."""
     if batch.x0.shape[0] == 0:
         raise ValueError("empty batch")
     t = gen.integers(1, bundle.schedule.step_count + 1, size=batch.x0.shape[0])
@@ -176,7 +179,7 @@ def train_step(
     value = loss.item()
     if math.isfinite(value):
         loss.backward()
-        optimizer_step(bundle.trainable_parameters(index), bundle.adam[index], cfg.rate_at(step))
+        optimizer_step(bundle.trainable_parameters(index), bundle.adam[index], cfg.rate_at(step), step)
     return value
 
 
@@ -206,19 +209,12 @@ def train(
     loops = [_member_loop(bundle, index, sampler, cfg, steps) for index in range(len(bundle.denoisers))]
 
     with apart(loops) as loops, open(loss_path, "w", newline="") as fh:
-        def take_trained() -> None:  # the members' trained arrays, into bundle
-            for index, loop in enumerate(loops):
-                live = _trained_arrays(bundle, index)
-                for name, value in next(loop).items():
-                    live[name][...] = value  # the same array where the member trained in this process
-            bundle.adam[1].step_counter = bundle.adam[0].step_counter  # theta2 may have counted in a child
-
         writer = csv.writer(fh)
         writer.writerow(["step", "loss_c", "loss_nc"])
         writer.writerows(kept)
         t_begin = time.time()
         for step in steps:
-            loss_c, loss_nc = (next(loop) for loop in loops)
+            (loss_c, handed), (loss_nc, handed_nc) = (next(loop) for loop in loops)
             if not (math.isfinite(loss_c) and math.isfinite(loss_nc)):
                 raise ValueError(f"non-finite training loss at step {step}: loss_c={loss_c}, loss_nc={loss_nc}")
             if step % cfg.log_every == 0 or step == 1 or step == cfg.steps:
@@ -226,10 +222,13 @@ def train(
                 if progress:
                     elapsed = time.time() - t_begin
                     print(f"step {step}/{cfg.steps} loss_c={loss_c:.4f} loss_nc={loss_nc:.4f} ({elapsed:.0f}s)")
-            if _checkpoints_at(cfg, step):
-                take_trained()
-                save_checkpoint(bundle, step, out_dir / f"ckpt_{step:06d}.bin")
-        take_trained()
+            if handed is not None:  # the members' state, into bundle
+                for index, arrays in enumerate((handed, handed_nc)):
+                    live = _member_arrays(bundle, index)
+                    for name, value in arrays.items():
+                        live[name][...] = value  # the same array where the member trained in this process
+                if step < cfg.steps:
+                    save_checkpoint(bundle, step, out_dir / f"ckpt_{step:06d}.bin")
     final = out_dir / "final.bin"
     save_checkpoint(bundle, cfg.steps, final)
     return final
@@ -237,20 +236,15 @@ def train(
 
 def _member_loop(
     bundle: ModelBundle, index: int, sampler: LengthBucketSampler, cfg: TrainConfig, steps: range
-) -> Iterator[float | dict[str, np.ndarray]]:
-    """Trains member ``index`` over steps: yields its loss after each step, and
-    its trained arrays after each checkpoint step and once more at the end."""
+) -> Iterator[tuple[float, dict[str, np.ndarray] | None]]:
+    """Trains member ``index`` over steps, yielding (loss, arrays) once per
+    step: arrays is its ``_member_arrays`` on a checkpoint step and on the
+    run's last step, and None otherwise."""
     for step in steps:
         gen = rng_mod.substream(bundle.seed, rng_mod.TRAIN_STREAM, step)
-        yield train_step(bundle, index, sampler.next_batch(gen), cfg, gen, step)
-        if _checkpoints_at(cfg, step):
-            yield _trained_arrays(bundle, index)
-    yield _trained_arrays(bundle, index)
-
-
-def _checkpoints_at(cfg: TrainConfig, step: int) -> bool:
-    """Whether step writes an intermediate checkpoint (the final one is always written)."""
-    return bool(cfg.checkpoint_every) and step % cfg.checkpoint_every == 0 and step < cfg.steps
+        loss = train_step(bundle, index, sampler.next_batch(gen), cfg, gen, step)
+        handed = step == cfg.steps or (cfg.checkpoint_every and step % cfg.checkpoint_every == 0)
+        yield loss, _member_arrays(bundle, index) if handed else None
 
 
 def _rows_up_to(loss_path: Path, step: int) -> list[list[str]]:
@@ -275,32 +269,30 @@ def _state_entries(bundle: ModelBundle) -> dict[str, tuple[np.ndarray, ...]]:
     then theta2's. Save reads these arrays and load writes into them."""
     entries = {"embedder.table": (bundle.embedder.table,)}
     for index in range(len(bundle.denoisers)):
-        for name, array in _live_arrays(bundle, index, bundle.named_parameters(index).items()).items():
+        for name, array in _member_arrays(bundle, index).items():
             entries[name] = entries.get(name, ()) + (array,)
     return entries
 
 
-def _trained_arrays(bundle: ModelBundle, index: int) -> dict[str, np.ndarray]:
-    """What a step of member ``index`` updates: its trainable parameters and their moments, as live arrays."""
-    return _live_arrays(bundle, index, bundle.trainable_parameters(index))
-
-
-def _live_arrays(bundle: ModelBundle, index: int, params) -> dict[str, np.ndarray]:
+def _member_arrays(bundle: ModelBundle, index: int) -> dict[str, np.ndarray]:
+    """Member ``index``'s live state: every named parameter's array, and its
+    Adam moments under moment1.<name> and moment2.<name>."""
     adam = bundle.adam[index]
-    views = {}
-    for name, p in params:
-        views[name] = p.data
-        views[f"moment1.{name}"] = adam.moment1[name]
-        views[f"moment2.{name}"] = adam.moment2[name]
-    return views
+    arrays = {}
+    for name, p in bundle.named_parameters(index).items():
+        arrays[name] = p.data
+        arrays[f"moment1.{name}"] = adam.moment1[name]
+        arrays[f"moment2.{name}"] = adam.moment2[name]
+    return arrays
 
 
 def save_checkpoint(bundle: ModelBundle, trainer_step: int, path: str | Path) -> None:
-    """Write the bundle's state; an entry both members hold is their [2, ...] stack."""
+    """Write the bundle's state; an entry both members hold is their [2, ...]
+    stack. Adam's step is the training step, stored under both names."""
     # save_entries turns a pair of arrays into their stack as it writes it, one entry at a time
     entries = {name: live[0] if len(live) == 1 else live for name, live in _state_entries(bundle).items()}
     entries["trainer.step"] = np.array(float(trainer_step))
-    entries["optim.step_counter"] = np.array(float(bundle.adam[0].step_counter))
+    entries["optim.step_counter"] = np.array(float(trainer_step))
     entries["norm.mean"] = bundle.stats.mean
     entries["norm.std"] = bundle.stats.std
     ckpt.save_entries(path, entries)
@@ -309,8 +301,9 @@ def save_checkpoint(bundle: ModelBundle, trainer_step: int, path: str | Path) ->
 def load_checkpoint(bundle: ModelBundle, path: str | Path) -> int:
     """Restore parameters, Adam state, the text embedder and statistics;
     returns the stored step. An entry the bundle does not have, a step
-    count that is not a non-negative integer, or a channel std below the
-    least ``compute_stats`` allows, is an error."""
+    count that is not a non-negative integer, an ``optim.step_counter``
+    other than ``trainer.step``, or a channel std below the least
+    ``compute_stats`` allows, is an error."""
     entries = ckpt.load_entries(path)
 
     def entry(key: str, shape: tuple[int, ...]) -> np.ndarray:
@@ -332,15 +325,14 @@ def load_checkpoint(bundle: ModelBundle, path: str | Path) -> int:
         shape = live[0].shape if len(live) == 1 else (len(live),) + live[0].shape
         for array, part in zip(live, entry(key, shape).reshape((len(live),) + live[0].shape)):
             array[...] = part
-    step_counter = count("optim.step_counter")
-    for adam in bundle.adam:
-        adam.step_counter = step_counter
+    step, adam_step = count("trainer.step"), count("optim.step_counter")
+    if adam_step != step:
+        raise ckpt.CheckpointError(f"{path}: optim.step_counter {adam_step} differs from trainer.step {step}")
     std = entry("norm.std", bundle.stats.std.shape)
     if np.any(std < MIN_STD):
         raise ckpt.CheckpointError(f"{path}: norm.std must be at least {MIN_STD}, got {std.tolist()}")
     # a new object: the bundle may share its statistics with the corpus it was built for
     bundle.stats = NormStats(entry("norm.mean", bundle.stats.mean.shape), std)
-    step = count("trainer.step")
     if entries:
         raise ckpt.CheckpointError(f"{path}: checkpoint has entries this model does not: {', '.join(sorted(entries))}")
     return step

@@ -178,10 +178,13 @@ class TestSample:
             (["--unconditional", "--mode", "diversified"], ["--mode", "--unconditional"]),
             (["--unconditional", "--reference", "REF"], ["--reference", "--unconditional"]),
             (["--unconditional", "--token-id", "1"], ["--token-id", "--unconditional"]),
+            (["--mode", "control", "--token-id", "1", "--token-weights", "0,0,1"], ["--token-weights", "--token-id"]),
+            (["--mode", "control", "--token-id", "1", "--raw-weights"], ["--raw-weights", "--token-id"]),
         ],
         ids=[
             "token-id-diversified", "token-weights-default-mode", "token-weights-transfer", "raw-weights-transfer",
             "unconditional-transfer", "unconditional-mode", "unconditional-reference", "unconditional-token-id",
+            "token-weights-with-token-id", "raw-weights-with-token-id",
         ],
     )
     def test_flags_outside_their_mode_rejected(self, workspace, tmp_path, capsys, flags, fragments):
@@ -738,6 +741,7 @@ class TestErrors:
             ({"train": {"lr_decay": "no"}}, "train.lr_decay"),
             ({"denoiser": {"dilation_cycle": [1.5, 2]}}, "denoiser.dilation_cycle"),
             ({"corpus": {"style_token_bias": 2}}, "style_token_bias"),
+            ({"denoiser": {"kernel_size": -1}}, "kernel size must be positive and odd"),
         ],
     )
     def test_malformed_config_value(self, tmp_path, capsys, data, fragment):

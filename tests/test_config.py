@@ -83,6 +83,9 @@ class TestRunConfig:
             {"train": {"batch_size": 2.0}},
             {"corpus": {"utterances_per_style": 10.0}},
             {"guidance": {"eta": None}},
+            # a kernel that is not a positive odd size
+            {"denoiser": {"kernel_size": -1}},
+            {"denoiser": {"kernel_size": -3}},
         ],
     )
     def test_malformed_config_rejected(self, data):

@@ -281,7 +281,7 @@ class TestOptimizer:
     def test_zero_gradient_leaves_parameters_unchanged(self):
         p = Tensor(np.array([1.0, -2.0, 3.0]))
         p.grad = np.zeros(3)
-        optimizer_step([("w", p)], AdamState({"w": p}), learning_rate=0.1)
+        optimizer_step([("w", p)], AdamState({"w": p}), learning_rate=0.1, step=1)
         np.testing.assert_array_equal(p.data, [1.0, -2.0, 3.0])
 
     def test_single_step_from_zero_moments(self):
@@ -290,17 +290,32 @@ class TestOptimizer:
         p = Tensor(np.zeros(3))
         p.grad = g.copy()
         lr, eps = 0.01, 1e-8
-        optimizer_step([("w", p)], AdamState({"w": p}), learning_rate=lr, epsilon=eps)
+        optimizer_step([("w", p)], AdamState({"w": p}), learning_rate=lr, step=1, epsilon=eps)
         np.testing.assert_allclose(p.data, -lr * g / (np.abs(g) + eps), rtol=1e-12)
+
+    @pytest.mark.parametrize("step", [2, 7, 1000])
+    def test_update_at_a_given_step_from_zero_moments(self, step):
+        # the bias correction reads the caller's step: m_hat = m / (1 - beta1**step), v_hat = v / (1 - beta2**step)
+        g = np.array([0.3, -0.7, 2.0])
+        p = Tensor(np.zeros(3))
+        p.grad = g.copy()
+        lr, beta1, beta2, eps = 0.01, 0.9, 0.999, 1e-8
+        state = AdamState({"w": p})
+        optimizer_step([("w", p)], state, learning_rate=lr, step=step, beta1=beta1, beta2=beta2, epsilon=eps)
+        m_hat = (1.0 - beta1) * g / (1.0 - beta1**step)
+        v_hat = (1.0 - beta2) * g * g / (1.0 - beta2**step)
+        np.testing.assert_allclose(p.data, -lr * m_hat / (np.sqrt(v_hat) + eps), rtol=1e-12)
+        np.testing.assert_allclose(state.moment1["w"], (1.0 - beta1) * g, rtol=1e-15)
+        np.testing.assert_allclose(state.moment2["w"], (1.0 - beta2) * g * g, rtol=1e-15)
 
     def test_constant_gradient_approaches_signed_learning_rate(self):
         g = np.array([0.5, -0.02])
         p = Tensor(np.zeros(2))
         state = AdamState({"w": p})
         previous = p.data.copy()
-        for _ in range(2000):
+        for step in range(1, 2001):
             p.grad = g.copy()
-            optimizer_step([("w", p)], state, learning_rate=1e-3)
+            optimizer_step([("w", p)], state, learning_rate=1e-3, step=step)
             delta = p.data - previous
             previous = p.data.copy()
         np.testing.assert_allclose(np.abs(delta), 1e-3, rtol=1e-3)
@@ -309,24 +324,23 @@ class TestOptimizer:
     def test_missing_gradient_raises(self):
         p = Tensor(np.zeros(2))
         with pytest.raises(ValueError, match="missing gradients for: w"):
-            optimizer_step([("w", p)], AdamState({"w": p}), learning_rate=0.1)
+            optimizer_step([("w", p)], AdamState({"w": p}), learning_rate=0.1, step=1)
 
     def test_updates_data_in_place(self):
         # a parameter that is a view of a shared array must keep writing into it
         shared = np.zeros((2, 3))
         p = Tensor(shared[1])
         p.grad = np.ones(3)
-        optimizer_step([("w", p)], AdamState({"w": p}), learning_rate=0.1)
+        optimizer_step([("w", p)], AdamState({"w": p}), learning_rate=0.1, step=1)
         assert p.data.base is shared
         assert np.all(shared[1] < 0) and np.all(shared[0] == 0)
 
-    def test_gradients_cleared_and_counter_incremented(self):
+    def test_gradients_cleared(self):
         p = Tensor(np.zeros(2))
         state = AdamState({"w": p})
         p.grad = np.ones(2)
-        optimizer_step([("w", p)], state, learning_rate=0.1)
+        optimizer_step([("w", p)], state, learning_rate=0.1, step=1)
         assert p.grad is None
-        assert state.step_counter == 1
 
 
 class TestCheckpointContainer:

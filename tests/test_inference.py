@@ -389,9 +389,3 @@ class TestStyleConditions:
         assert len(a) == 2
         assert a[0].shape == (6,)
         assert np.array_equal(a[0], b[0])
-
-    def test_token_weights_simplex(self, setup):
-        _, corpus, bundle = setup
-        w = inference.token_weights_of(bundle, corpus.utterances[0].prosody)
-        assert w.shape == (3,)
-        assert np.all(w >= 0) and abs(w.sum() - 1.0) < 1e-9

@@ -99,7 +99,9 @@ class TestCheckpointRoundTrip:
         for index in (0, 1):
             for name in bundle.named_parameters(index):
                 assert np.array_equal(bundle.adam[index].moment1[name], bundle2.adam[index].moment1[name])
-        assert [adam.step_counter for adam in bundle.adam + bundle2.adam] == [8] * 4
+                assert np.array_equal(bundle.adam[index].moment2[name], bundle2.adam[index].moment2[name])
+        saved = load_entries(final)
+        assert saved["optim.step_counter"] == saved["trainer.step"] == 8
 
     def test_resume_continues_step_counter(self, tmp_path):
         corpus, bundle = tiny_setup()
@@ -150,6 +152,18 @@ class TestCheckpointRoundTrip:
         with pytest.raises(CheckpointError, match=rf"bad\.bin: {re.escape(key)} must be a non-negative integer"):
             load_checkpoint(bundle, tmp_path / "bad.bin")
 
+    @pytest.mark.parametrize("adam_step, trainer_step", [(2, 3), (4, 3), (3, 0)])
+    def test_step_counts_that_differ_rejected(self, tmp_path, adam_step, trainer_step):
+        _, bundle = tiny_setup()
+        save_checkpoint(bundle, 3, tmp_path / "state.bin")
+        entries = load_entries(tmp_path / "state.bin")
+        assert entries["optim.step_counter"] == entries["trainer.step"] == 3
+        entries["optim.step_counter"], entries["trainer.step"] = np.array(adam_step), np.array(trainer_step)
+        save_entries(tmp_path / "bad.bin", entries)
+        message = rf"bad\.bin: optim\.step_counter {adam_step} differs from trainer\.step {trainer_step}$"
+        with pytest.raises(CheckpointError, match=message):
+            load_checkpoint(bundle, tmp_path / "bad.bin")
+
     @pytest.mark.parametrize("value", [0.0, -1.0])
     def test_std_below_the_standardising_bound_rejected(self, tmp_path, value):
         _, bundle = tiny_setup()
@@ -193,7 +207,7 @@ class TestCheckpointRoundTrip:
                 for moment in ("moment1", "moment2"):
                     got, want = (getattr(b.adam[index], moment)[name] for b in (loaded, bundle))
                     assert np.array_equal(got, want), moment + name
-            assert loaded.adam[index].step_counter == 3
+        assert saved["optim.step_counter"] == saved["trainer.step"] == 3
 
     @pytest.mark.parametrize("members", [1, 3])
     @pytest.mark.parametrize("key", ["denoisers.output_proj.weight", "moment2.denoisers.null_condition"])
@@ -330,7 +344,6 @@ class TestMemberTrainStep:
                 got.append(train_step(bundle, index, sampler.next_batch(gen), cfg, gen, step))
             gen = rng_mod.substream(seed, rng_mod.TRAIN_STREAM, step)
             assert tuple(got) == reference.step(sampler.next_batch(gen), cfg, gen, step)
-        assert [adam.step_counter for adam in bundle.adam] == [cfg.steps] * 2
 
         save_checkpoint(bundle, cfg.steps, tmp_path / "state.bin")
         saved = load_entries(tmp_path / "state.bin")
