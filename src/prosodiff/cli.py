@@ -81,6 +81,13 @@ def _load_trained(args) -> tuple[Corpus, ModelBundle, RunConfig]:
     return corpus, bundle, run
 
 
+def _floats(flag: str, text: str) -> list[float]:
+    try:  # an item that is not a number, a blank one too, names the flag
+        return [float(v) for v in text.split(",")]
+    except ValueError as exc:
+        raise CommandError(f"{flag}: {exc}") from None
+
+
 def _archive_config(run: RunConfig, out_dir: Path) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     run.save(out_dir / "resolved_config.json")
@@ -127,7 +134,7 @@ def _resolve_mode_conditions(args, bundle, corpus, run, n_samples):
         if args.token_id is not None:
             weights = one_hot_weights(args.token_id, k)
         elif args.token_weights:
-            weights = np.array([float(v) for v in args.token_weights.split(",")])
+            weights = np.array(_floats("--token-weights", args.token_weights))
             if len(weights) != k:
                 raise CommandError(f"need {k} token weights, got {len(weights)}")
             if not args.raw_weights:
@@ -159,6 +166,7 @@ def cmd_sample(args) -> None:
         ("--token-id", args.token_id is not None, "control"),
         ("--token-weights", args.token_weights is not None, "control"),
         ("--raw-weights", args.raw_weights, "control"),
+        ("--diagnostics", args.diagnostics, None),
     ):
         if given and args.unconditional:
             raise CommandError(f"{flag} does not apply to --unconditional")
@@ -200,13 +208,14 @@ def cmd_sample(args) -> None:
 
 
 def cmd_eval(args) -> None:
+    if args.sweep_utterances is not None and args.eta_sweep is None:
+        raise CommandError("--sweep-utterances is for --eta-sweep only")
     corpus, bundle, run = _load_trained(args)
     sweep = []
+    sweep_utterances = 24 if args.sweep_utterances is None else args.sweep_utterances
     if args.eta_sweep is not None:
-        sweep = [replace(run.guidance, eta=float(v)) for v in args.eta_sweep.split(",") if v.strip()]
-        if not sweep:
-            raise CommandError("empty eta sweep")
-        if args.sweep_utterances < 1:
+        sweep = [replace(run.guidance, eta=eta) for eta in _floats("--eta-sweep", args.eta_sweep)]
+        if sweep_utterances < 1:
             raise CommandError("--sweep-utterances must be at least 1")
     out_dir = Path(args.out)
     _archive_config(run, out_dir)
@@ -227,7 +236,7 @@ def cmd_eval(args) -> None:
 
     sweep_rows = []
     for params in sweep:
-        cv = evaluate.mean_cv(inference.reconstruct(bundle, val[: args.sweep_utterances], params, run.seed))
+        cv = evaluate.mean_cv(inference.reconstruct(bundle, val[:sweep_utterances], params, run.seed))
         sweep_rows.append((params.eta, cv[0], cv[1], cv[2]))
 
     with open(out_dir / "report.csv", "w", newline="") as fh:
@@ -360,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="JS divergence report and CV-vs-eta sweep")
     _add_trained_run_flags(p)
     p.add_argument("--eta-sweep", default=None, help="comma-separated guiding scales")
-    p.add_argument("--sweep-utterances", type=int, default=24)
+    p.add_argument("--sweep-utterances", type=int, default=None, help="val utterances per sweep scale, default 24")
     p.add_argument("--charts", action="store_true", help="emit SVG charts")
     p.set_defaults(func=cmd_eval)
 

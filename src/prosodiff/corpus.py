@@ -10,6 +10,7 @@ its own rng substream.
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import math
 from dataclasses import dataclass, field, asdict
@@ -208,17 +209,12 @@ def _assert_separation(corpus: Corpus) -> None:
 def compute_stats(utterances: list[Utterance]) -> NormStats:
     if not utterances:
         raise ValueError("cannot compute statistics of an empty corpus")
-    stats = _pooled_stats(utterances)
+    pooled = np.concatenate([u.prosody for u in utterances], axis=1)
+    stats = NormStats(mean=pooled.mean(axis=1), std=pooled.std(axis=1))
     if np.any(stats.std < MIN_STD):
         bad = CHANNEL_NAMES[int(np.argmin(stats.std))]
         raise ValueError(f"channel {bad} has zero variance; cannot standardise")
     return stats
-
-
-def _pooled_stats(utterances: list[Utterance]) -> NormStats:
-    """Per-channel mean and std over every position of utterances."""
-    pooled = np.concatenate([u.prosody for u in utterances], axis=1)
-    return NormStats(mean=pooled.mean(axis=1), std=pooled.std(axis=1))
 
 
 # persistence --------------------------------------------------------------
@@ -226,27 +222,22 @@ def _pooled_stats(utterances: list[Utterance]) -> NormStats:
 
 def _manifest(corpus: Corpus) -> dict:
     """The manifest.json document of corpus: save_corpus writes it, load_corpus requires it."""
-    val = corpus.split("val")
     return {
         "config": asdict(corpus.config),
         "seed": corpus.seed,
         "archetypes": [asdict(a) for a in default_archetypes(corpus.config.style_count)],
         "train_indices": corpus.train_indices,
         "val_indices": corpus.val_indices,
-        "stats": _stats_document(corpus.stats),
         "utterances": [
-            {"file": _utt_filename(i), "style_id": u.style_id, "length": u.length}
+            {"file": _utt_filename(i), "style_id": u.style_id, "length": u.length, "sha256": _sha256(u)}
             for i, u in enumerate(corpus.utterances)
         ],
-        # after utterances: a length edit names its file
-        "val_stats": _stats_document(_pooled_stats(val)) if val else None,
     }
 
 
-def _stats_document(stats: NormStats) -> dict:
-    """stats as the manifest stores them: the train split's are its
-    normalisation statistics, the val split's guard its files."""
-    return {"mean": stats.mean.tolist(), "std": stats.std.tolist()}
+def _sha256(utt: Utterance) -> str:
+    """sha256 of utt's phoneme ids as little-endian int64, then its [3, L] prosody as little-endian float64."""
+    return hashlib.sha256(utt.phoneme_ids.astype("<i8").tobytes() + utt.prosody.astype("<f8").tobytes()).hexdigest()
 
 
 def save_corpus(corpus: Corpus, directory: str | Path) -> None:
@@ -331,8 +322,6 @@ def _require_same(manifest: dict, expected: dict) -> None:
         got, want = manifest.get(key), expected.get(key)
         if canonical(got) == canonical(want):
             continue
-        if key in ("stats", "val_stats"):  # the CSV round trip is repr-exact, so the files were edited
-            raise ValueError("stored statistics disagree with utterance files")
         if key == "utterances" and isinstance(got, list) and len(got) == len(want):
             got, want = next((g, w) for g, w in zip(got, want) if canonical(g) != canonical(w))
             raise ValueError(f"{want['file']}: the manifest has {json.dumps(got)}, the file gives {json.dumps(want)}")

@@ -180,11 +180,12 @@ class TestSample:
             (["--unconditional", "--token-id", "1"], ["--token-id", "--unconditional"]),
             (["--mode", "control", "--token-id", "1", "--token-weights", "0,0,1"], ["--token-weights", "--token-id"]),
             (["--mode", "control", "--token-id", "1", "--raw-weights"], ["--raw-weights", "--token-id"]),
+            (["--unconditional", "--diagnostics"], ["--diagnostics", "--unconditional"]),
         ],
         ids=[
             "token-id-diversified", "token-weights-default-mode", "token-weights-transfer", "raw-weights-transfer",
             "unconditional-transfer", "unconditional-mode", "unconditional-reference", "unconditional-token-id",
-            "token-weights-with-token-id", "raw-weights-with-token-id",
+            "token-weights-with-token-id", "raw-weights-with-token-id", "unconditional-diagnostics",
         ],
     )
     def test_flags_outside_their_mode_rejected(self, workspace, tmp_path, capsys, flags, fragments):
@@ -345,6 +346,13 @@ class TestEval:
         ]
         assert main(argv) == 1
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("count", ["0", "24"])
+    def test_sweep_utterances_without_eta_sweep_rejected(self, workspace, tmp_path, capsys, count):
+        argv = ["eval", "--checkpoint", str(workspace["checkpoint"]), "--corpus", str(workspace["corpus"])]
+        argv += ["--out", str(tmp_path / "o"), "--sweep-utterances", count]
+        assert_json_error(main(argv), capsys, "--sweep-utterances", "--eta-sweep")
+        assert not (tmp_path / "o").exists()
 
 
 class TestPlotAndSchedule:
@@ -631,6 +639,39 @@ class TestErrors:
         argv = ["eval", "--checkpoint", str(workspace["checkpoint"]), "--corpus", str(workspace["corpus"])]
         assert_json_error(main(argv + ["--out", str(tmp_path / "o"), "--eta-sweep", "abc"]), capsys, "abc")
         assert not (tmp_path / "o" / "resolved_config.json").exists()
+
+    @pytest.mark.parametrize(
+        "command, flags",
+        [
+            ("eval", ["--eta-sweep", "1,x"]),
+            ("sample", ["--mode", "control", "--token-weights", "1,x,0"]),
+        ],
+        ids=["eta-sweep", "token-weights"],
+    )
+    def test_number_list_item_not_a_number_names_the_flag(self, workspace, tmp_path, capsys, command, flags):
+        argv = [command, "--checkpoint", str(workspace["checkpoint"]), "--corpus", str(workspace["corpus"])]
+        assert_json_error(main(argv + ["--out", str(tmp_path / "o"), *flags]), capsys, flags[-2], "'x'")
+        assert not (tmp_path / "o").exists()
+
+    def test_pre_digest_manifest_rejected(self, workspace, tmp_path, capsys):
+        # the layout before per-file digests: no sha256 in any entry, and each split's pooled statistics
+        corpus = tmp_path / "corpus"
+        shutil.copytree(workspace["corpus"], corpus)
+        manifest = json.loads((corpus / "manifest.json").read_text())
+        loaded = load_corpus(corpus)
+
+        def pooled(split):
+            values = np.concatenate([u.prosody for u in loaded.split(split)], axis=1)
+            return {"mean": values.mean(axis=1).tolist(), "std": values.std(axis=1).tolist()}
+
+        for entry in manifest["utterances"]:
+            entry.pop("sha256", None)
+        old = {key: manifest[key] for key in ("config", "seed", "archetypes", "train_indices", "val_indices")}
+        old |= {"stats": pooled("train"), "utterances": manifest["utterances"], "val_stats": pooled("val")}
+        (corpus / "manifest.json").write_text(json.dumps(old, indent=2) + "\n")
+        argv = ["sample", "--checkpoint", str(workspace["checkpoint"]), "--corpus", str(corpus)]
+        assert_json_error(main(argv + ["--out", str(tmp_path / "o")]), capsys, str(corpus))
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(
         "content",

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -197,7 +199,7 @@ class TestPersistence:
 
     @pytest.mark.parametrize("keep_rows", [0, 3])
     def test_val_file_shorter_than_manifest_length_rejected(self, tmp_path, keep_rows):
-        # the manifest compares lengths before the val split's statistics, so the message names the file
+        # the file's manifest entry gives its length and digest, so the message names the file
         corpus = generate_corpus(small_config(), seed=6)
         save_corpus(corpus, tmp_path / "c")
         name = f"utt_{corpus.val_indices[0]:05d}.csv"
@@ -219,18 +221,6 @@ class TestPersistence:
         with pytest.raises(ValueError, match="style_id"):
             load_corpus(tmp_path / "c")
 
-    def test_tampered_stats_detected(self, tmp_path):
-        import json
-
-        corpus = generate_corpus(small_config(), seed=6)
-        save_corpus(corpus, tmp_path / "c")
-        manifest_path = tmp_path / "c" / "manifest.json"
-        manifest = json.loads(manifest_path.read_text())
-        manifest["stats"]["mean"][0] += 1.0
-        manifest_path.write_text(json.dumps(manifest))
-        with pytest.raises(ValueError, match="statistics disagree"):
-            load_corpus(tmp_path / "c")
-
     @pytest.mark.parametrize("split", ["train", "val"])
     def test_edited_prosody_value_detected(self, tmp_path, split):
         corpus = generate_corpus(small_config(), seed=6)
@@ -240,11 +230,28 @@ class TestPersistence:
         ids, prosody = read_utterance_csv(path)
         prosody[1, 0] = 999.0  # the first energy value
         write_utterance_csv(path, ids, prosody)
-        with pytest.raises(ValueError, match="stored statistics disagree with utterance files"):
+        with pytest.raises(ValueError, match=f"utt_{index:05d}.csv: the manifest has"):
+            load_corpus(tmp_path / "c")
+
+    @pytest.mark.parametrize("split", ["train", "val"])
+    @pytest.mark.parametrize("edit", ["phoneme-id-in-vocabulary", "energy-swap"])
+    def test_edit_that_keeps_pooled_statistics_detected(self, tmp_path, edit, split):
+        # neither edit moves a split's pooled prosody statistics; each changes the file's digest
+        corpus = generate_corpus(small_config(), seed=6)
+        save_corpus(corpus, tmp_path / "c")
+        index = (corpus.train_indices if split == "train" else corpus.val_indices)[0]
+        path = tmp_path / "c" / f"utt_{index:05d}.csv"
+        ids, prosody = read_utterance_csv(path)
+        if edit == "phoneme-id-in-vocabulary":
+            ids[0] = (ids[0] + 1) % corpus.config.vocab_size
+        else:
+            prosody[1, [0, 1]] = prosody[1, [1, 0]]
+        write_utterance_csv(path, ids, prosody)
+        with pytest.raises(ValueError, match=f"utt_{index:05d}.csv: the manifest has"):
             load_corpus(tmp_path / "c")
 
     def test_out_of_vocabulary_phoneme_id_rejected(self, tmp_path):
-        # phoneme ids do not enter the stored statistics, so only the vocabulary check can catch one
+        # the vocabulary check reads each file before the digests are compared, so it names the range
         corpus = generate_corpus(small_config(), seed=6)
         save_corpus(corpus, tmp_path / "c")
         name = f"utt_{corpus.train_indices[0]:05d}.csv"
@@ -275,9 +282,14 @@ class TestPersistence:
         written = (tmp_path / "a" / "manifest.json").read_bytes()
         assert (tmp_path / "b" / "manifest.json").read_bytes() == written
         manifest = json.loads(written)
-        assert list(manifest) == ["config", "seed", "archetypes", "train_indices", "val_indices", "stats", "utterances", "val_stats"]
+        assert list(manifest) == ["config", "seed", "archetypes", "train_indices", "val_indices", "utterances"]
         assert manifest["config"]["length_range"] == [6, 12]
-        assert manifest["utterances"][37] == {"file": "utt_00037.csv", "style_id": 1, "length": corpus.utterances[37].length}
+        entry = manifest["utterances"][37]
+        assert list(entry) == ["file", "style_id", "length", "sha256"]
+        assert entry["file"] == "utt_00037.csv" and entry["style_id"] == 1
+        assert entry["length"] == corpus.utterances[37].length
+        ids, prosody = corpus.utterances[37].phoneme_ids, corpus.utterances[37].prosody
+        assert entry["sha256"] == hashlib.sha256(ids.astype("<i8").tobytes() + prosody.astype("<f8").tobytes()).hexdigest()
         for i in (0, 37, 79):
             name = f"utt_{i:05d}.csv"
             assert (tmp_path / "b" / name).read_bytes() == (tmp_path / "a" / name).read_bytes()
