@@ -28,7 +28,9 @@ from .charts import write_bar_chart, write_line_chart
 from .checkpoint import CheckpointError
 from .config import RunConfig
 from .corpus import (
+    CHANNEL_NAMES,
     Corpus,
+    NormStats,
     generate_corpus,
     load_corpus,
     read_utterance_csv,
@@ -54,26 +56,29 @@ def _with_flags(run: RunConfig, args) -> RunConfig:
     return run if seed is None else replace(run, seed=seed)
 
 
-def _reopen(args, checkpoint, corpus: Corpus) -> tuple[RunConfig, ModelBundle, int]:
+def _reopen(args, checkpoint) -> tuple[RunConfig, ModelBundle, int]:
     """The run archived next to checkpoint with the command's flags applied, its trained
-    bundle and the checkpoint's step. No flag may change a training ablation."""
+    bundle, statistics included, and the checkpoint's step. No flag may change a training
+    ablation."""
     archived = inference.archived_config(checkpoint)
     run = _with_flags(archived, args)
     for ablation in ("style_condition", "text_condition"):
         trained = getattr(archived.train, ablation)
         if trained != getattr(run.train, ablation):
             raise CommandError(f"{checkpoint} was trained with train.{ablation} {json.dumps(trained)}")
-    bundle = build_models(run, corpus.stats)
+    channels = len(CHANNEL_NAMES)
+    bundle = build_models(run, NormStats(np.zeros(channels), np.ones(channels)))  # load_checkpoint sets them
     return run, bundle, load_checkpoint(bundle, checkpoint)
 
 
 def _load_trained(args) -> tuple[Corpus, ModelBundle, RunConfig]:
-    """sample and eval's reopened checkpoint, style-conditioned unless sampling --unconditional.
-    The caller archives the config once its own inputs have been validated."""
-    corpus = load_corpus(args.corpus)
+    """sample and eval's corpus, of which only the val split is read, and reopened checkpoint,
+    style-conditioned unless sampling --unconditional. The caller archives the config once
+    its own inputs have been validated."""
+    corpus = load_corpus(args.corpus, "val")
     if not corpus.split("val"):
         raise CommandError(f"{args.corpus} has an empty val split; sample and eval draw from it")
-    run, bundle, _ = _reopen(args, args.checkpoint, corpus)
+    run, bundle, _ = _reopen(args, args.checkpoint)
     if not run.train.style_condition and not getattr(args, "unconditional", False):
         raise CommandError(
             f"{args.checkpoint} was trained with train.style_condition false; only sample --unconditional can use it"
@@ -108,7 +113,7 @@ def cmd_gen_data(args) -> None:
 def cmd_train(args) -> None:
     corpus = load_corpus(args.corpus)
     if args.resume:  # before archiving: --out may be the checkpoint's own directory
-        run, bundle, start = _reopen(args, args.resume, corpus)
+        run, bundle, start = _reopen(args, args.resume)
         if start >= run.train.steps:
             raise CommandError(f"checkpoint already at step {start}, nothing to train")
     else:

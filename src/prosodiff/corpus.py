@@ -10,10 +10,11 @@ its own rng substream.
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 from pathlib import Path
 
 import numpy as np
@@ -115,17 +116,21 @@ class CorpusConfig:
 class Corpus:
     config: CorpusConfig
     seed: int
-    utterances: list[Utterance]
+    utterances: list[Utterance | None]  # None where load_corpus read one split only
     train_indices: list[int]
     val_indices: list[int]
-    stats: NormStats = field(init=False)
-
-    def __post_init__(self):
-        self.stats = compute_stats([self.utterances[i] for i in self.train_indices])
 
     def split(self, name: str) -> list[Utterance]:
         indices = {"train": self.train_indices, "val": self.val_indices}[name]
-        return [self.utterances[i] for i in indices]
+        chosen = [self.utterances[i] for i in indices]
+        if None in chosen:
+            raise ValueError(f"the {name} split of this corpus was not loaded")
+        return chosen  # type: ignore[return-value]
+
+    @functools.cached_property
+    def stats(self) -> NormStats:
+        """The train split's statistics."""
+        return compute_stats(self.split("train"))
 
 
 def _style_phoneme_probs(style_id: int, config: CorpusConfig) -> np.ndarray:
@@ -221,17 +226,20 @@ def compute_stats(utterances: list[Utterance]) -> NormStats:
 
 
 def _manifest(corpus: Corpus) -> dict:
-    """The manifest.json document of corpus: save_corpus writes it, load_corpus requires it."""
+    """The manifest.json document of corpus: save_corpus writes it, load_corpus requires it.
+    An utterance that was not loaded gives only its file and style_id."""
+
+    def entry(i: int, u: Utterance | None) -> dict:
+        named = {"file": _utt_filename(i), "style_id": i // corpus.config.utterances_per_style}
+        return named if u is None else named | {"length": u.length, "sha256": _sha256(u)}
+
     return {
         "config": asdict(corpus.config),
         "seed": corpus.seed,
         "archetypes": [asdict(a) for a in default_archetypes(corpus.config.style_count)],
         "train_indices": corpus.train_indices,
         "val_indices": corpus.val_indices,
-        "utterances": [
-            {"file": _utt_filename(i), "style_id": u.style_id, "length": u.length, "sha256": _sha256(u)}
-            for i, u in enumerate(corpus.utterances)
-        ],
+        "utterances": [entry(i, u) for i, u in enumerate(corpus.utterances)],
     }
 
 
@@ -283,46 +291,72 @@ def read_utterance_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
     return ids, prosody
 
 
-def load_corpus(directory: str | Path) -> Corpus:
+def load_corpus(directory: str | Path, split: str | None = None) -> Corpus:
     """The corpus save_corpus wrote to directory, rebuilt from the manifest's config and seed
-    and the files they name; an edit to the manifest or the files is rejected."""
+    and the files they name; an edit to the manifest or the files read is rejected.
+
+    split "train" or "val" reads, hashes and parses only that split's files
+    (the others stay None); None reads every file. Every manifest key, and
+    every entry's file and style_id, is checked either way; an entry's
+    length and sha256 only when its file is read."""
     directory = Path(directory)
     try:
         with open(directory / "manifest.json") as fh:
             manifest = json.load(fh)
         if not isinstance(manifest, dict):
             raise ValueError("manifest.json must be a JSON object")
+        if _pre_digest(manifest):
+            raise ValueError(
+                "manifest.json is in the layout written before per-file digests (no sha256 in its entries); "
+                "rerun gen-data with the same config and seed to rebuild the corpus"
+            )
         config = from_json(CorpusConfig(), manifest.get("config"), "config")
         seed = from_json(0, manifest.get("seed"), "seed")
         if seed < 0:
             raise ValueError("seed must be >= 0")
     except ValueError as exc:
         raise ValueError(f"{directory}: {exc}") from None
-    utterances = []
-    for i in range(config.style_count * config.utterances_per_style):
+    train_indices, val_indices = _split(config, seed)
+    utterances: list[Utterance | None] = [None] * (config.style_count * config.utterances_per_style)
+    read = range(len(utterances)) if split is None else {"train": train_indices, "val": val_indices}[split]
+    for i in read:
         path = directory / _utt_filename(i)
         ids, prosody = read_utterance_csv(path)
         if ids.min() < 0 or ids.max() >= config.vocab_size:
             raise ValueError(f"{path}: phoneme id outside 0..{config.vocab_size - 1}")
-        utterances.append(Utterance(phoneme_ids=ids, prosody=prosody, style_id=i // config.utterances_per_style))
+        utterances[i] = Utterance(phoneme_ids=ids, prosody=prosody, style_id=i // config.utterances_per_style)
+    corpus = Corpus(config, seed, utterances, train_indices, val_indices)
     try:
-        corpus = Corpus(config, seed, utterances, *_split(config, seed))
         _require_same(manifest, _manifest(corpus))
     except ValueError as exc:
         raise ValueError(f"{directory}: {exc}") from None
     return corpus
 
 
+def _pre_digest(manifest: dict) -> bool:
+    """Whether manifest has the layout written before per-file digests: the
+    stats and val_stats keys, or an utterance entry without sha256."""
+    entries = manifest.get("utterances")
+    old_entry = isinstance(entries, list) and any(isinstance(e, dict) and "sha256" not in e for e in entries)
+    return old_entry or "stats" in manifest or "val_stats" in manifest
+
+
 def _require_same(manifest: dict, expected: dict) -> None:
-    """Raises naming the first key, or utterance file, where manifest is not expected."""
+    """Raises naming the first key, or utterance file, where manifest is not
+    expected; an entry that gives only file and style_id (its file was not
+    read) is compared on those two keys."""
     def canonical(value) -> str:  # JSON with sorted keys, in which 1, 1.0 and true stay distinct
         return json.dumps(value, sort_keys=True)
 
     for key in expected | manifest:  # expected's keys in order, then any unknown ones
         got, want = manifest.get(key), expected.get(key)
+        entries = key == "utterances" and isinstance(got, list) and len(got) == len(want)
+        if entries:
+            got = [{k: g.get(k) for k in w} if isinstance(g, dict) and "sha256" not in w else g for g, w in zip(got, want)]
         if canonical(got) == canonical(want):
             continue
-        if key == "utterances" and isinstance(got, list) and len(got) == len(want):
+        if entries:
             got, want = next((g, w) for g, w in zip(got, want) if canonical(g) != canonical(w))
-            raise ValueError(f"{want['file']}: the manifest has {json.dumps(got)}, the file gives {json.dumps(want)}")
+            source = "the file gives" if "sha256" in want else "its config and seed give"
+            raise ValueError(f"{want['file']}: the manifest has {json.dumps(got)}, {source} {json.dumps(want)}")
         raise ValueError(f"manifest key {key} is not what its config, seed and utterance files give")

@@ -8,16 +8,28 @@ step's noise from its own rng substream keyed by (seed, length), in the
 shapes and order of a chain of that group alone, so a text's draws do not
 depend on which other lengths share its request or its chain.
 
-A request's chains run in shares, one per usable CPU (at most one per
-chain), each share a loop that ``parallel.apart`` runs: share 0 in this
-process and each other share in a forked child, which yields its outcomes
-once, when its chains are done. No chain reads what another writes, and
-results and diagnostics are gathered in chain order, so the outputs do
-not depend on the share count. One share forks nothing.
+A chain runs as one or more pieces. While a request has fewer pieces than
+usable CPUs, its costliest piece (rows times its chain's longest length)
+that holds two or more length groups is split at the group boundary
+nearest half its rows; so a request with at least as many chains as CPUs
+runs each chain whole, and no request has more pieces than length groups.
+Every piece stays padded to its chain's longest text and keeps each
+group's own generator, so each row meets the same array shapes and draws
+as in the whole chain, and its result is the same to the bit (padded to
+its own longest text instead, a piece's samples moved in the last bits).
+
+The pieces run in shares, one per usable CPU (at most one per piece),
+each share a loop that ``parallel.apart`` runs: share 0 in this process
+and each other share in a forked child, which yields its outcomes once,
+when its pieces are done. No piece reads what another writes, and results
+and diagnostics are gathered in chain and row order, a split chain's
+diagnostics merged per step, so the outputs do not depend on the CPU
+count. One share forks nothing.
 """
 
 from __future__ import annotations
 
+from dataclasses import astuple
 from pathlib import Path
 from typing import Iterator
 
@@ -28,7 +40,7 @@ from . import rng as rng_mod
 from .config import RunConfig
 from .corpus import Utterance
 from .engine import no_grad
-from .guidance import GuidanceParams, sample
+from .guidance import GuidanceParams, RescaleDiagnostics, sample
 from .style import encode_style
 from .training import ModelBundle
 
@@ -68,8 +80,12 @@ def generate(
     embedder, so a text-ablated bundle samples without its text.
     diagnostics, if given, receives (t, text indices, RescaleDiagnostics)
     per guided step of each chain, one diagnostics row per listed text, in
-    chain row order. The chains run on every usable CPU (see the module
-    docstring); samples and diagnostics are the same whatever their number.
+    chain row order, a split chain's pieces merged. A request is split
+    into pieces, each padded to its chain's longest text, until every
+    usable CPU has one or every piece is one length group; a request of at
+    least as many chains as CPUs runs each chain whole (see the module
+    docstring). Samples and diagnostics are the same to the bit whatever
+    the CPU count.
     """
     if conditions is not None and len(conditions) != len(texts):
         raise ValueError("need one style condition per text")
@@ -78,45 +94,54 @@ def generate(
         if len(ids) == 0:
             raise ValueError(f"text {i} is empty")
         by_length.setdefault(len(ids), []).append(i)
+    cpus = parallel.usable_cpus()
     chains = _pack_chains(by_length)
-    rows = [[i for length in chain for i in by_length[length]] for chain in chains]
+    pieces = _split_chains(chains, by_length, cpus)
 
-    def run_chain(k: int) -> tuple[np.ndarray, list | None]:
-        chain, indices = chains[k], rows[k]
+    def rows(lengths: list[int]) -> list[int]:
+        return [i for n in lengths for i in by_length[n]]
+
+    def run_piece(p: int) -> tuple[np.ndarray, list | None]:
+        k, piece = pieces[p]
+        indices = rows(piece)
         lengths = np.array([len(texts[i]) for i in indices])
-        ids = np.zeros((len(indices), chain[-1]), dtype=np.int64)  # padded with id 0
+        ids = np.zeros((len(indices), chains[k][-1]), dtype=np.int64)  # padded with id 0 to its chain's longest
         for row, i in enumerate(indices):
             ids[row, : lengths[row]] = texts[i]
         y = bundle.embedder.embed(ids)
         c = np.stack([conditions[i] for i in indices]) if conditions is not None else None
         noise = ChainNoise(
-            [(rng_mod.substream(seed, rng_mod.SAMPLE_STREAM, n), len(by_length[n]), n) for n in chain]
+            [(rng_mod.substream(seed, rng_mod.SAMPLE_STREAM, n), len(by_length[n]), n) for n in piece]
         )
         steps: list | None = None if diagnostics is None else []
         return sample(bundle.denoisers, bundle.schedule, y, c, guidance, noise, steps, lengths), steps
 
-    costs = [len(indices) * chain[-1] for chain, indices in zip(chains, rows)]
-    shares = _balanced_shares(costs, parallel.usable_cpus())
+    costs = [len(rows(piece)) * chains[k][-1] for k, piece in pieces]
+    shares = _balanced_shares(costs, cpus)
 
     def run_share(share: list[int]) -> Iterator[dict]:  # one value: a child never waits on a full pipe
-        yield {k: run_chain(k) for k in share}
+        yield {p: run_piece(p) for p in share}
 
     with parallel.apart([run_share(share) for share in shares]) as loops:
-        outcomes = {k: outcome for loop in loops for part in loop for k, outcome in part.items()}
+        outcomes = {p: outcome for loop in loops for part in loop for p, outcome in part.items()}
     results: list[np.ndarray | None] = [None] * len(texts)
-    for k, indices in enumerate(rows):
-        batch, steps = outcomes[k]
+    for k, chain in enumerate(chains):
+        parts = [outcomes[p] for p, (kp, _) in enumerate(pieces) if kp == k]
+        indices = rows(chain)
         if diagnostics is not None:
-            diagnostics.extend((t, indices, diag) for t, diag in steps)
+            for per_piece in zip(*(steps for _, steps in parts)):  # one (t, diagnostics) per piece
+                merged = [np.concatenate(arrays) for arrays in zip(*(astuple(diag) for _, diag in per_piece))]
+                diagnostics.append((per_piece[0][0], indices, RescaleDiagnostics(*merged)))
+        batch = np.concatenate([batch for batch, _ in parts])
         for row, i in enumerate(indices):
             results[i] = batch[row, :, : len(texts[i])]
     return results  # type: ignore[return-value]
 
 
 def _balanced_shares(costs: list[int], count: int) -> list[list[int]]:
-    """Chain indices in min(count, chains) shares, at least one: largest cost
-    first, each to the least-loaded share (ties to the earlier chain and the
-    lower share); each share lists its chains in chain order."""
+    """Piece indices in min(count, pieces) shares, at least one: largest cost
+    first, each to the least-loaded share (ties to the earlier piece and the
+    lower share); each share lists its pieces in piece order."""
     shares: list[list[int]] = [[] for _ in range(max(1, min(count, len(costs))))]
     loads = [0] * len(shares)
     for k in sorted(range(len(costs)), key=lambda k: -costs[k]):
@@ -124,6 +149,27 @@ def _balanced_shares(costs: list[int], count: int) -> list[list[int]]:
         shares[share].append(k)
         loads[share] += costs[k]
     return [sorted(share) for share in shares]
+
+
+def _split_chains(chains: list[list[int]], by_length: dict[int, list[int]], count: int) -> list[tuple[int, list[int]]]:
+    """(chain index, lengths) of each piece, in chain and row order: each
+    chain whole, then, while fewer than count pieces, the costliest piece of
+    two or more groups (the earlier on a tie) split at the group boundary
+    nearest half its rows (the earlier on a tie)."""
+    pieces = [(k, chain) for k, chain in enumerate(chains)]
+
+    def row_count(lengths: list[int]) -> int:
+        return sum(len(by_length[n]) for n in lengths)
+
+    while len(pieces) < count:
+        splittable = [p for p, (_, lengths) in enumerate(pieces) if len(lengths) > 1]
+        if not splittable:
+            break
+        p = max(splittable, key=lambda p: row_count(pieces[p][1]) * chains[pieces[p][0]][-1])
+        k, lengths = pieces[p]
+        cut = min(range(1, len(lengths)), key=lambda b: abs(2 * row_count(lengths[:b]) - row_count(lengths)))
+        pieces[p : p + 1] = [(k, lengths[:cut]), (k, lengths[cut:])]
+    return pieces
 
 
 def _pack_chains(by_length: dict[int, list[int]]) -> list[list[int]]:

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import contextlib
 import ctypes
+import functools
 import multiprocessing
 import os
 from typing import Iterator
@@ -105,10 +106,12 @@ def _one_blas_thread() -> Iterator[None]:
         set_threads(before)
 
 
+@functools.cache
 def _openblas_threads():
     """The (get, set) thread-count functions of the OpenBLAS this process has
     loaded (numpy's), or None where there is none or the platform cannot list
-    the loaded libraries."""
+    the loaded libraries; looked up once per process (numpy is loaded before
+    the first call)."""
     try:
         with open("/proc/self/maps") as fh:
             paths = sorted({line.split()[-1] for line in fh if "openblas" in line})

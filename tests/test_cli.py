@@ -4,6 +4,7 @@ import shutil
 import subprocess
 import sys
 from dataclasses import replace
+from pathlib import Path
 from xml.etree import ElementTree
 
 import numpy as np
@@ -472,6 +473,58 @@ class TestStyleAblatedCheckpoint:
         assert all(np.all(np.isfinite(read_utterance_csv(f)[1])) for f in samples)
 
 
+# edits of a corpus manifest, each of which loading rejects (see edited_manifest_copy)
+MANIFEST_EDITS = [
+    lambda m: m["config"].update(colour=1),
+    lambda m: m["archetypes"][0].update(colour=1),
+    lambda m: m["train_indices"].append(len(m["utterances"])),
+    lambda m: m["val_indices"].append(-1),
+    lambda m: m.__delitem__("seed"),
+    lambda m: m.update(seed="abc"),
+    lambda m: m["config"].update(vocab_size=12.5),
+    lambda m: m["config"].update(utterances_per_style=8.0),
+    lambda m: m["val_indices"].append(m["train_indices"][0]),
+    lambda m: m["val_indices"].append(m["val_indices"][0]),
+    lambda m: m["utterances"][0].update(file="../elsewhere.csv"),
+    lambda m: m["archetypes"][0].update(pitch_base=5.0),
+    lambda m: m.update(config=[1]),
+    lambda m: [],
+    lambda m: m.update(colour=1),
+    lambda m: m.update(seed=-1),
+]
+MANIFEST_EDIT_IDS = [
+    "config-key",
+    "archetype-key",
+    "train-index",
+    "val-index",
+    "seed-missing",
+    "seed-string",
+    "vocab-size-float",
+    "utterances-per-style-float",
+    "val-overlaps-train",
+    "val-duplicate",
+    "file-outside-corpus",
+    "archetype-value",
+    "config-not-object",
+    "manifest-not-object",
+    "unknown-key",
+    "seed-negative",
+]
+
+
+def edited_manifest_copy(workspace, tmp_path, edit):
+    """A copy of the workspace corpus whose manifest edit changed in place, or
+    replaced by the document edit returned, next to a readable utterance file
+    outside it."""
+    corpus = tmp_path / "corpus"
+    shutil.copytree(workspace["corpus"], corpus)
+    shutil.copy(corpus / "utt_00000.csv", tmp_path / "elsewhere.csv")
+    manifest = json.loads((corpus / "manifest.json").read_text())
+    replaced = edit(manifest)
+    (corpus / "manifest.json").write_text(json.dumps(manifest if replaced is None else replaced))
+    return corpus
+
+
 def assert_json_error(code, capsys, *fragments):
     """Exit code 1 and exactly one JSON line on stderr whose error mentions every fragment."""
     assert code == 1
@@ -669,9 +722,68 @@ class TestErrors:
         old = {key: manifest[key] for key in ("config", "seed", "archetypes", "train_indices", "val_indices")}
         old |= {"stats": pooled("train"), "utterances": manifest["utterances"], "val_stats": pooled("val")}
         (corpus / "manifest.json").write_text(json.dumps(old, indent=2) + "\n")
+        # named as the old layout, with the way to rebuild it, whether one split is read or both
+        old_layout = ("layout written before per-file digests", "rerun gen-data with the same config and seed")
         argv = ["sample", "--checkpoint", str(workspace["checkpoint"]), "--corpus", str(corpus)]
-        assert_json_error(main(argv + ["--out", str(tmp_path / "o")]), capsys, str(corpus))
+        assert_json_error(main(argv + ["--out", str(tmp_path / "o")]), capsys, str(corpus), *old_layout)
         assert not (tmp_path / "o").exists()
+        argv = ["train", "--config", str(workspace["config"]), "--corpus", str(corpus), "--quiet"]
+        assert_json_error(main(argv + ["--out", str(tmp_path / "o")]), capsys, str(corpus), *old_layout)
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("key", ["stats", "sha256"])
+    def test_one_old_layout_mark_rejected(self, workspace, tmp_path, capsys, key):
+        # either mark of the old layout alone, in an entry of a file that sample does not read
+        train_index = load_corpus(workspace["corpus"]).train_indices[0]
+
+        def edit(manifest):
+            if key == "stats":
+                manifest["stats"] = {"mean": [0.0] * 3, "std": [1.0] * 3}
+            else:
+                del manifest["utterances"][train_index]["sha256"]
+
+        corpus = edited_manifest_copy(workspace, tmp_path, edit)
+        argv = ["sample", "--checkpoint", str(workspace["checkpoint"]), "--corpus", str(corpus)]
+        assert_json_error(main(argv + ["--out", str(tmp_path / "o")]), capsys, "before per-file digests", "gen-data")
+
+    @pytest.mark.parametrize("command", ["sample", "eval"])
+    def test_sample_and_eval_open_no_train_file(self, workspace, tmp_path, monkeypatch, command):
+        corpus = load_corpus(workspace["corpus"])
+        train_files = {f"utt_{i:05d}.csv" for i in corpus.train_indices}
+        val_files = {f"utt_{i:05d}.csv" for i in corpus.val_indices}
+        opened = []
+        real_open = open
+
+        def spy(file, *args, **kwargs):
+            opened.append(Path(str(file)).name)  # a forked child's pipe opens an int descriptor
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr("builtins.open", spy)
+        argv = [command, "--checkpoint", str(workspace["checkpoint"]), "--corpus", str(workspace["corpus"])]
+        assert main(argv + ["--out", str(tmp_path / "o")]) == 0
+        assert val_files <= set(opened) and not train_files & set(opened)
+
+    @pytest.mark.parametrize("split", ["train", "val"])
+    def test_file_edit_rejected_by_each_command_that_reads_it(self, workspace, tmp_path, capsys, split):
+        # train reads both splits, sample and eval the val split alone
+        corpus = tmp_path / "corpus"
+        shutil.copytree(workspace["corpus"], corpus)
+        loaded = load_corpus(corpus)
+        name = f"utt_{(loaded.train_indices if split == 'train' else loaded.val_indices)[0]:05d}.csv"
+        ids, prosody = read_utterance_csv(corpus / name)
+        prosody[1, 0] += 1.0
+        write_utterance_csv(corpus / name, ids, prosody)
+        for command in ("train", "sample", "eval"):
+            if command == "train":
+                argv = ["train", "--config", str(workspace["config"]), "--quiet"]
+            else:
+                argv = [command, "--checkpoint", str(workspace["checkpoint"])]
+            code = main(argv + ["--corpus", str(corpus), "--out", str(tmp_path / command)])
+            if command == "train" or split == "val":
+                assert_json_error(code, capsys, str(corpus), f"{name}: the manifest has")
+                assert not (tmp_path / command).exists()
+            else:
+                assert code == 0
 
     @pytest.mark.parametrize(
         "content",
@@ -690,55 +802,19 @@ class TestErrors:
         code = main(["plot", "--input", str(src), "--out", str(tmp_path / "x.svg")])
         assert_json_error(code, capsys, "loss.csv")
 
-    @pytest.mark.parametrize(
-        "edit",
-        [
-            lambda m: m["config"].update(colour=1),
-            lambda m: m["archetypes"][0].update(colour=1),
-            lambda m: m["train_indices"].append(len(m["utterances"])),
-            lambda m: m["val_indices"].append(-1),
-            lambda m: m.__delitem__("seed"),
-            lambda m: m.update(seed="abc"),
-            lambda m: m["config"].update(vocab_size=12.5),
-            lambda m: m["config"].update(utterances_per_style=8.0),
-            lambda m: m["val_indices"].append(m["train_indices"][0]),
-            lambda m: m["val_indices"].append(m["val_indices"][0]),
-            lambda m: m["utterances"][0].update(file="../elsewhere.csv"),
-            lambda m: m["archetypes"][0].update(pitch_base=5.0),
-            lambda m: m.update(config=[1]),
-            lambda m: [],
-            lambda m: m.update(colour=1),
-            lambda m: m.update(seed=-1),
-        ],
-        ids=[
-            "config-key",
-            "archetype-key",
-            "train-index",
-            "val-index",
-            "seed-missing",
-            "seed-string",
-            "vocab-size-float",
-            "utterances-per-style-float",
-            "val-overlaps-train",
-            "val-duplicate",
-            "file-outside-corpus",
-            "archetype-value",
-            "config-not-object",
-            "manifest-not-object",
-            "unknown-key",
-            "seed-negative",
-        ],
-    )
+    @pytest.mark.parametrize("edit", MANIFEST_EDITS, ids=MANIFEST_EDIT_IDS)
     def test_malformed_manifest(self, workspace, tmp_path, capsys, edit):
-        # edit changes the manifest in place, or returns the document to write instead
-        corpus = tmp_path / "corpus"
-        shutil.copytree(workspace["corpus"], corpus)
-        shutil.copy(corpus / "utt_00000.csv", tmp_path / "elsewhere.csv")  # a readable file outside the corpus
-        manifest = json.loads((corpus / "manifest.json").read_text())
-        replaced = edit(manifest)
-        (corpus / "manifest.json").write_text(json.dumps(manifest if replaced is None else replaced))
+        corpus = edited_manifest_copy(workspace, tmp_path, edit)
         argv = ["train", "--config", str(workspace["config"]), "--corpus", str(corpus), "--out", str(tmp_path / "o")]
         assert_json_error(main(argv + ["--quiet"]), capsys, str(corpus))
+
+    @pytest.mark.parametrize("edit", MANIFEST_EDITS, ids=MANIFEST_EDIT_IDS)
+    def test_malformed_manifest_rejected_by_sample(self, workspace, tmp_path, capsys, edit):
+        # sample reads only the val files, yet every manifest edit is still found
+        corpus = edited_manifest_copy(workspace, tmp_path, edit)
+        argv = ["sample", "--checkpoint", str(workspace["checkpoint"]), "--corpus", str(corpus)]
+        assert_json_error(main(argv + ["--out", str(tmp_path / "o")]), capsys, str(corpus))
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("rate", ["nan", "inf", "-1", "0"])
     def test_bad_learning_rate(self, workspace, tmp_path, capsys, rate):

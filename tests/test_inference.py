@@ -250,6 +250,65 @@ class TestShares:
             for name in ("sigma_cond", "sigma_cfg", "applied_ratio"):
                 assert np.array_equal(getattr(d1, name), getattr(d3, name))
 
+    def test_split_chains(self):
+        by_length = {4: [0] * 10, 5: [0] * 10, 6: [0] * 10, 7: [0] * 3}  # only the group sizes matter
+        assert inference._split_chains([[4], [5], [6, 7]], by_length, 2) == [(0, [4]), (1, [5]), (2, [6, 7])]
+        # the costliest piece of two or more groups is split at the boundary nearest half its rows
+        assert inference._split_chains([[4, 5, 6, 7]], by_length, 2) == [(0, [4, 5]), (0, [6, 7])]
+        assert inference._split_chains([[4, 5, 6, 7]], by_length, 3) == [(0, [4]), (0, [5]), (0, [6, 7])]
+        # never more pieces than length groups
+        assert inference._split_chains([[4, 5], [6]], by_length, 8) == [(0, [4]), (0, [5]), (1, [6])]
+        assert inference._split_chains([[4]], by_length, 3) == [(0, [4])]
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_one_chain_request_split_over_cpus(self, random_bundle, monkeypatch, tmp_path, cpus):
+        # MIXED_LENGTHS packs into one chain of 8 rows in 5 length groups: 3, 1, 1, 2 and 1 rows
+        texts = random_texts(MIXED_LENGTHS)
+        conds = list(np.random.default_rng(1).standard_normal((len(texts), 6)))
+        calls = tmp_path / "calls"
+
+        def spy(denoisers, schedule, y, *args):
+            with open(calls, "a") as fh:
+                fh.write(f"{os.getpid()} {y.shape[0]} {y.shape[1]}\n")
+            return sample(denoisers, schedule, y, *args)
+
+        monkeypatch.setattr(inference, "sample", spy)
+        runs = []
+        for count in (1, cpus):
+            monkeypatch.setattr(parallel, "usable_cpus", lambda: count)
+            calls.write_text("")
+            diagnostics = []
+            samples = inference.generate(random_bundle, texts, conds, GuidanceParams(eta=2.0), 4, diagnostics)
+            runs.append((samples, diagnostics, [line.split() for line in calls.read_text().splitlines()]))
+            assert_no_child_process()
+        (samples1, diagnostics1, calls1), (samples_n, diagnostics_n, calls_n) = runs
+        assert [(rows, length) for _, rows, length in calls1] == [("8", "12")]
+        assert len(calls_n) == len({pid for pid, _, _ in calls_n}) == cpus  # one piece per process
+        assert sorted(int(rows) for _, rows, _ in calls_n) == ([4, 4] if cpus == 2 else [1, 3, 4])
+        assert all(length == "12" for _, _, length in calls_n)  # each piece padded to its chain's longest
+        assert all(np.array_equal(a, b) for a, b in zip(samples1, samples_n))
+        assert len(diagnostics1) == len(diagnostics_n) == random_bundle.schedule.step_count
+        for (t1, rows1, d1), (tn, rows_n, dn) in zip(diagnostics1, diagnostics_n):
+            assert (t1, rows1) == (tn, rows_n) and len(rows1) == 8
+            for name in ("sigma_cond", "sigma_cfg", "applied_ratio"):
+                assert np.array_equal(getattr(d1, name), getattr(dn, name))
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_request_with_a_chain_per_cpu_is_not_split(self, random_bundle, monkeypatch, tmp_path, cpus):
+        calls = tmp_path / "calls"
+
+        def spy(denoisers, schedule, y, *args):
+            with open(calls, "a") as fh:
+                fh.write(f"{y.shape[0]}\n")
+            return sample(denoisers, schedule, y, *args)
+
+        monkeypatch.setattr(inference, "sample", spy)
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: cpus)
+        calls.write_text("")
+        inference.generate(random_bundle, random_texts(THREE_CHAIN_LENGTHS), None, GuidanceParams(eta=2.0), 4)
+        assert sorted(int(rows) for rows in calls.read_text().split()) == [10, 10, 13]  # one call per chain
+        assert_no_child_process()
+
     @pytest.mark.parametrize("where", ["child", "parent"])
     def test_chain_failure_raises_its_own_type(self, random_bundle, monkeypatch, where):
         failing = 4 if where == "child" else 7  # the padded length of the failing chain

@@ -92,3 +92,9 @@ def test_child_ending_early(monkeypatch):
         with parallel.apart([iter([]), (os._exit(3) for _ in range(1))]) as (_, child):
             list(child)
     assert_no_child_process()
+
+
+def test_openblas_lookup_runs_once(monkeypatch):
+    parallel._openblas_threads()  # the cached result of the first lookup
+    monkeypatch.setattr("builtins.open", lambda *args, **kwargs: pytest.fail("maps read again"))
+    parallel._openblas_threads()
