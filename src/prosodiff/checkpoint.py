@@ -56,15 +56,17 @@ def load_entries(path: str | Path) -> dict[str, np.ndarray]:
         size = os.fstat(fh.fileno()).st_size
         offset = 8
 
-        def take(count: int, what: str) -> bytes:
-            # a length is checked against the bytes left before it is read, so
-            # a corrupt header cannot request an allocation larger than the file
+        def take(count: int, what: str, shape: tuple[int, ...] | None = None):
+            """The next count bytes, or with a shape the float64 array they fill."""
+            # a length is checked against the bytes left before anything is allocated,
+            # so a corrupt header cannot request an allocation larger than the file
             nonlocal offset
-            data = fh.read(count) if count <= size - offset else b""
-            if len(data) != count:
-                raise CheckpointError(f"{path}: truncated inside {what} at byte {offset}")
-            offset += count
-            return data
+            if count <= size - offset:
+                buffer = bytearray(count) if shape is None else np.empty(shape, dtype="<f8")
+                if fh.readinto(buffer) == count:
+                    offset += count
+                    return buffer
+            raise CheckpointError(f"{path}: truncated inside {what} at byte {offset}")
 
         version, count = struct.unpack("<II", take(8, "header"))
         if version != VERSION:
@@ -79,14 +81,13 @@ def load_entries(path: str | Path) -> dict[str, np.ndarray]:
                 raise CheckpointError(f"{path}: entry name at byte {start} is not utf-8") from None
             (ndim,) = struct.unpack("<I", take(4, name))
             shape = struct.unpack(f"<{ndim}Q", take(8 * ndim, name))
-            payload = np.frombuffer(take(8 * math.prod(shape), name), dtype="<f8")
             try:
-                arr = payload.reshape(shape)
+                arr = take(8 * math.prod(shape), name, shape)
             except ValueError:  # zero-size, but a dim beyond what numpy can index
                 raise CheckpointError(f"{path}: entry {name} has impossible shape {shape}") from None
             if not np.all(np.isfinite(arr)):
                 raise CheckpointError(f"{path}: entry {name} holds non-finite values")
-            entries[name] = arr.astype(np.float64)  # own writable copy
+            entries[name] = arr
         if offset != size:
             raise CheckpointError(f"{path}: {size - offset} trailing bytes")
     return entries

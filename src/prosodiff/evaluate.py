@@ -145,6 +145,13 @@ def js_report(generated: list[np.ndarray], reference: list[Utterance]) -> dict[s
 
 
 def mean_cv(sequences: list[np.ndarray]) -> np.ndarray:
-    """Per-channel coefficient of variation on linear scales, averaged over utterances."""
-    cvs = np.array([[coefficient_of_variation(ch) for ch in linear_channels(seq)] for seq in sequences])
-    return cvs.mean(axis=0)
+    """Per-channel coefficient of variation on linear scales, averaged over utterances.
+
+    CV does not change when every value is multiplied by one constant, so
+    each exponentiated channel is taken as exp(x - max x), which cannot
+    overflow however far a diverging model's samples run."""
+    cvs = []
+    for seq in sequences:
+        shifted = seq - np.array([seq[0].max(), 0.0, seq[2].max()])[:, None]
+        cvs.append([coefficient_of_variation(ch) for ch in linear_channels(shifted)])
+    return np.mean(cvs, axis=0)

@@ -12,6 +12,10 @@ import numpy as np
 
 from .engine import Tensor
 
+BETA1 = 0.9  # first-moment decay
+BETA2 = 0.999  # second-moment decay
+EPSILON = 1e-8  # added to the root of the second moment
+
 
 class AdamState:
     """Adam's optimiser state: first and second moments per parameter, in
@@ -22,15 +26,7 @@ class AdamState:
         self.moment2 = {name: np.zeros(p.shape) for name, p in params.items()}
 
 
-def optimizer_step(
-    params: Iterable[tuple[str, Tensor]],
-    state: AdamState,
-    learning_rate: float,
-    step: int,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    epsilon: float = 1e-8,
-) -> None:
+def optimizer_step(params: Iterable[tuple[str, Tensor]], state: AdamState, learning_rate: float, step: int) -> None:
     """Apply Adam update number ``step`` (counted from 1) to every (name,
     parameter) pair, then clear gradients.
 
@@ -45,12 +41,12 @@ def optimizer_step(
     for name, p in params:
         g = p.grad
         m, v = state.moment1[name], state.moment2[name]  # updated in place
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * (g * g)
-        m_hat = m / (1.0 - beta1**step)
-        v_hat = v / (1.0 - beta2**step)
-        update = learning_rate * m_hat / (np.sqrt(v_hat) + epsilon)
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * (g * g)
+        m_hat = m / (1.0 - BETA1**step)
+        v_hat = v / (1.0 - BETA2**step)
+        update = learning_rate * m_hat / (np.sqrt(v_hat) + EPSILON)
         p.data -= update
         p.zero_grad()

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from prosodiff import engine
+from prosodiff import engine, optim
 from prosodiff.checkpoint import MAGIC, VERSION, CheckpointError, load_entries, save_entries
 from prosodiff.engine import Tensor
 from prosodiff.optim import AdamState, optimizer_step
@@ -290,7 +290,7 @@ class TestOptimizer:
         p = Tensor(np.zeros(3))
         p.grad = g.copy()
         lr, eps = 0.01, 1e-8
-        optimizer_step([("w", p)], AdamState({"w": p}), learning_rate=lr, step=1, epsilon=eps)
+        optimizer_step([("w", p)], AdamState({"w": p}), learning_rate=lr, step=1)
         np.testing.assert_allclose(p.data, -lr * g / (np.abs(g) + eps), rtol=1e-12)
 
     @pytest.mark.parametrize("step", [2, 7, 1000])
@@ -300,8 +300,9 @@ class TestOptimizer:
         p = Tensor(np.zeros(3))
         p.grad = g.copy()
         lr, beta1, beta2, eps = 0.01, 0.9, 0.999, 1e-8
+        assert (optim.BETA1, optim.BETA2, optim.EPSILON) == (beta1, beta2, eps)
         state = AdamState({"w": p})
-        optimizer_step([("w", p)], state, learning_rate=lr, step=step, beta1=beta1, beta2=beta2, epsilon=eps)
+        optimizer_step([("w", p)], state, learning_rate=lr, step=step)
         m_hat = (1.0 - beta1) * g / (1.0 - beta1**step)
         v_hat = (1.0 - beta2) * g * g / (1.0 - beta2**step)
         np.testing.assert_allclose(p.data, -lr * m_hat / (np.sqrt(v_hat) + eps), rtol=1e-12)

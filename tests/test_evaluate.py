@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -194,3 +195,13 @@ class TestPooledHelpers:
         cv_energy_a = coefficient_of_variation(a[1])
         cv_energy_b = coefficient_of_variation(b[1])
         assert out[1] == pytest.approx(0.5 * (cv_energy_a + cv_energy_b))
+
+    def test_mean_cv_of_a_diverging_sample_does_not_overflow(self):
+        # exp(800) overflows a float64; CV is scale-free, so the CV is that of the sequence shifted by -800
+        ordinary = np.array([[4.6, 5.1, 4.9, 5.3], [0.2, 0.5, 0.3, 0.1], [-2.0, -1.6, -1.9, -2.2]])
+        diverged = ordinary + np.array([[800.0], [0.0], [800.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = mean_cv([diverged])
+        assert np.all(np.isfinite(got))
+        np.testing.assert_allclose(got, mean_cv([ordinary]), rtol=1e-12)

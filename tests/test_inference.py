@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from prosodiff import guidance, inference, parallel, rng as rng_mod
 from prosodiff.checkpoint import load_entries
@@ -216,11 +217,15 @@ class TestShares:
     process runs share 0 and a forked child each other share."""
 
     def test_balanced_shares(self):
-        # largest first, each to the least-loaded share; equal costs keep chain order
-        assert inference._balanced_shares([5, 9, 9, 2, 7], 2) == [[1, 4], [0, 2, 3]]
-        assert inference._balanced_shares([3, 1], 4) == [[0], [1]]
-        assert inference._balanced_shares([3, 1], 1) == [[0, 1]]
-        assert inference._balanced_shares([], 3) == [[]]
+        # largest first, each to the least-loaded share; equal costs keep chain order. No two neighbouring
+        # groups fit in CHAIN_ROWS rows, so each group is a chain, here of costs 50, 90, 90, 20 and 70
+        assert inference._plan({1: 50, 2: 45, 3: 30, 4: 5, 5: 14}, 2) == [
+            [(2, [2]), (5, [5])],
+            [(1, [1]), (3, [3]), (4, [4])],
+        ]
+        assert inference._plan({3: 17, 17: 1}, 4) == [[(3, [3])], [(17, [17])]]  # costs 51 and 17
+        assert inference._plan({3: 17, 17: 1}, 1) == [[(3, [3]), (17, [17])]]
+        assert inference._plan({}, 3) == [[]]
 
     def test_outputs_do_not_depend_on_share_count(self, random_bundle, monkeypatch, tmp_path):
         texts = random_texts(THREE_CHAIN_LENGTHS)
@@ -251,14 +256,34 @@ class TestShares:
                 assert np.array_equal(getattr(d1, name), getattr(d3, name))
 
     def test_split_chains(self):
-        by_length = {4: [0] * 10, 5: [0] * 10, 6: [0] * 10, 7: [0] * 3}  # only the group sizes matter
-        assert inference._split_chains([[4], [5], [6, 7]], by_length, 2) == [(0, [4]), (1, [5]), (2, [6, 7])]
+        # THREE_CHAIN_LENGTHS: chains [4], [5] and [6, 7], of costs 40, 50 and 91, are not split on 2 CPUs
+        three_chains = {4: 10, 5: 10, 6: 10, 7: 3}
+        assert inference._plan(three_chains, 2) == [[(7, [6, 7])], [(4, [4]), (5, [5])]]
         # the costliest piece of two or more groups is split at the boundary nearest half its rows
-        assert inference._split_chains([[4, 5, 6, 7]], by_length, 2) == [(0, [4, 5]), (0, [6, 7])]
-        assert inference._split_chains([[4, 5, 6, 7]], by_length, 3) == [(0, [4]), (0, [5]), (0, [6, 7])]
+        one_chain = {4: 4, 5: 4, 6: 4, 7: 1}
+        assert inference._plan(one_chain, 2) == [[(7, [4, 5])], [(7, [6, 7])]]
+        assert inference._plan(one_chain, 3) == [[(7, [6, 7])], [(7, [4])], [(7, [5])]]  # costs 35, 28 and 28
         # never more pieces than length groups
-        assert inference._split_chains([[4, 5], [6]], by_length, 8) == [(0, [4]), (0, [5]), (1, [6])]
-        assert inference._split_chains([[4]], by_length, 3) == [(0, [4])]
+        assert inference._plan({4: 4, 5: 4, 6: 10}, 8) == [[(6, [6])], [(5, [4])], [(5, [5])]]
+        assert inference._plan({4: 10}, 3) == [[(4, [4])]]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.dictionaries(st.integers(1, 60), st.integers(1, 20), max_size=12), st.integers(1, 8))
+    def test_plan_properties(self, group_rows, cpus):
+        shares = inference._plan(group_rows, cpus)
+        assert 1 <= len(shares) <= cpus
+        assert all(shares) or (not group_rows and shares == [[]])
+        for share in shares:  # chain and row order
+            firsts = [lengths[0] for _, lengths in share]
+            assert firsts == sorted(firsts)
+        pieces = sorted((piece for share in shares for piece in share), key=lambda piece: piece[1][0])
+        assert [n for _, lengths in pieces for n in lengths] == sorted(group_rows)  # each group in exactly one piece
+        widths = [width for width, _ in pieces]
+        assert widths == sorted(widths)  # a chain's pieces are consecutive
+        for width in set(widths):
+            chain = [n for w, lengths in pieces if w == width for n in lengths]
+            assert chain[-1] == width  # the pieces share the chain's longest length as their width
+            assert len(chain) == 1 or sum(group_rows[n] for n in chain) <= inference.CHAIN_ROWS
 
     @pytest.mark.parametrize("cpus", [2, 3])
     def test_one_chain_request_split_over_cpus(self, random_bundle, monkeypatch, tmp_path, cpus):
