@@ -13,6 +13,7 @@ exit 1, or 2 for a usage error.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import csv
 import json
 import math
@@ -56,9 +57,10 @@ def _with_flags(run: RunConfig, args) -> RunConfig:
     return run if seed is None else replace(run, seed=seed)
 
 
-def _reopen(args, checkpoint) -> tuple[RunConfig, ModelBundle, int]:
+def _reopen(args, checkpoint, adam: bool) -> tuple[RunConfig, ModelBundle, int]:
     """The run archived next to checkpoint with the command's flags applied, its trained
-    bundle, statistics included, and the checkpoint's step. No flag may change a training
+    bundle, statistics included, and the checkpoint's step. The bundle holds the stored Adam
+    state if ``adam`` (to resume training), and none otherwise. No flag may change a training
     ablation."""
     archived = inference.archived_config(checkpoint)
     run = _with_flags(archived, args)
@@ -67,7 +69,7 @@ def _reopen(args, checkpoint) -> tuple[RunConfig, ModelBundle, int]:
         if trained != getattr(run.train, ablation):
             raise CommandError(f"{checkpoint} was trained with train.{ablation} {json.dumps(trained)}")
     channels = len(CHANNEL_NAMES)
-    bundle = build_models(run, NormStats(np.zeros(channels), np.ones(channels)))  # load_checkpoint sets them
+    bundle = build_models(run, NormStats(np.zeros(channels), np.ones(channels)), adam)  # load_checkpoint sets them
     return run, bundle, load_checkpoint(bundle, checkpoint)
 
 
@@ -78,7 +80,7 @@ def _load_trained(args) -> tuple[Corpus, ModelBundle, RunConfig]:
     corpus = load_corpus(args.corpus, "val")
     if not corpus.split("val"):
         raise CommandError(f"{args.corpus} has an empty val split; sample and eval draw from it")
-    run, bundle, _ = _reopen(args, args.checkpoint)
+    run, bundle, _ = _reopen(args, args.checkpoint, adam=False)
     if not run.train.style_condition and not getattr(args, "unconditional", False):
         raise CommandError(
             f"{args.checkpoint} was trained with train.style_condition false; only sample --unconditional can use it"
@@ -113,7 +115,7 @@ def cmd_gen_data(args) -> None:
 def cmd_train(args) -> None:
     corpus = load_corpus(args.corpus)
     if args.resume:  # before archiving: --out may be the checkpoint's own directory
-        run, bundle, start = _reopen(args, args.resume)
+        run, bundle, start = _reopen(args, args.resume, adam=True)
         if start >= run.train.steps:
             raise CommandError(f"checkpoint already at step {start}, nothing to train")
     else:
@@ -392,8 +394,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# glibc's mallopt parameters (malloc.h)
+M_TRIM_THRESHOLD = -1
+M_MMAP_THRESHOLD = -3
+
+
+def _keep_freed_memory() -> None:
+    """Let glibc's malloc keep freed memory for reuse. By default it maps each
+    block of 128 KiB or more afresh and hands a freed heap top of more than
+    128 KiB back to the system, raising both limits only as larger mapped
+    blocks are freed, so a sampler that holds little else faults its forward
+    passes' temporaries in again at every step. These are the limits that
+    rule stops at: a 32 MiB map threshold, and trimming past twice that."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):  # another C library keeps its own policy
+        return
+    mallopt(M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(M_TRIM_THRESHOLD, 64 << 20)
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    _keep_freed_memory()
     try:
         args.func(args)
     except (CommandError, CheckpointError, ValueError, OSError, KeyError) as exc:

@@ -181,11 +181,11 @@ def sigmoid(x) -> Tensor:
 
 def relu(x) -> Tensor:
     x = as_tensor(x)
-    mask = x.data > 0.0
-    out_data = np.where(mask, x.data, 0.0)
+    dead = x.data <= 0.0  # false for NaN, which passes through
+    out_data = np.where(dead, 0.0, x.data)
 
     def vjp(g):
-        return (g * mask,)
+        return (g * ~dead,)
 
     return Tensor(out_data, (x,), vjp)
 

@@ -18,7 +18,10 @@ names each parameter once, under its bundle name (``denoisers.*``,
 ``bank.*``), with its Adam moments in the same shape (``moment1.*``,
 ``moment2.*``), next to the text embedder's table. An entry both members
 hold is saved as the [2, ...] stack of theta1's and theta2's arrays, and
-split into them again at load. The training step is the only step count:
+read back by streaming theta1's half, then theta2's, straight into their
+live arrays. Only a bundle built for training holds Adam state; loading
+into one without it checks each moment entry in a buffer of one entry and
+drops it. The training step is the only step count:
 Adam's bias correction reads it, and a checkpoint stores it as both
 ``trainer.step`` and ``optim.step_counter``, which must agree at load.
 """
@@ -28,7 +31,7 @@ from __future__ import annotations
 import csv
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterator
 
@@ -77,8 +80,9 @@ class TrainConfig:
 class ModelBundle:
     """Everything a trained run needs to predict: the guided pair of
     denoisers (theta1, theta2), the style bank, the frozen text embedder,
-    the schedule and the channel statistics; plus the Adam state that
-    training updates each member with."""
+    the schedule and the channel statistics; plus, in a bundle built for
+    training, the Adam state that updates each member. A bundle built for
+    sampling or evaluation holds no Adam state (``adam`` is None)."""
 
     denoisers: tuple[Denoiser, Denoiser]
     bank: StyleBank
@@ -86,10 +90,7 @@ class ModelBundle:
     schedule: NoiseSchedule
     stats: NormStats
     seed: int
-    adam: tuple[AdamState, AdamState] = field(init=False)
-
-    def __post_init__(self):
-        self.adam = tuple(AdamState(self.named_parameters(index)) for index in range(len(self.denoisers)))
+    adam: tuple[AdamState, AdamState] | None = None
 
     def named_parameters(self, index: int) -> dict[str, Tensor]:
         """Member ``index``'s parameters under their bundle names: its
@@ -107,14 +108,15 @@ class ModelBundle:
         return [(name, p) for name, p in self.named_parameters(index).items() if not name.startswith(dead)]
 
 
-def build_models(run: RunConfig, stats: NormStats) -> ModelBundle:
+def build_models(run: RunConfig, stats: NormStats, adam: bool = True) -> ModelBundle:
     """Freshly initialised models for ``run``: the only place a run's
     schedule settings become a NoiseSchedule and its two training ablations
     are applied. Without ``train.style_condition`` theta1 takes no style
     vector; without ``train.text_condition`` the embedder embeds every text
-    as zeros, for training batches and sampling alike."""
+    as zeros, for training batches and sampling alike. Each member gets
+    zeroed Adam state unless ``adam`` is false."""
     seed, cfg = run.seed, run.denoiser
-    return ModelBundle(
+    bundle = ModelBundle(
         denoisers=(
             Denoiser(cfg, run.train.style_condition, rng_mod.substream(seed, rng_mod.INIT_STREAM, 0)),
             Denoiser(cfg, False, rng_mod.substream(seed, rng_mod.INIT_STREAM, 1)),
@@ -125,6 +127,9 @@ def build_models(run: RunConfig, stats: NormStats) -> ModelBundle:
         stats=stats,
         seed=seed,
     )
+    if adam:
+        bundle.adam = tuple(AdamState(bundle.named_parameters(index)) for index in range(len(bundle.denoisers)))
+    return bundle
 
 
 @dataclass
@@ -200,6 +205,8 @@ def train(
     ``start_step`` keeps loss.csv's rows up to that step. Returns the path
     of the final checkpoint.
     """
+    if bundle.adam is None:
+        raise ValueError("training needs a bundle built with Adam state")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     sampler = LengthBucketSampler(corpus.split("train"), bundle.stats, bundle.embedder, cfg.batch_size)
@@ -275,14 +282,15 @@ def _state_entries(bundle: ModelBundle) -> dict[str, tuple[np.ndarray, ...]]:
 
 
 def _member_arrays(bundle: ModelBundle, index: int) -> dict[str, np.ndarray]:
-    """Member ``index``'s live state: every named parameter's array, and its
-    Adam moments under moment1.<name> and moment2.<name>."""
-    adam = bundle.adam[index]
+    """Member ``index``'s live state: every named parameter's array, and,
+    if the bundle holds Adam state, its moments under moment1.<name> and
+    moment2.<name>."""
     arrays = {}
     for name, p in bundle.named_parameters(index).items():
         arrays[name] = p.data
-        arrays[f"moment1.{name}"] = adam.moment1[name]
-        arrays[f"moment2.{name}"] = adam.moment2[name]
+        if bundle.adam is not None:
+            arrays[f"moment1.{name}"] = bundle.adam[index].moment1[name]
+            arrays[f"moment2.{name}"] = bundle.adam[index].moment2[name]
     return arrays
 
 
@@ -299,40 +307,60 @@ def save_checkpoint(bundle: ModelBundle, trainer_step: int, path: str | Path) ->
 
 
 def load_checkpoint(bundle: ModelBundle, path: str | Path) -> int:
-    """Restore parameters, Adam state, the text embedder and statistics;
-    returns the stored step. An entry the bundle does not have, a step
-    count that is not a non-negative integer, an ``optim.step_counter``
-    other than ``trainer.step``, or a channel std below the least
-    ``compute_stats`` allows, is an error."""
-    entries = ckpt.load_entries(path)
+    """Stream the checkpoint into the bundle's parameters, text embedder and,
+    if it holds Adam state, moments; set its statistics and return the stored
+    step. A bundle without Adam state checks each moment entry's shape and
+    values in a buffer of one entry, then drops it. A missing, mis-shaped or
+    unknown entry, a negative second moment, a step count that is not a
+    non-negative integer, an ``optim.step_counter`` other than
+    ``trainer.step``, or a channel std below the least ``compute_stats``
+    allows, is an error; the bundle may then hold part of the checkpoint."""
+    targets = _state_entries(bundle)
+    if bundle.adam is None:
+        params = {name: live for name, live in targets.items() if name != "embedder.table"}
+        buffer = np.empty(max(len(live) * live[0].size for live in params.values()))
+        for name, live in params.items():
+            scratch = tuple(buffer[: len(live) * live[0].size].reshape((len(live),) + live[0].shape))
+            targets[f"moment1.{name}"] = targets[f"moment2.{name}"] = scratch
+    stored = {"trainer.step": np.empty(()), "optim.step_counter": np.empty(())}
+    stored |= {"norm.std": np.empty(bundle.stats.std.shape), "norm.mean": np.empty(bundle.stats.mean.shape)}
+    targets |= {key: (array,) for key, array in stored.items()}
+    seen, unknown = set(), []
 
-    def entry(key: str, shape: tuple[int, ...]) -> np.ndarray:
-        if key not in entries:
+    def into(name: str, shape: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+        if name not in targets:
+            unknown.append(name)
+            return (np.empty(shape),)
+        live = targets[name]
+        model = live[0].shape if len(live) == 1 else (len(live),) + live[0].shape
+        if shape != model:
+            raise ckpt.CheckpointError(f"{path}: shape mismatch for {name}: checkpoint {shape}, model {model}")
+        seen.add(name)
+        return live
+
+    def check(name: str, arrays: tuple[np.ndarray, ...]) -> None:
+        if name.startswith("moment2.") and any(np.any(array < 0) for array in arrays):
+            raise ckpt.CheckpointError(f"{path}: entry {name} holds negative values, and a second moment cannot")
+
+    ckpt.load_entries(path, into, check)
+    for key in targets:
+        if key not in seen:
             raise ckpt.CheckpointError(f"{path}: checkpoint missing entry {key}")
-        if entries[key].shape != shape:
-            raise ckpt.CheckpointError(
-                f"{path}: shape mismatch for {key}: checkpoint {entries[key].shape}, model {shape}"
-            )
-        return entries.pop(key)
 
     def count(key: str) -> int:
-        value = float(entry(key, ()))  # finite: load_entries rejects the rest
+        value = float(stored[key])  # finite: load_entries rejects the rest
         if value < 0 or not value.is_integer():
             raise ckpt.CheckpointError(f"{path}: {key} must be a non-negative integer, got {value}")
         return int(value)
 
-    for key, live in _state_entries(bundle).items():
-        shape = live[0].shape if len(live) == 1 else (len(live),) + live[0].shape
-        for array, part in zip(live, entry(key, shape).reshape((len(live),) + live[0].shape)):
-            array[...] = part
     step, adam_step = count("trainer.step"), count("optim.step_counter")
     if adam_step != step:
         raise ckpt.CheckpointError(f"{path}: optim.step_counter {adam_step} differs from trainer.step {step}")
-    std = entry("norm.std", bundle.stats.std.shape)
+    std = stored["norm.std"]
     if np.any(std < MIN_STD):
         raise ckpt.CheckpointError(f"{path}: norm.std must be at least {MIN_STD}, got {std.tolist()}")
-    # a new object: the bundle may share its statistics with the corpus it was built for
-    bundle.stats = NormStats(entry("norm.mean", bundle.stats.mean.shape), std)
-    if entries:
-        raise ckpt.CheckpointError(f"{path}: checkpoint has entries this model does not: {', '.join(sorted(entries))}")
+    # new arrays: the bundle may share its statistics with the corpus it was built for
+    bundle.stats = NormStats(stored["norm.mean"], std)
+    if unknown:
+        raise ckpt.CheckpointError(f"{path}: checkpoint has entries this model does not: {', '.join(sorted(unknown))}")
     return step

@@ -1,3 +1,4 @@
+import ctypes
 import json
 import math
 import shutil
@@ -114,6 +115,23 @@ class TestTrain:
         assert main(["train", *resume, "--out", str(tmp_path / "run"), *inputs]) == 0
         for name in ("loss.csv", "ckpt_000006.bin", "final.bin"):
             assert (tmp_path / "run" / name).read_bytes() == (tmp_path / "full" / name).read_bytes(), name
+
+
+    def test_only_train_reopens_a_checkpoint_with_adam_state(self, workspace, tmp_path, monkeypatch):
+        opened = []
+
+        def recording(bundle, path):
+            opened.append(bundle.adam is not None)
+            return load_checkpoint(bundle, path)
+
+        monkeypatch.setattr("prosodiff.cli.load_checkpoint", recording)
+        inputs = ["--corpus", str(workspace["corpus"])]
+        for command in ("sample", "eval"):
+            argv = [command, "--checkpoint", str(workspace["checkpoint"]), "--out", str(tmp_path / command)]
+            assert main(argv + inputs) == 0
+        argv = ["train", "--resume", str(workspace["checkpoint"]), "--steps", "13", "--out", str(tmp_path / "t")]
+        assert main(argv + inputs + ["--quiet"]) == 0
+        assert opened == [False, False, True]
 
 
 class TestSample:
@@ -356,6 +374,30 @@ class TestEval:
         assert not (tmp_path / "o").exists()
 
 
+class TestMallocPolicy:
+    def test_main_keeps_freed_memory_where_the_c_library_has_mallopt(self, tmp_path, monkeypatch):
+        calls = []
+
+        class Library:
+            def mallopt(self, param, value):
+                calls.append((param, value))
+                return 1
+
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: Library())
+        assert main(["dump-schedule", "--steps", "4", "--out", str(tmp_path / "s.csv")]) == 0
+        assert calls == [(-3, 32 << 20), (-1, 64 << 20)]  # M_MMAP_THRESHOLD, then M_TRIM_THRESHOLD
+
+    @pytest.mark.parametrize("library", ["absent", "without-mallopt"])
+    def test_another_c_library_keeps_its_own_policy(self, tmp_path, monkeypatch, library):
+        def load(name):
+            if library == "absent":
+                raise OSError("no C library")
+            return object()
+
+        monkeypatch.setattr(ctypes, "CDLL", load)
+        assert main(["dump-schedule", "--steps", "4", "--out", str(tmp_path / "s.csv")]) == 0
+
+
 class TestPlotAndSchedule:
     def test_plot_from_loss_csv(self, workspace, tmp_path):
         loss = workspace["root"] / "model" / "loss.csv"
@@ -563,6 +605,32 @@ class TestErrors:
             argv = [command, "--checkpoint", str(junk)]
         code = main(argv + ["--corpus", str(workspace["corpus"]), "--out", str(tmp_path / "o")])
         assert_json_error(code, capsys, "bad magic")
+
+    @pytest.mark.parametrize("command", ["sample", "eval", "train"])
+    @pytest.mark.parametrize(
+        "key, value, fragment",
+        [
+            ("moment1.denoisers.output_proj.weight", np.nan, "holds non-finite values"),
+            ("moment2.denoisers.layers.0.cond_proj.weight", -1e-3, "holds negative values"),
+        ],
+        ids=["nan-moment", "negative-second-moment"],
+    )
+    def test_bad_moment_rejected(self, workspace, tmp_path, capsys, command, key, value, fragment):
+        # sample and eval keep no moments, but check each one as train --resume does
+        model = tmp_path / "model"
+        model.mkdir()
+        entries = load_entries(workspace["checkpoint"])
+        entries[key].flat[-1] = value
+        save_entries(model / "final.bin", entries)
+        archive = workspace["root"] / "model" / "resolved_config.json"
+        (model / "resolved_config.json").write_bytes(archive.read_bytes())
+        if command == "train":
+            argv = ["train", "--resume", str(model / "final.bin"), "--steps", "16", "--quiet"]
+        else:
+            argv = [command, "--checkpoint", str(model / "final.bin")]
+        code = main(argv + ["--corpus", str(workspace["corpus"]), "--out", str(tmp_path / "o")])
+        assert_json_error(code, capsys, f"final.bin: entry {key} {fragment}")
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(
         "flag, field",

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from prosodiff import engine, optim
+from prosodiff import checkpoint, engine, optim
 from prosodiff.checkpoint import MAGIC, VERSION, CheckpointError, load_entries, save_entries
 from prosodiff.engine import Tensor
 from prosodiff.optim import AdamState, optimizer_step
@@ -202,6 +202,18 @@ class TestGatedActivation:
         assert np.all(np.isfinite(gate.grad))
 
 
+class TestRelu:
+    def test_nan_passes_through_and_finite_results_match_the_mask_form_bitwise(self):
+        x = np.array([[np.nan, -0.0, 0.0, -2.5, 3.0], [np.inf, -np.inf, 5e-324, -5e-324, 1.0]])
+        out = engine.relu(Tensor(x))
+        assert np.isnan(out.data[0, 0])
+        finite = ~np.isnan(x)
+        assert out.data[finite].tobytes() == np.where(x > 0.0, x, 0.0)[finite].tobytes()
+        g = np.random.default_rng(4).standard_normal(x.shape)
+        (grad,) = out._vjp(g)
+        assert grad[finite].tobytes() == (g * (x > 0.0))[finite].tobytes()
+
+
 class TestBackward:
     def test_sum_of_parameter_gives_ones(self):
         p = Tensor(np.random.default_rng(0).standard_normal((3, 4)))
@@ -392,6 +404,42 @@ class TestCheckpointContainer:
         save_entries(path, {"x": np.arange(3.0)})
         loaded = load_entries(path)
         loaded["x"][0] = 99.0  # must not raise
+
+    def test_streams_each_entry_into_the_arrays_named_for_it(self, tmp_path):
+        path = tmp_path / "state.bin"
+        pair = np.arange(12.0).reshape(2, 2, 3)
+        save_entries(path, {"pair": pair, "scalar": np.array(1.5)})
+        live = {"pair": (np.zeros((2, 3)), np.zeros((2, 3))), "scalar": (np.zeros(()),)}
+        checked = []
+
+        def check(name, arrays):
+            checked.append((name, [a.copy() for a in arrays]))
+
+        assert load_entries(path, lambda name, shape: live[name], check) == {}
+        assert np.array_equal(live["pair"][0], pair[0]) and np.array_equal(live["pair"][1], pair[1])
+        assert live["scalar"][0] == 1.5
+        assert [name for name, _ in checked] == ["pair", "scalar"]
+        assert np.array_equal(checked[0][1], list(pair))  # check sees the values once they are read
+
+    def test_refusal_by_into_or_check_propagates(self, tmp_path):
+        path = tmp_path / "state.bin"
+        save_entries(path, {"x": np.array([1.0, -1.0])})
+
+        def refuse(name, arrays):
+            raise CheckpointError(f"{name} refused")
+
+        with pytest.raises(CheckpointError, match="x refused"):
+            load_entries(path, lambda name, shape: (np.empty(shape),), refuse)
+        with pytest.raises(CheckpointError, match="x refused"):
+            load_entries(path, lambda name, shape: refuse(name, ()))
+
+    def test_a_big_endian_host_swaps_the_little_endian_payload(self, tmp_path, monkeypatch):
+        path = tmp_path / "state.bin"
+        values = np.array([1.0, -2.0, 0.5])
+        save_entries(path, {"x": values})
+        monkeypatch.setattr(checkpoint, "BIG_ENDIAN", True)
+        # on a little-endian host, the swap a big-endian one needs reverses each value's bytes
+        assert load_entries(path)["x"].tobytes() == values.byteswap().tobytes()
 
     @pytest.mark.parametrize("dims", [(2**20, 2**20), (0, 2**63)])
     def test_impossible_dims_rejected_before_allocating(self, tmp_path, dims):

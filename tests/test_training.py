@@ -6,6 +6,7 @@ import re
 import shutil
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -221,6 +222,58 @@ class TestCheckpointRoundTrip:
         with pytest.raises(CheckpointError, match=message):
             load_checkpoint(bundle, tmp_path / "bad.bin")
 
+    @pytest.mark.parametrize("adam", [True, False], ids=["adam", "no-adam"])
+    def test_every_truncation_rejected(self, tmp_path, adam):
+        corpus, bundle = tiny_setup()
+        save_checkpoint(bundle, 1, tmp_path / "state.bin")
+        raw = (tmp_path / "state.bin").read_bytes()
+        run = run_config(TINY_DENOISER, TINY_STYLE, 12, 3, corpus=TINY_CORPUS)
+        loaded = build_models(run, corpus.stats, adam)
+        cut = tmp_path / "cut.bin"
+        for length in range(0, len(raw), 7):
+            cut.write_bytes(raw[:length])
+            with pytest.raises(CheckpointError, match=r"cut\.bin: (truncated|not a checkpoint)"):
+                load_checkpoint(loaded, cut)
+
+    @pytest.mark.parametrize("adam", [True, False], ids=["adam", "no-adam"])
+    def test_negative_second_moment_rejected(self, tmp_path, adam):
+        corpus, bundle = tiny_setup()
+        save_checkpoint(bundle, 1, tmp_path / "state.bin")
+        entries = load_entries(tmp_path / "state.bin")
+        key = "moment2.denoisers.layers.0.cond_proj.weight"
+        entries[key][1].flat[4] = -1e-30
+        save_entries(tmp_path / "bad.bin", entries)
+        loaded = build_models(run_config(TINY_DENOISER, TINY_STYLE, 12, 3, corpus=TINY_CORPUS), corpus.stats, adam)
+        with pytest.raises(CheckpointError, match=rf"bad\.bin: entry {re.escape(key)} holds negative values"):
+            load_checkpoint(loaded, tmp_path / "bad.bin")
+
+    def test_bundle_without_adam_state_checks_moments_and_keeps_none(self, tmp_path):
+        corpus, bundle = tiny_setup()
+        train(bundle, corpus, TrainConfig(steps=3, batch_size=4, checkpoint_every=0), tmp_path)
+        run = run_config(TINY_DENOISER, TINY_STYLE, 12, 4, corpus=TINY_CORPUS)
+        loaded = build_models(run, corpus.stats, adam=False)
+        assert loaded.adam is None
+        assert load_checkpoint(loaded, tmp_path / "final.bin") == 3 and loaded.adam is None
+        for index in (0, 1):
+            for name, p in loaded.named_parameters(index).items():
+                assert np.array_equal(p.data, bundle.named_parameters(index)[name].data), name
+        with pytest.raises(ValueError, match="training needs a bundle built with Adam state"):
+            train(loaded, corpus, TrainConfig(steps=4, batch_size=4), tmp_path / "more", start_step=3)
+
+    @pytest.mark.parametrize("adam", [True, False], ids=["adam", "no-adam"])
+    def test_default_config_loads_in_under_one_mib(self, tmp_path, adam):
+        stats = NormStats(np.zeros(3), np.ones(3))
+        save_checkpoint(build_models(run_config(DenoiserConfig(), StyleConfig(), 4, 0), stats), 0, tmp_path / "state.bin")
+        assert (tmp_path / "state.bin").stat().st_size > 8 * 2**20  # the payload a whole-file read would hold
+        loaded = build_models(run_config(DenoiserConfig(), StyleConfig(), 4, 1), stats, adam)
+        tracemalloc.start()
+        try:
+            load_checkpoint(loaded, tmp_path / "state.bin")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, peak
+
     def test_stats_travel_with_checkpoint(self, tmp_path):
         corpus, bundle = tiny_setup()
         save_checkpoint(bundle, 0, tmp_path / "state.bin")
@@ -408,6 +461,16 @@ class TestSplitTraining:
         rows = list(csv.reader(io.StringIO(one["loss.csv"].decode())))[1:]
         assert [[int(row[0]), float(row[1]), float(row[2])] for row in rows] == logged
         reference.assert_saved(load_entries(tmp_path / "run1" / "final.bin"))
+
+    @pytest.mark.parametrize("index", [0, 1])
+    def test_nan_weight_behind_the_skip_relu_fails_the_loss(self, tmp_path, index):
+        # a NaN entering the denoiser's skip path reaches the loss only if relu passes it on
+        corpus, bundle = tiny_setup()
+        bundle.denoisers[index].params["layers.0.cond_proj.weight"].data.flat[0] = np.nan
+        with pytest.raises(ValueError, match="non-finite training loss at step 1: loss_c=") as raised:
+            train(bundle, corpus, TrainConfig(steps=3, batch_size=4), tmp_path)
+        assert f"{('loss_c', 'loss_nc')[index]}=nan" in str(raised.value) and not (tmp_path / "final.bin").exists()
+        assert_no_child_process()
 
     def test_non_finite_loss_in_the_child_names_both_losses(self, tmp_path, monkeypatch):
         messages = []
